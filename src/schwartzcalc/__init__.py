@@ -42,6 +42,7 @@ from .families import (
     DiracFamily,
     FourierFamily,
     KernelFamily,
+    LazyFamily,
     SchwartzFamily,
     coordinates,
     family_product,

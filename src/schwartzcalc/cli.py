@@ -7,7 +7,9 @@ Subcommands
     ``report.json``.
 ``green --config FILE --index P [--index P ...]``
     Build Green members for the configured operator at the given index
-    points; writes ``green_XXX.csv`` per index and ``report.json``.
+    points (grid nodes, checked before anything is built; negative
+    coordinates such as ``--index -3.75,0.5`` are accepted); writes
+    ``green_XXX.csv`` per index and ``report.json``.
 ``expand --config FILE``
     Apply the configured operator by spectral expansion; writes
     ``expansion.csv`` (the image) and ``integrand.csv`` (the symbol-scaled
@@ -17,8 +19,9 @@ Subcommands
     ``solver``, ``green`` or ``all``) and print a deterministic pass/fail
     table.
 
-Exit codes: 0 success; 1 configuration problem; 2 the equation/operator is
-not divisible/invertible under the policy; 3 a verification check failed.
+Exit codes: 0 success; 1 configuration problem, including a command-line
+usage error; 2 the equation/operator is not divisible/invertible under the
+policy; 3 a verification check failed.
 
 The probe generator seed is taken from the ``SCHWARTZ_SEED`` environment
 variable (default 42).  The JSON config schema is documented in the README.
@@ -384,12 +387,17 @@ def _cmd_green(args) -> int:
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
     policy = _parse_policy(cfg.get("policy"))
     out_dir = _output_dir(cfg)
-    points = []
+    # every index is resolved on the Green index grid (the space grid)
+    # before anything is built
+    points, flats = [], []
     for raw in args.index:
         try:
             pt = _parse_point([float(v) for v in raw.split(",")], grid.dim, "index")
-        except ValueError as exc:
+            flats.append(grid.index_of(pt))
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad index {raw!r}: {exc}") from exc
+        except IndexOffGrid as exc:
+            raise ConfigError(str(exc)) from exc
         points.append(pt)
     report = {
         "command": "green",
@@ -418,14 +426,9 @@ def _cmd_green(args) -> int:
         _write_report(out_dir / "report.json", report)
         print(f"green construction failed: {exc}", file=sys.stderr)
         return 2
-    index_grid = result.family.index_grid
     outputs = {}
     residuals = {}
-    for k, pt in enumerate(points):
-        try:
-            flat = index_grid.index_of(pt)
-        except IndexOffGrid as exc:
-            raise ConfigError(str(exc)) from exc
+    for k, (pt, flat) in enumerate(zip(points, flats)):
         name = f"green_{k:03d}.csv"
         write_distribution_csv(out_dir / name, result.family.member(pt))
         outputs[name] = list(pt)
@@ -502,8 +505,32 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Parser whose usage errors exit 1, the code of configuration problems
+    (argparse's own 2 is the CLI's "not divisible/invertible")."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _join_index_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--index VALUE`` as ``--index=VALUE``, so that argparse takes
+    a value such as ``-3.75,0.5`` as the option's argument, not as an option."""
+    out = []
+    pending = False
+    for arg in argv:
+        if pending:
+            out[-1] = f"--index={arg}"
+            pending = False
+            continue
+        out.append(arg)
+        pending = arg == "--index"
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="schwartzcalc",
         description="Spectral calculus on periodic grids: solve, expand, Green families, self checks.",
     )
@@ -536,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_index_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

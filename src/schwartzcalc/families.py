@@ -8,6 +8,8 @@ a space grid.  Three variants are provided:
 * ``FourierFamily`` -- member at ``p`` is ``x -> exp(-i p.x)`` with the
   index grid equal to the dual (frequency) lattice of the space grid.
 * ``KernelFamily`` -- members given explicitly as rows of a matrix.
+* ``LazyFamily`` -- members given by a linear map on coefficient rows; the
+  member table is built only when asked for.
 
 Fixed transform convention
 --------------------------
@@ -20,13 +22,15 @@ are computed with FFTs; they agree with the literal sums above to rounding.
 For the Dirac family both maps collapse to the identity on samples, which
 this module implements exactly.
 
-Everything here is a pure function of immutable values.
+Everything here is a pure function of immutable values; the one cache,
+``KernelFamily``'s SVD, is filled once under a lock.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+import threading
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "DiracFamily",
     "FourierFamily",
     "KernelFamily",
+    "LazyFamily",
     "CoordinateDistribution",
     "member",
     "coordinates",
@@ -271,6 +276,7 @@ class KernelFamily(SchwartzFamily):
         self._is_basis = bool(is_basis)
         self.condition_limit = float(condition_limit)
         self._svd_cache = None
+        self._svd_lock = threading.Lock()
 
     @property
     def is_basis(self) -> bool:
@@ -296,9 +302,10 @@ class KernelFamily(SchwartzFamily):
 
     def _system_svd(self):
         # synthesis system: columns indexed by index nodes, weighted by dp^m
-        if self._svd_cache is None:
-            system = (self.kernel * self.index_grid.cell_volume).T
-            self._svd_cache = np.linalg.svd(system, full_matrices=False)
+        with self._svd_lock:
+            if self._svd_cache is None:
+                system = (self.kernel * self.index_grid.cell_volume).T
+                self._svd_cache = np.linalg.svd(system, full_matrices=False)
         return self._svd_cache
 
     def condition_estimate(self) -> float:
@@ -351,6 +358,68 @@ class KernelFamily(SchwartzFamily):
         return (
             f"KernelFamily(index_grid={self.index_grid!r}, "
             f"space_grid={self.space_grid!r}, is_basis={self._is_basis})"
+        )
+
+
+def point_mass_rows(grid: Grid, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the point-mass table ``eye(grid.size) / cell_volume``."""
+    rows = np.zeros((stop - start, grid.size), dtype=np.complex128)
+    rows[np.arange(stop - start), np.arange(start, stop)] = 1.0 / grid.cell_volume
+    return rows
+
+
+class LazyFamily(SchwartzFamily):
+    """Family given by a linear map on coefficient rows instead of a table.
+
+    ``rows_map`` takes a 2-d array of coefficient rows on the index grid to
+    their superpositions on the space grid, so it *is* :meth:`superpose_rows`.
+    The member at ``p`` is the map applied to the point mass at ``p``; the
+    dense table (:meth:`matrix`, :attr:`kernel`) is built only on request.
+    The family holds no table and no cache.
+    """
+
+    def __init__(self, index_grid: Grid, space_grid: Grid, rows_map):
+        self.index_grid = index_grid
+        self.space_grid = space_grid
+        self.rows_map = rows_map
+
+    @property
+    def is_basis(self) -> bool:
+        return False
+
+    def member(self, p) -> GridDistribution:
+        flat = self.index_grid.index_of(p)
+        row = self.rows_map(point_mass_rows(self.index_grid, flat, flat + 1))[0]
+        return GridDistribution(self.space_grid, row)
+
+    def superpose(self, c: CoordinateDistribution) -> GridDistribution:
+        self._check_index(c)
+        return GridDistribution(self.space_grid, self.rows_map(c.samples[np.newaxis])[0])
+
+    def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
+        self._check_space(u)
+        return GridDistribution(self.index_grid, self.coordinates_rows(u.samples[np.newaxis])[0])
+
+    def matrix(self) -> np.ndarray:
+        return self.rows_map(point_mass_rows(self.index_grid, 0, self.index_grid.size))
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The dense member table, built on every access."""
+        return self.matrix()
+
+    def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
+        return self.rows_map(rows)
+
+    def coordinates_rows(self, rows: np.ndarray) -> np.ndarray:
+        # least squares needs the table; a fresh KernelFamily keeps this stateless
+        table = KernelFamily(self.index_grid, self.space_grid, self.matrix())
+        return table.coordinates_rows(rows)
+
+    def __repr__(self):
+        return (
+            f"LazyFamily(index_grid={self.index_grid!r}, "
+            f"space_grid={self.space_grid!r})"
         )
 
 

@@ -7,7 +7,14 @@ independent.
 
 import numpy as np
 
-from schwartzcalc import GridDistribution, member
+from schwartzcalc import (
+    DivisionPolicy,
+    GridDistribution,
+    NotDivisible,
+    NotInvertible,
+    gaussian_probes,
+    member,
+)
 
 
 def naive_superpose(c, family):
@@ -47,3 +54,54 @@ def band_limited(rng, family, width):
     lo, hi = n // 2 - width, n // 2 + width
     c[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     return family.superpose(GridDistribution(family.index_grid, c))
+
+
+def dense_green(lam, l, policy=None, divided=False, mu_rows=None):
+    """Green table and weak residuals built densely, step by step.
+
+    The left-inverse table is the analysis of ``eye / cell_volume`` in
+    ``lam`` (unless ``mu_rows`` is given); each row is divided by the symbol
+    (``* (1/l)``, or ``/ l`` with zero-set entries set to 0 when
+    ``divided``); the quotients are synthesised in one batch; and every
+    ``L G_p`` is paired with the probes by one dense product.  Returns the
+    table (row k = member at the k-th index node) and the residuals
+    ``max_phi |<L G_p, phi> - phi(p)|``, raising the library's
+    ``NotInvertible``/``NotDivisible`` for the same failures.
+    """
+    policy = policy or DivisionPolicy()
+    space = lam.space_grid
+    if mu_rows is None:
+        eye = np.eye(space.size, dtype=np.complex128) / space.cell_volume
+        mu_rows = lam.coordinates_rows(eye)
+    l_values = l.sample(lam.index_grid)
+    eps = policy.resolve_zero_threshold(l_values)
+    magnitudes = np.abs(l_values)
+    zero_mask = magnitudes <= eps
+    if divided:
+        mass = np.abs(mu_rows)
+        allowed = policy.residual_threshold * np.max(mass, axis=1, initial=0.0)
+        bad = zero_mask[np.newaxis, :] & (mass > allowed[:, np.newaxis])
+        for k in range(bad.shape[0]):
+            if bad[k].any():
+                point = space.point_at(k)
+                raise NotDivisible(
+                    "dense oracle", worst_index=k, worst_point=point,
+                    magnitude=float(np.max(mass[k][bad[k]])),
+                )
+        safe = np.where(zero_mask, 1.0, l_values)
+        quotient = np.where(zero_mask[np.newaxis, :], 0.0 + 0.0j, mu_rows / safe)
+    else:
+        if zero_mask.any():
+            k = int(np.argmin(magnitudes))
+            raise NotInvertible(
+                "dense oracle", worst_index=k,
+                worst_point=lam.index_grid.point_at(k), magnitude=float(magnitudes[k]),
+            )
+        quotient = mu_rows * (1.0 / l_values)[np.newaxis, :]
+    table = lam.superpose_rows(quotient)
+    image = lam.superpose_rows(lam.coordinates_rows(table) * l_values[np.newaxis, :])
+    probes, _ = gaussian_probes(space)
+    pairs = image @ (probes * space.cell_volume)
+    # the index grid is the space grid, so phi(p) are the probe samples
+    residuals = np.max(np.abs(pairs - probes), axis=1)
+    return table, residuals

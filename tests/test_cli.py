@@ -218,6 +218,58 @@ def test_green_off_grid_index_exits_1(tmp_path):
     assert main(["green", "--config", cfg, "--index", "0.123"]) == 1
 
 
+def test_green_off_grid_index_exits_1_before_building(monkeypatch, tmp_path):
+    import schwartzcalc.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("Green family built for an off-grid index")
+
+    for name in ("left_inverse_family", "green_family", "green_family_divided"):
+        monkeypatch.setattr(cli, name, never)
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator={"type": "multiplication", "symbol": {"name": "one"}},
+        output={"directory": str(tmp_path / "out")},
+    )
+    argv = ["green", "--config", cfg, "--index", "0.0", "--index", "0.123"]
+    assert cli.main(argv) == 1
+    assert cli.main(["green", "--config", cfg, "--index", "inf"]) == 1
+
+
+def test_green_negative_index_as_separate_argument(tmp_path):
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid={"dim": 2, "counts": [16, 16], "half_extents": [4.0, 4.0]},
+        operator={"type": "differential", "coefficients": {"0,0": 1, "2,0": -1, "0,2": -1}},
+        output={"directory": str(tmp_path / "a")},
+    )
+    assert main(["green", "--config", cfg, "--index", "-3.5,0.5", "--index", "-1.0,-2.0"]) == 0
+    cfg2 = json.loads((tmp_path / "run.json").read_text())
+    cfg2["output"]["directory"] = str(tmp_path / "b")
+    cfg2 = write_config(tmp_path / "run2.json", **cfg2)
+    assert main(["green", "--config", cfg2, "--index=-3.5,0.5", "--index=-1.0,-2.0"]) == 0
+    for name in ("green_000.csv", "green_001.csv", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["indices"] == [[-3.5, 0.5], [-1.0, -2.0]]
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", grid=GRID_64_PI, operator=DDX)
+    for argv in (
+        ["green", "--config", cfg],
+        ["green", "--config", cfg, "--index"],
+        ["solve"],
+        ["nonsense"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
+        assert "usage:" in capsys.readouterr().err
+
+
 def test_samples_datum_round_trip(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

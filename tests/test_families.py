@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -328,3 +331,38 @@ def test_kernel_shape_validation():
     g = make_grid(1, [16], [2.0])
     with pytest.raises(GridMismatch):
         KernelFamily(g, g, np.zeros((4, 16)))
+
+
+def test_kernel_svd_is_computed_once_across_threads(monkeypatch):
+    g = make_grid(1, [16], [2.0])
+    four = FourierFamily(g)
+    kern = KernelFamily(four.index_grid, g, four.matrix())
+    real_svd = np.linalg.svd
+    calls = []
+
+    def slow_svd(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.05)  # widen the window in which a second fill could start
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", slow_svd)
+    start = threading.Barrier(4)
+    results = []
+
+    def estimate():
+        start.wait(timeout=10)
+        results.append(kern.condition_estimate())
+
+    threads = [threading.Thread(target=estimate) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and len(set(results)) == 1
+    assert len(calls) == 1
