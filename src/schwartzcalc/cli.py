@@ -188,7 +188,14 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
         raise ConfigError(
             f"samples file {path} has {len(values)} data rows, grid has {grid.size} nodes"
         )
-    return GridDistribution(grid, np.asarray(values))
+    samples = np.asarray(values)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ConfigError(
+            f"samples file {path}: data row {row + 1} holds a non-finite value {samples[row]}"
+        )
+    return GridDistribution(grid, samples)
 
 
 def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
@@ -343,7 +350,7 @@ def _cmd_solve(args) -> int:
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     policy = _parse_policy(cfg.get("policy"))
     out_dir = _output_dir(cfg)
-    applied = policy.resolve_zero_threshold(symbol.sample(family.index_grid))
+    applied = policy.resolve_zero_threshold(symbol.sample_finite(family.index_grid))
     report = {
         "command": "solve",
         "grid": _grid_json(grid),

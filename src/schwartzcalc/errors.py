@@ -57,6 +57,12 @@ class NotInvertible(DivisionError):
     """The symbol dips below the invertibility threshold on the index grid."""
 
 
+class NonFiniteSymbol(SchwartzCalcError, ValueError):
+    """A symbol evaluates to ``inf`` or ``nan`` on a grid node.
+
+    Also a ``ValueError``, the type a non-finite sample used to surface as."""
+
+
 class TooLarge(SchwartzCalcError):
     """Dense-matrix oracle requested on a grid beyond the desk-scale cap."""
 

@@ -29,6 +29,7 @@ Everything here is a pure function of immutable values; the one cache,
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import threading
 
@@ -64,15 +65,17 @@ def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
 
     This is the phase relating the box transforms above to plain DFTs: on the
     nodes ``x_k = -L + k*dx`` one has ``exp(+i p_j x_k) = (-1)^j exp(2i*pi*jk/N)``.
+    It is one ``±1`` vector per axis.  In several dimensions the vectors are
+    joined by outer products into one table: a complex times ``±1 + 0i``
+    product can change the sign of a zero component, so multiplying by the
+    vectors one axis at a time is not the same arithmetic as one product.
     """
-    sign = np.ones(counts)
-    for axis, n in enumerate(counts):
-        j = np.arange(n) - n // 2
-        s = np.where(j % 2 == 0, 1.0, -1.0)
-        shape = [1] * len(counts)
-        shape[axis] = n
-        sign = sign * s.reshape(shape)
-    return sign
+    vectors = []
+    for n in counts:
+        sign = np.ones(n)
+        sign[(n // 2 + 1) % 2 :: 2] = -1.0
+        vectors.append(sign)
+    return functools.reduce(np.multiply.outer, vectors)
 
 
 def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
@@ -82,9 +85,10 @@ def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
     batch = rows.shape[0]
     arr = rows.reshape((batch,) + counts)
     axes = tuple(range(1, dim + 1))
-    raw = np.fft.ifftn(arr, axes=axes) * space.size
+    raw = np.fft.ifftn(arr, axes=axes)
+    raw *= space.size
     raw = np.fft.fftshift(raw, axes=axes)
-    raw *= _centered_signs(counts)[np.newaxis]
+    raw *= _centered_signs(counts)
     raw *= space.cell_volume / (2.0 * math.pi) ** dim
     return raw.reshape(batch, -1)
 
@@ -94,10 +98,11 @@ def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
     counts = space.counts
     dim = space.dim
     batch = rows.shape[0]
-    arr = rows.reshape((batch,) + counts) * _centered_signs(counts)[np.newaxis]
+    arr = rows.reshape((batch,) + counts) * _centered_signs(counts)
     axes = tuple(range(1, dim + 1))
     arr = np.fft.ifftshift(arr, axes=axes)
-    out = np.fft.fftn(arr, axes=axes) * index.cell_volume
+    out = np.fft.fftn(arr, axes=axes)
+    out *= index.cell_volume
     return out.reshape(batch, -1)
 
 
@@ -139,11 +144,13 @@ class SchwartzFamily(abc.ABC):
 
     @abc.abstractmethod
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`superpose` over the rows of a 2-d array."""
+        """Batched :meth:`superpose` over the rows of a 2-d array, returned as
+        a new array that the caller may keep."""
 
     @abc.abstractmethod
     def coordinates_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`coordinates` over the rows of a 2-d array."""
+        """Batched :meth:`coordinates` over the rows of a 2-d array, returned
+        as a new array that the caller may keep."""
 
     def _check_space(self, u: GridDistribution):
         if u.grid != self.space_grid:
@@ -212,17 +219,17 @@ class FourierFamily(SchwartzFamily):
         pt = np.atleast_1d(np.asarray(p, dtype=float))
         meshes = self.space_grid.meshes()
         phase = sum(pt[i] * meshes[i] for i in range(self.space_grid.dim))
-        return GridDistribution(self.space_grid, np.exp(-1j * phase).ravel())
+        return GridDistribution._trusted(self.space_grid, np.exp(-1j * phase))
 
     def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
         self._check_space(u)
         row = self.coordinates_rows(u.samples[np.newaxis])[0]
-        return GridDistribution(self.index_grid, row)
+        return GridDistribution._trusted(self.index_grid, row)
 
     def superpose(self, c: CoordinateDistribution) -> GridDistribution:
         self._check_index(c)
         row = self.superpose_rows(c.samples[np.newaxis])[0]
-        return GridDistribution(self.space_grid, row)
+        return GridDistribution._trusted(self.space_grid, row)
 
     def matrix(self) -> np.ndarray:
         phase = self.index_grid.points() @ self.space_grid.points().T
@@ -288,11 +295,15 @@ class KernelFamily(SchwartzFamily):
 
     def superpose(self, c: CoordinateDistribution) -> GridDistribution:
         self._check_index(c)
-        return GridDistribution(self.space_grid, self.superpose_rows(c.samples[np.newaxis])[0])
+        return GridDistribution._trusted(
+            self.space_grid, self.superpose_rows(c.samples[np.newaxis])[0]
+        )
 
     def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
         self._check_space(u)
-        return GridDistribution(self.index_grid, self.coordinates_rows(u.samples[np.newaxis])[0])
+        return GridDistribution._trusted(
+            self.index_grid, self.coordinates_rows(u.samples[np.newaxis])[0]
+        )
 
     def matrix(self) -> np.ndarray:
         return self.kernel
@@ -372,10 +383,10 @@ class LazyFamily(SchwartzFamily):
     """Family given by a linear map on coefficient rows instead of a table.
 
     ``rows_map`` takes a 2-d array of coefficient rows on the index grid to
-    their superpositions on the space grid, so it *is* :meth:`superpose_rows`.
-    The member at ``p`` is the map applied to the point mass at ``p``; the
-    dense table (:meth:`matrix`, :attr:`kernel`) is built only on request.
-    The family holds no table and no cache.
+    their superpositions on the space grid, so it *is* :meth:`superpose_rows`
+    and returns a new array.  The member at ``p`` is the map applied to the
+    point mass at ``p``; the dense table (:meth:`matrix`, :attr:`kernel`) is
+    built only on request.  The family holds no table and no cache.
     """
 
     def __init__(self, index_grid: Grid, space_grid: Grid, rows_map):

@@ -216,7 +216,7 @@ def _green(
     divided: bool,
 ) -> GreenFamilyResult:
     policy = policy or DivisionPolicy()
-    l_values = l.sample(lam.index_grid)
+    l_values = l.sample_finite(lam.index_grid)
     eps = policy.resolve_zero_threshold(l_values)
     if divided:
         zero_mask = np.abs(l_values) <= eps
@@ -252,8 +252,9 @@ def green_family(
     """Green family ``G_p = superpose(mu_p / l, lam)`` for invertible ``l``.
 
     Requires ``|l|`` to stay above the policy's zero threshold on the whole
-    index grid (``NotInvertible`` otherwise) and ``mu`` to be a left inverse
-    of ``lam`` (weak residuals certify the combination actually used).
+    index grid (``NotInvertible`` otherwise, ``NonFiniteSymbol`` when ``l`` is
+    not finite there) and ``mu`` to be a left inverse of ``lam`` (weak
+    residuals certify the combination actually used).
     """
     return _green(lam, l, mu, policy, divided=False)
 
@@ -270,6 +271,7 @@ def green_family_divided(
     coefficient mass on the zero set (``NotDivisible`` names the first index
     whose member does).  Zero-set quotient values are set to 0; the result
     equals the product family of the quotients with ``lam``.  When ``l`` has
-    no zeros this agrees with :func:`green_family`.
+    no zeros this agrees with :func:`green_family`.  A non-finite ``l``
+    raises ``NonFiniteSymbol``.
     """
     return _green(lam, l, mu, policy, divided=True)

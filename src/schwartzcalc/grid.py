@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, IndexOffGrid, InvalidGrid
+from .errors import ArityMismatch, GridMismatch, IndexOffGrid, InvalidGrid, NonFiniteSymbol
 
 __all__ = [
     "Grid",
@@ -183,7 +183,20 @@ class GridDistribution:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid: Grid, samples):
-        arr = np.asarray(samples, dtype=np.complex128).reshape(-1).copy()
+        self._freeze(grid, np.asarray(samples, dtype=np.complex128).reshape(-1).copy())
+
+    @classmethod
+    def _trusted(cls, grid: Grid, samples: np.ndarray) -> "GridDistribution":
+        """Wrap an array the library has just allocated, skipping only the copy.
+
+        The caller hands ``samples`` over and keeps no other reference to it;
+        the size check and the finiteness scan still run.
+        """
+        dist = cls.__new__(cls)
+        dist._freeze(grid, np.ascontiguousarray(samples, dtype=np.complex128).reshape(-1))
+        return dist
+
+    def _freeze(self, grid: Grid, arr: np.ndarray):
         if arr.size != grid.size:
             raise GridMismatch(
                 f"expected {grid.size} samples for the grid, got {arr.size}"
@@ -205,8 +218,8 @@ class GridDistribution:
         if isinstance(other, GridDistribution):
             if other.grid != self.grid:
                 raise GridMismatch("operands live on different grids")
-            return GridDistribution(self.grid, op(self.samples, other.samples))
-        return GridDistribution(self.grid, op(self.samples, other))
+            return GridDistribution._trusted(self.grid, op(self.samples, other.samples))
+        return GridDistribution._trusted(self.grid, op(self.samples, other))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -218,10 +231,10 @@ class GridDistribution:
         return self._binary(other, np.multiply)
 
     def __rmul__(self, other):
-        return GridDistribution(self.grid, other * self.samples)
+        return GridDistribution._trusted(self.grid, other * self.samples)
 
     def __neg__(self):
-        return GridDistribution(self.grid, -self.samples)
+        return GridDistribution._trusted(self.grid, -self.samples)
 
 
 def sample_function(grid: Grid, fn: Callable) -> GridDistribution:
@@ -236,7 +249,7 @@ def sample_function(grid: Grid, fn: Callable) -> GridDistribution:
 
 
 def zero_distribution(grid: Grid) -> GridDistribution:
-    return GridDistribution(grid, np.zeros(grid.size, dtype=np.complex128))
+    return GridDistribution._trusted(grid, np.zeros(grid.size, dtype=np.complex128))
 
 
 def delta_distribution(grid: Grid, point) -> GridDistribution:
@@ -248,7 +261,7 @@ def delta_distribution(grid: Grid, point) -> GridDistribution:
     flat = grid.index_of(point)
     samples = np.zeros(grid.size, dtype=np.complex128)
     samples[flat] = 1.0 / grid.cell_volume
-    return GridDistribution(grid, samples)
+    return GridDistribution._trusted(grid, samples)
 
 
 def pairing(u: GridDistribution, phi) -> complex:
@@ -279,7 +292,12 @@ def sup_norm(u: GridDistribution) -> float:
 
 def l2_norm(u: GridDistribution) -> float:
     """Quadrature-weighted L2 norm, ``sqrt(sum |u|^2 * cell_volume)``."""
-    return float(np.sqrt(np.sum(np.abs(u.samples) ** 2) * u.grid.cell_volume))
+    return _l2(u.samples, u.grid)
+
+
+def _l2(samples: np.ndarray, grid: Grid) -> float:
+    """:func:`l2_norm` of a flat sample array on ``grid``."""
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * grid.cell_volume))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,6 +338,24 @@ class SymbolFunction:
         values = np.asarray(self.evaluator(*grid.meshes()), dtype=np.complex128)
         values = np.broadcast_to(values, grid.counts)
         return np.ascontiguousarray(values.ravel())
+
+    def sample_finite(self, grid: Grid) -> np.ndarray:
+        """:meth:`sample`, raising ``NonFiniteSymbol`` at the first node where
+        a value is ``inf`` or ``nan``.
+
+        Overflow and invalid-operation warnings of the evaluation are silenced:
+        a value they spoil is reported here, with its node.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = self.sample(grid)
+        finite = np.isfinite(values)
+        if not finite.all():
+            flat = int(np.argmin(finite))
+            raise NonFiniteSymbol(
+                f"symbol {self.descriptor!r} is not finite at node "
+                f"{grid.point_at(flat)}: {values[flat]}"
+            )
+        return values
 
     def _combine(self, other, op, tag):
         if isinstance(other, SymbolFunction):

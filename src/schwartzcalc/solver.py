@@ -24,15 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ArityMismatch, GridMismatch, NotDivisible
-from .grid import Grid, GridDistribution, SymbolFunction, l2_norm
-from .families import (
-    CoordinateDistribution,
-    FourierFamily,
-    SchwartzFamily,
-    coordinates,
-    superpose,
-)
-from .spectral import SLinearOperator, spectral_apply
+from .grid import Grid, GridDistribution, SymbolFunction, _l2, l2_norm
+from .families import CoordinateDistribution, FourierFamily, SchwartzFamily
+from .spectral import SLinearOperator, _apply_rows, spectral_apply
 
 __all__ = [
     "DifferentialOperatorSpec",
@@ -179,27 +173,37 @@ def divide(
     On nodes with ``|a|`` at or below the zero threshold, ``q`` is set to 0;
     if ``d_v`` exceeds the residual tolerance there, the datum has
     coefficient mass where the symbol vanishes and ``NotDivisible`` is
-    raised, carrying the worst offending node.
+    raised, carrying the worst offending node.  ``NonFiniteSymbol`` is
+    raised when ``a`` is not finite on the grid.
     """
-    policy = policy or DivisionPolicy()
-    a_vals = a.sample(d_v.grid)
-    eps = policy.resolve_zero_threshold(a_vals)
-    zero_mask = np.abs(a_vals) <= eps
-    mass = np.abs(d_v.samples)
+    q = _quotient(d_v.samples, a.sample_finite(d_v.grid), policy or DivisionPolicy(), d_v.grid)
+    return GridDistribution._trusted(d_v.grid, q)
+
+
+def _quotient(
+    d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid
+) -> np.ndarray:
+    """Core of :func:`divide` on arrays: ``a_values`` are the symbol's samples
+    on ``grid``, the index grid of the coefficients ``d_v``."""
+    magnitudes = np.abs(a_values)
+    eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
+    zero_mask = magnitudes <= eps
+    if not zero_mask.any():
+        return d_v / a_values
+    mass = np.abs(d_v)
     allowed = policy.residual_threshold * (float(np.max(mass)) if mass.size else 0.0)
     bad = zero_mask & (mass > allowed)
     if np.any(bad):
         flat = int(np.argmax(np.where(bad, mass, -1.0)))
         raise NotDivisible(
             f"datum has coefficient mass {mass[flat]:.6e} at index node "
-            f"{d_v.grid.point_at(flat)} where the symbol magnitude is below "
+            f"{grid.point_at(flat)} where the symbol magnitude is below "
             f"{eps:.6e}",
             worst_index=flat,
-            worst_point=d_v.grid.point_at(flat),
+            worst_point=grid.point_at(flat),
             magnitude=float(mass[flat]),
         )
-    q = np.where(zero_mask, 0.0 + 0.0j, d_v.samples / np.where(zero_mask, 1.0, a_vals))
-    return GridDistribution(d_v.grid, q)
+    return np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_values))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,17 +225,29 @@ def solve(
     """Solve ``A(u) = d`` for the operator diagonal in ``v`` with symbol ``a``.
 
     ``u = superpose(divide(coordinates(d, v), a), v)``.  Raises
-    ``NotDivisible`` when no quotient exists under the policy.  The reported
-    residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
+    ``NotDivisible`` when no quotient exists under the policy and
+    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.  The
+    reported residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
+
+    The symbol is sampled once, for the division and for ``A(u)``; the
+    four transforms (analyse ``d``, synthesise ``u``, then analyse and
+    synthesise again for ``A(u)``) run on arrays, and the results are the
+    same bits as the composition above.
     """
     if d.grid != v.space_grid:
         raise GridMismatch("datum does not live on the family's space grid")
-    d_v = coordinates(d, v)
-    q = divide(d_v, a, policy)
-    u = superpose(q, v)
+    a_values = a.sample_finite(v.index_grid)
+    d_v = v.coordinates_rows(d.samples[np.newaxis])[0]
+    q = _quotient(d_v, a_values, policy or DivisionPolicy(), v.index_grid)
+    del d_v  # not needed for the residual; keeps the peak down
+    u = v.superpose_rows(q[np.newaxis])[0]
     denom = l2_norm(d)
-    resid = l2_norm(spectral_apply(a, v, u) - d) / denom if denom > 0.0 else 0.0
-    return SolveResult(solution=u, quotient=q, residual=float(resid))
+    resid = _l2(_apply_rows(v, a_values, u) - d.samples, d.grid) / denom if denom > 0.0 else 0.0
+    return SolveResult(
+        solution=GridDistribution._trusted(v.space_grid, u),
+        quotient=GridDistribution._trusted(v.index_grid, q),
+        residual=float(resid),
+    )
 
 
 def solve_pde(

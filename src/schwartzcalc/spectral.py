@@ -64,11 +64,19 @@ def spectral_apply(a: SymbolFunction, v: SchwartzFamily, u: GridDistribution) ->
     """Apply the operator diagonal in ``v`` with eigenvalue system ``a``.
 
     Computes ``superpose(a * coordinates(u, v), v)``.  With ``a == 1`` this
-    is the resolution of identity and returns ``u`` up to rounding.
+    is the resolution of identity and returns ``u`` up to rounding.  Raises
+    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.
     """
-    c = coordinates(u, v)
-    scaled = GridDistribution(v.index_grid, a.sample(v.index_grid) * c.samples)
-    return superpose(scaled, v)
+    v._check_space(u)
+    image = _apply_rows(v, a.sample_finite(v.index_grid), u.samples)
+    return GridDistribution._trusted(v.space_grid, image)
+
+
+def _apply_rows(v: SchwartzFamily, a_values: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Core of :func:`spectral_apply` on arrays: ``a_values`` are the symbol's
+    samples on the index grid, ``samples`` those of ``u``."""
+    c = v.coordinates_rows(samples[np.newaxis])[0]
+    return v.superpose_rows((a_values * c)[np.newaxis])[0]
 
 
 class SLinearOperator(abc.ABC):

@@ -12,8 +12,11 @@ from schwartzcalc import (
     GridDistribution,
     NotDivisible,
     NotInvertible,
+    coordinates,
     gaussian_probes,
+    l2_norm,
     member,
+    superpose,
 )
 
 
@@ -54,6 +57,30 @@ def band_limited(rng, family, width):
     lo, hi = n // 2 - width, n // 2 + width
     c[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
     return family.superpose(GridDistribution(family.index_grid, c))
+
+
+def literal_solve(v, a, d, policy=None):
+    """``u = superpose(q, v)`` with ``q = d_v / a`` off the zero set, step by step.
+
+    Every step goes through public distributions: ``d_v = coordinates(d, v)``;
+    the symbol is sampled for the division and again for ``A(u)``; ``q`` is
+    the masked quotient (0 on ``|a| <= eps``); the residual is
+    ``|superpose(a * coordinates(u, v), v) - d| / |d|``.  Meant for data the
+    policy finds divisible (there is no check for mass on the zero set).
+    Returns ``(u, q, residual)``.
+    """
+    policy = policy or DivisionPolicy()
+    index = v.index_grid
+    d_v = coordinates(d, v)
+    a_values = a.sample(index)
+    zero_mask = np.abs(a_values) <= policy.resolve_zero_threshold(a_values)
+    q = GridDistribution(
+        index, np.where(zero_mask, 0.0 + 0.0j, d_v.samples / np.where(zero_mask, 1.0, a_values))
+    )
+    u = superpose(q, v)
+    scaled = GridDistribution(index, a.sample(index) * coordinates(u, v).samples)
+    residual = l2_norm(superpose(scaled, v) - d) / l2_norm(d)
+    return u, q, residual
 
 
 def dense_green(lam, l, policy=None, divided=False, mu_rows=None):

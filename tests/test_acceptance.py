@@ -260,7 +260,10 @@ def test_criterion_09_factorization_hypothesis():
 
 
 def test_criterion_10_determinism():
-    env = dict(os.environ, SCHWARTZ_SEED="42")
+    # the child does not get pytest's pythonpath, so it is given the checkout's src/
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, SCHWARTZ_SEED="42", PYTHONPATH=path)
     runs = [
         subprocess.run(
             [sys.executable, "-m", "schwartzcalc", "verify", "all"],

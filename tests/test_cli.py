@@ -313,8 +313,16 @@ def test_verify_failure_exit_code_and_report_file(monkeypatch, tmp_path, capsys)
     assert capsys.readouterr().out == text
 
 
+def child_env(**extra):
+    """Environment for a ``python -m schwartzcalc`` child: it does not get
+    pytest's pythonpath, so the checkout's ``src/`` is put in front."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_verify_all_subprocess_deterministic():
-    env = dict(os.environ, SCHWARTZ_SEED="42")
+    env = child_env(SCHWARTZ_SEED="42")
     runs = [
         subprocess.run(
             [sys.executable, "-m", "schwartzcalc", "verify", "all"],
@@ -326,3 +334,63 @@ def test_verify_all_subprocess_deterministic():
     assert all(r.returncode == 0 for r in runs)
     assert runs[0].stdout == runs[1].stdout
     assert b"summary:" in runs[0].stdout
+
+
+# p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
+OVERFLOWING = {"type": "differential", "coefficients": {"400": 1.0}}
+GRID_1024 = {"dim": 1, "counts": [1024], "half_extents": [1.0]}
+
+
+def test_overflowing_symbol_exits_1_with_one_line_and_no_infinity(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_1024,
+        operator=OVERFLOWING,
+        datum={"kind": "gaussian", "sigma": 0.2},
+        output={"directory": str(out)},
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", "solve", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 1
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1 and "not finite" in lines[0], run.stderr
+    for written in out.iterdir():
+        assert "Infinity" not in written.read_text()
+
+
+@pytest.mark.parametrize("command", [["green", "--index", "0"], ["expand"]])
+def test_overflowing_symbol_exits_1_in_green_and_expand(tmp_path, capsys, command):
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_1024,
+        operator=OVERFLOWING,
+        datum={"kind": "gaussian", "sigma": 0.2},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main([command[0], "--config", cfg] + command[1:]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_samples_csv_is_a_config_error(tmp_path, capsys, bad):
+    samples = tmp_path / "datum.csv"
+    rows = ["x0,re,im"] + [f"{-4.0 + 0.5 * k!r},1.0,0.0" for k in range(16)]
+    rows[6] = f"-1.5,0.5,{bad}"
+    samples.write_text("\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid={"dim": 1, "counts": [16], "half_extents": [4.0]},
+        operator={"type": "diagonal", "family": "fourier", "symbol": {"name": "one"}},
+        datum={"kind": "samples", "path": str(samples)},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert str(samples) in err and "data row 6" in err

@@ -1,0 +1,219 @@
+"""Golden-hash guard: fixed CLI configs must keep writing the same bytes.
+
+Each case runs one ``schwartzcalc`` subcommand in-process on a fixed config
+and compares the sha256 of every file it writes (each CSV and
+``report.json``) with the digest recorded here.  The digests were taken from
+the program before the solve core was reworked; a change that alters any
+output byte fails this test.  Refresh a digest only for a change that is
+meant to alter outputs, and say so where the change is recorded.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from schwartzcalc.cli import main
+
+HELMHOLTZ_1D = {"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}}
+HELMHOLTZ_2D = {
+    "type": "differential",
+    "coefficients": {"0,0": 1.0, "2,0": -1.0, "0,2": -1.0},
+}
+GRID_1D = {"dim": 1, "counts": [64], "half_extents": [10.0]}
+GRID_1D_PI = {"dim": 1, "counts": [64], "half_extents": [math.pi]}
+GRID_2D = {"dim": 2, "counts": [16, 16], "half_extents": [4.0, 4.0]}
+
+# name -> (argv after the subcommand's --config, config sections, exit code)
+CASES = {
+    "solve-1d-gaussian": (
+        ["solve"],
+        {
+            "grid": GRID_1D,
+            "operator": HELMHOLTZ_1D,
+            "datum": {"kind": "gaussian", "sigma": 1.5, "center": [0.5]},
+        },
+        0,
+    ),
+    "solve-1d-derivative-of-sin": (
+        ["solve"],
+        {
+            "grid": GRID_1D_PI,
+            "operator": {"type": "differential", "coefficients": {"1": 1.0}},
+            "datum": {"kind": "sin", "k": 1.0},
+        },
+        0,
+    ),
+    "solve-1d-derivative-of-constant": (
+        ["solve"],
+        {
+            "grid": GRID_1D_PI,
+            "operator": {"type": "differential", "coefficients": {"1": 1.0}},
+            "datum": {"kind": "constant", "c": 1.0},
+        },
+        2,
+    ),
+    "solve-1d-diagonal-delta": (
+        ["solve"],
+        {
+            "grid": GRID_1D,
+            "operator": {
+                "type": "diagonal",
+                "family": "fourier",
+                "symbol": {"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, 0.5]}},
+            },
+            "datum": {"kind": "delta", "p": [-2.5]},
+            "policy": {"zero_threshold": 1e-9, "residual_threshold": 1e-8},
+        },
+        0,
+    ),
+    "solve-1d-multiplication": (
+        ["solve"],
+        {
+            "grid": GRID_1D,
+            "operator": {
+                "type": "multiplication",
+                "symbol": {"name": "polynomial", "terms": {"0": 1.0, "2": 1.0}},
+            },
+            "datum": {"kind": "cos", "k": 0.6},
+        },
+        0,
+    ),
+    "solve-2d-gaussian": (
+        ["solve"],
+        {
+            "grid": GRID_2D,
+            "operator": HELMHOLTZ_2D,
+            "datum": {"kind": "gaussian", "sigma": 0.8, "center": [0.5, -1.0]},
+        },
+        0,
+    ),
+    "solve-2d-derivative-of-sin": (
+        ["solve"],
+        {
+            "grid": {"dim": 2, "counts": [16, 16], "half_extents": [math.pi, math.pi]},
+            "operator": {"type": "differential", "coefficients": {"1,0": 1.0, "0,1": 2.0}},
+            "datum": {"kind": "sin", "k": [1.0, 2.0]},
+        },
+        0,
+    ),
+    "green-1d": (
+        ["green", "--index", "-2.5", "--index", "0"],
+        {"grid": GRID_1D, "operator": HELMHOLTZ_1D},
+        0,
+    ),
+    "green-1d-dirac": (
+        ["green", "--index", "-1.25"],
+        {
+            "grid": {"dim": 1, "counts": [32], "half_extents": [5.0]},
+            "operator": {
+                "type": "multiplication",
+                "symbol": {"name": "polynomial", "terms": {"0": 1.0, "2": 1.0}},
+            },
+        },
+        0,
+    ),
+    "green-2d": (
+        ["green", "--index", "-1.5,0.5", "--index", "0,0"],
+        {"grid": GRID_2D, "operator": HELMHOLTZ_2D},
+        0,
+    ),
+    "expand-1d": (
+        ["expand"],
+        {
+            "grid": GRID_1D,
+            "operator": HELMHOLTZ_1D,
+            "datum": {"kind": "gaussian", "sigma": 1.0},
+        },
+        0,
+    ),
+    "expand-2d": (
+        ["expand"],
+        {
+            "grid": GRID_2D,
+            "operator": {
+                "type": "diagonal",
+                "family": "fourier",
+                "symbol": {"name": "polynomial", "terms": {"0,0": 1.0, "1,1": [0.0, 1.0]}},
+            },
+            "datum": {"kind": "cos", "k": [0.5, 1.0]},
+        },
+        0,
+    ),
+}
+
+EXPECTED = {
+    "expand-1d": {
+        "expansion.csv": "c216d8e4e070df48a78704787f0d018f354fd01543183fae447bfc1260c88313",
+        "integrand.csv": "d30be67eb9f214a127d1e2b14e22b92a9fadb956d7a4f0bde87139c1aa896a1e",
+        "report.json": "c052d28f6196c498ea8788ab9c3b2d3cf823f8586bc64dafe3ab773de9c69a92",
+    },
+    "expand-2d": {
+        "expansion.csv": "78a98c7699c7d0ebf5626435165a41f049051ed67de6641c762d67236e50ae99",
+        "integrand.csv": "5e414489685737d7d092ba807c8fe1192c699904c218470c295bf3e5b3fca10e",
+        "report.json": "2a48c8ca68fb471a8a1d5624fe52d5ef692bfa1d8887880e275d405aee8ae228",
+    },
+    "green-1d": {
+        "green_000.csv": "e709b47105596938ca68733041e75e6661e77d77f8f1044a08396e2ebe8cdea7",
+        "green_001.csv": "309721ab28e7bf6e6a625540d55905d47f06a727b677f4ff9df9de05f4f5073e",
+        "report.json": "836a85152f9d318063eb514104462b5ecf02c26bd252233639ddaeaae500f078",
+    },
+    "green-1d-dirac": {
+        "green_000.csv": "623bcfec673c06a5b5907b7c4b97b64b9710349f6914f4c453b3ebd9432706d7",
+        "report.json": "fc1052c31aab1cff31021d628c2bdd7601ff3455e2448aff497dd4c96d0eabce",
+    },
+    "green-2d": {
+        "green_000.csv": "b26e73aa2c832838b5dc9262d7bce8cc56a66686a8444a8c435848b065393c15",
+        "green_001.csv": "acd7a99b5411edf140b459310ddc84bdcc2ea11583da936587b7762052d85cb0",
+        "report.json": "099f23b3db98f111bc0680d800695d30bf503142ce14b0dcc4beb94fd723c786",
+    },
+    "solve-1d-derivative-of-constant": {
+        "report.json": "151216a961e355cd33161652c112a48e5a1852a4cdec5965c6a7bbbf6a44e64b",
+    },
+    "solve-1d-derivative-of-sin": {
+        "report.json": "95a9e9346d81ad625d3be3236b20a59c268c7482ab5a8f22d0250727a32ae535",
+        "solution.csv": "637e3dc80ad15b7523da2b3c2645faacdcd9194b49f112d3c3d15b122b34d0c1",
+    },
+    "solve-1d-diagonal-delta": {
+        "report.json": "dd9f5c8b41be39bcd596a609bc3bc8d6d7a27f32ac21c32ab9712ed360e45f26",
+        "solution.csv": "da013298634849ed961d9d24b20cbeb815046c28d605395c4feb7f9766b4afae",
+    },
+    "solve-1d-gaussian": {
+        "report.json": "ad8246ae8e38e568c52dc67fa66830a7d7665d2d63832d8c14e8286fcbcb2ff7",
+        "solution.csv": "5ccf2bdcc1bbf07a5caf12a00be3a54548e90d6851a23661fd736bfa8a545b95",
+    },
+    "solve-1d-multiplication": {
+        "report.json": "18ffdf93fbba911988de6b0487c32be6841c38e8367b049977bde91c4359a603",
+        "solution.csv": "325a9e8374969ae01ee9645d2b43321f2cd8939db5bb63b647a735b78abdac9d",
+    },
+    "solve-2d-derivative-of-sin": {
+        "report.json": "e55e9ac45da7a1e1385b192c8c46a896fe9924135fef1787a297cbbc0efeb650",
+        "solution.csv": "49046945d6c00348fa90ca31ef6b34c055093cb55733cf5a7263a3edec38b433",
+    },
+    "solve-2d-gaussian": {
+        "report.json": "b0191f6e2d50aad049972a7bad9a72eb937dac4a77290b1177efcaac61c64b48",
+        "solution.csv": "dea15832a98500536f01f3c7ad617d2e7ed589075a57218354c5f274f19e68c6",
+    },
+}
+
+
+def run_case(tmp_path, name):
+    """Run one case; returns its exit code and ``{file name: sha256}``."""
+    argv, sections, _ = CASES[name]
+    out = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(dict(sections, output={"directory": str(out)})))
+    code = main([argv[0], "--config", str(config)] + argv[1:])
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    return code, digests
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_golden_hashes(tmp_path, name):
+    code, digests = run_case(tmp_path, name)
+    assert code == CASES[name][2]
+    assert digests == EXPECTED[name]

@@ -361,3 +361,20 @@ def test_translate_pairings_equal_dense_pairings():
     dense = _image_rows(lam, other_values, green.matrix()) @ weighted
     fast = _translate_pairings(lam, other_values, green, weighted)
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+
+
+def test_verify_green_suite_builds_each_dense_table_once(monkeypatch):
+    from schwartzcalc.verify import _suite_green
+
+    builds = []
+    original = LazyFamily.matrix
+
+    def counting(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LazyFamily, "matrix", counting)
+    checks = _suite_green(np.random.default_rng(42))
+    assert all(c.passed for c in checks)
+    # the reciprocal and the divided Green tables, one build each
+    assert len(builds) == 2

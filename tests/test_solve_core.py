@@ -1,0 +1,175 @@
+"""The solve core against the literal definitions, bit for bit, and its cost.
+
+``solve`` samples the symbol once and runs its four transforms on arrays.
+These tests pin that its solution, quotient and residual are the same bits
+(signed zeros included) as the step-by-step composition of the public
+functions and as ``naive.literal_solve``, and count what one call does.
+"""
+
+import collections
+import math
+
+import numpy as np
+import pytest
+
+from schwartzcalc import (
+    DiracFamily,
+    DifferentialOperatorSpec,
+    DivisionPolicy,
+    FourierFamily,
+    GridDistribution,
+    NonFiniteSymbol,
+    SymbolFunction,
+    coordinates,
+    delta_distribution,
+    differential_symbol,
+    divide,
+    green_family,
+    l2_norm,
+    left_inverse_family,
+    make_grid,
+    sample_function,
+    solve,
+    solve_pde,
+    spectral_apply,
+    superpose,
+)
+
+from naive import literal_solve
+
+HELMHOLTZ_1D = DifferentialOperatorSpec({(0,): 1.0, (2,): -1.0})
+HELMHOLTZ_2D = DifferentialOperatorSpec({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _cases():
+    g1 = make_grid(1, [256], [8.0])
+    g2 = make_grid(2, [32, 16], [6.0, 4.0])
+    pi1 = make_grid(1, [64], [math.pi])
+    pi2 = make_grid(2, [16, 16], [math.pi, math.pi])
+    g3 = make_grid(2, [16, 16], [4.0, 4.0])
+    return {
+        "1d-helmholtz": (HELMHOLTZ_1D, sample_function(g1, lambda x: np.exp(-((x - 0.5) ** 2)))),
+        "2d-helmholtz": (
+            HELMHOLTZ_2D,
+            sample_function(g2, lambda x, y: np.exp(-(x**2 + 2.0 * y**2) / 3.0) * (1 + 0.5j * y)),
+        ),
+        "1d-zero-set": (DifferentialOperatorSpec({(1,): 1.0}), sample_function(pi1, np.sin)),
+        "2d-zero-set": (
+            DifferentialOperatorSpec({(1, 0): 1.0, (0, 1): 2.0}),
+            sample_function(pi2, lambda x, y: np.sin(x + 2.0 * y)),
+        ),
+        "2d-delta": (HELMHOLTZ_2D, delta_distribution(g3, (0.5, -1.0))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_solve_pde_is_bitwise_the_literal_composition(name):
+    spec, d = _cases()[name]
+    fam = FourierFamily(d.grid)
+    a = differential_symbol(spec, fam.index_grid)
+    result = solve_pde(spec, d)
+    again = solve(fam, a, d)
+    # the composition of the public functions
+    q = divide(coordinates(d, fam), a)
+    u = superpose(q, fam)
+    residual = l2_norm(spectral_apply(a, fam, u) - d) / l2_norm(d)
+    # the masked quotient and the residual written out step by step
+    u_lit, q_lit, residual_lit = literal_solve(fam, a, d)
+    for r in (result, again):
+        for expected_u, expected_q, expected_r in ((u, q, residual), (u_lit, q_lit, residual_lit)):
+            assert same_bits(r.solution.samples, expected_u.samples)
+            assert same_bits(r.quotient.samples, expected_q.samples)
+            assert same_bits(r.residual, expected_r)
+    assert result.residual <= 1e-12
+
+
+def test_zero_set_cases_hold_zero_components():
+    # the bit comparison above is only as sharp as its data: the zero-set
+    # quotients and the delta's coefficients carry zero components
+    for name in ("1d-zero-set", "2d-zero-set", "2d-delta"):
+        spec, d = _cases()[name]
+        q = solve_pde(spec, d).quotient.samples
+        assert np.any(q.view(np.float64) == 0.0), name
+
+
+def test_solve_on_the_dirac_family_is_bitwise_the_literal_composition():
+    g = make_grid(1, [64], [5.0])
+    fam = DiracFamily(g)
+    a = SymbolFunction(1, lambda x: 1.0 + x**2, "1+x^2")
+    d = sample_function(g, lambda x: np.cos(0.6 * x))
+    result = solve(fam, a, d)
+    u, q, residual = literal_solve(fam, a, d)
+    assert same_bits(result.solution.samples, u.samples)
+    assert same_bits(result.quotient.samples, q.samples)
+    assert same_bits(result.residual, residual)
+
+
+def test_divide_without_zero_set_equals_the_masked_quotient():
+    g = make_grid(1, [128], [6.0])
+    fam = FourierFamily(g)
+    a = SymbolFunction(1, lambda p: 2.0 + 1j * p + p**2, "2+ip+p^2")
+    d_v = coordinates(sample_function(g, lambda x: np.exp(-(x**2))), fam)
+    a_values = a.sample(fam.index_grid)
+    masked = np.where(False, 0.0 + 0.0j, d_v.samples / np.where(False, 1.0, a_values))
+    assert same_bits(divide(d_v, a).samples, masked)
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("name", ["1d-helmholtz", "2d-zero-set"])
+def test_solve_pde_samples_once_and_makes_four_transforms(monkeypatch, name):
+    spec, d = _cases()[name]
+    calls = collections.Counter()
+    _count_calls(monkeypatch, SymbolFunction, "sample", calls)
+    _count_calls(monkeypatch, FourierFamily, "coordinates_rows", calls)
+    _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
+    _count_calls(monkeypatch, GridDistribution, "__init__", calls)
+    solve_pde(spec, d)
+    # no copying constructor either: the results are handed over, not copied
+    assert calls == {"sample": 1, "coordinates_rows": 2, "superpose_rows": 2}
+
+
+# p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
+OVERFLOWING = DifferentialOperatorSpec({(400,): 1.0})
+
+
+def test_overflowing_symbol_is_a_typed_error_not_a_false_zero_set():
+    g = make_grid(1, [1024], [1.0])
+    d = sample_function(g, lambda x: np.exp(-10.0 * x**2))
+    for policy in (None, DivisionPolicy(zero_threshold=1e-3)):
+        with pytest.raises(NonFiniteSymbol) as info:
+            solve_pde(OVERFLOWING, d, policy)
+        assert "not finite" in str(info.value)
+    # a ValueError too, the type non-finite samples used to surface as
+    assert issubclass(NonFiniteSymbol, ValueError)
+    fam = FourierFamily(g)
+    a = differential_symbol(OVERFLOWING, fam.index_grid)
+    with pytest.raises(NonFiniteSymbol):
+        spectral_apply(a, fam, d)
+    with pytest.raises(NonFiniteSymbol):
+        green_family(fam, a, left_inverse_family(fam))
+
+
+def test_divide_names_the_first_non_finite_node():
+    g = make_grid(1, [64], [math.pi])
+    fam = FourierFamily(g)
+    a = SymbolFunction(1, lambda p: np.where(p == 0.0, np.nan, 1.0 + p**2), "nan at 0")
+    d_v = coordinates(sample_function(g, np.cos), fam)
+    with pytest.raises(NonFiniteSymbol) as info:
+        divide(d_v, a)
+    assert "(0.0,)" in str(info.value)
+    # the same datum divides by a finite symbol
+    divide(d_v, SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2"))
