@@ -32,7 +32,10 @@ in row-major order; identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import array
+import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -63,11 +66,12 @@ from .solver import (
     differential_symbol,
     solve,
 )
-from .spectral import spectral_apply
 from .green import green_family, green_family_divided, left_inverse_family
 from .verify import SUITE_NAMES, format_report, run_suites
 
 DEFAULT_SEED = 42
+#: rows of a distribution CSV formatted and written per write call
+_CSV_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -170,38 +174,49 @@ def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
 
 
 def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
+    """Read the last two fields of each row as ``re, im``.
+
+    Rows whose last two fields do not parse as floats (headers, comments,
+    blank or one-field lines) are skipped.  Only the two parsed columns are
+    kept while reading.
+    """
+    re_col, im_col = array.array("d"), array.array("d")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            for row in csv.reader(fh):
+                try:
+                    re_part, im_part = float(row[-2]), float(row[-1])
+                except (IndexError, ValueError):
+                    continue  # header, comment, blank or short line
+                re_col.append(re_part)
+                im_col.append(im_part)
     except OSError as exc:
         raise ConfigError(f"cannot read samples file {path}: {exc}") from exc
-    values = []
-    for row in rows:
-        if not row:
-            continue
-        try:
-            re_part, im_part = float(row[-2]), float(row[-1])
-        except ValueError:
-            continue  # header or comment line
-        values.append(complex(re_part, im_part))
-    if len(values) != grid.size:
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"samples file {path} is not a readable CSV: {exc}") from exc
+    if len(re_col) != grid.size:
         raise ConfigError(
-            f"samples file {path} has {len(values)} data rows, grid has {grid.size} nodes"
+            f"samples file {path} has {len(re_col)} data rows, grid has {grid.size} nodes"
         )
-    samples = np.asarray(values)
+    samples = np.empty(grid.size, dtype=np.complex128)
+    samples.real = np.frombuffer(re_col, dtype=np.float64)
+    samples.imag = np.frombuffer(im_col, dtype=np.float64)
     finite = np.isfinite(samples)
     if not finite.all():
         row = int(np.argmin(finite))
         raise ConfigError(
             f"samples file {path}: data row {row + 1} holds a non-finite value {samples[row]}"
         )
-    return GridDistribution(grid, samples)
+    return GridDistribution._trusted(grid, samples)
 
 
 def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     kind = section.get("kind")
     if kind == "gaussian":
-        sigma = float(section.get("sigma", 1.0))
+        try:
+            sigma = float(section.get("sigma", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gaussian sigma must be a number: {exc}") from exc
         if sigma <= 0:
             raise ConfigError("gaussian sigma must be positive")
         center = _parse_point(section.get("center", [0.0] * grid.dim), grid.dim, "center")
@@ -297,7 +312,10 @@ def _output_dir(cfg: dict) -> Path:
     if not isinstance(section, dict):
         raise ConfigError("output section must be an object")
     directory = Path(section.get("directory", "."))
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {directory}: {exc}") from exc
     return directory
 
 
@@ -323,18 +341,46 @@ def _policy_json(policy: DivisionPolicy, applied: float | None = None) -> dict:
     return out
 
 
+@contextlib.contextmanager
+def _open_output(path):
+    """Open ``path`` for writing; a failure to create or write it is a
+    ``ConfigError``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
+    """One row ``x0[,x1...],re,im`` per node, row-major, every value ``repr``
+    of a Python float.
+
+    Each axis is formatted once, the leading coordinates once per slab along
+    the last axis, and the rows are written in blocks of at most
+    ``_CSV_BLOCK_ROWS``.
+    """
     grid = dist.grid
-    pts = grid.points()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    axes = [list(map(repr, grid.axis_points(i).tolist())) for i in range(grid.dim)]
+    last = axes.pop()
+    # the coordinate part of each row, one slab at a time
+    coords = (
+        prefix + x
+        for prefix in ("".join(c + "," for c in lead) for lead in itertools.product(*axes))
+        for x in last
+    )
+    samples = dist.samples
+    with _open_output(path) as fh:
         fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
-        for row, val in zip(pts, dist.samples):
-            coords = ",".join(repr(float(c)) for c in row)
-            fh.write(f"{coords},{float(val.real)!r},{float(val.imag)!r}\n")
+        for start in range(0, grid.size, _CSV_BLOCK_ROWS):
+            block = samples[start : start + _CSV_BLOCK_ROWS]
+            # coords last: zip stops at the block's end without taking one more
+            rows = zip(map(repr, block.real.tolist()), map(repr, block.imag.tolist()), coords)
+            fh.write("".join(f"{c},{re},{im}\n" for re, im, c in rows))
 
 
 def _write_report(path: Path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -467,11 +513,11 @@ def _cmd_expand(args) -> int:
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     out_dir = _output_dir(cfg)
-    image = spectral_apply(symbol, family, datum)
+    # the steps of spectral_apply, keeping the integrand a * c it forms
+    a_values = symbol.sample_finite(family.index_grid)
     coords = family.coordinates(datum)
-    integrand = GridDistribution(
-        family.index_grid, symbol.sample(family.index_grid) * coords.samples
-    )
+    integrand = GridDistribution._trusted(family.index_grid, a_values * coords.samples)
+    image = family.superpose(integrand)
     write_distribution_csv(out_dir / "expansion.csv", image)
     write_distribution_csv(out_dir / "integrand.csv", integrand)
     report = {
@@ -504,7 +550,7 @@ def _cmd_verify(args) -> int:
     report = format_report(checks, seed)
     sys.stdout.write(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="") as fh:
+        with _open_output(args.report) as fh:
             fh.write(report)
     return 0 if all(c.passed for c in checks) else 3
 

@@ -5,6 +5,8 @@ no FFTs) so that the fast library paths can be checked against something
 independent.
 """
 
+import csv
+
 import numpy as np
 
 from schwartzcalc import (
@@ -132,3 +134,34 @@ def dense_green(lam, l, policy=None, divided=False, mu_rows=None):
     # the index grid is the space grid, so phi(p) are the probe samples
     residuals = np.max(np.abs(pairs - probes), axis=1)
     return table, residuals
+
+
+def write_distribution_csv(path, dist):
+    """The CSV writer as first written: one row at a time from ``grid.points()``,
+    every value ``repr`` of a Python float."""
+    grid = dist.grid
+    pts = grid.points()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
+        for row, val in zip(pts, dist.samples):
+            coords = ",".join(repr(float(c)) for c in row)
+            fh.write(f"{coords},{float(val.real)!r},{float(val.imag)!r}\n")
+
+
+def read_samples_csv(path):
+    """The samples reader as first written, every row held in memory: the
+    last two fields of a row are ``re, im``; a row with fewer than two
+    fields, or whose last two do not parse as floats, is skipped.  Returns
+    the complex values in file order (non-finite ones included)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    values = []
+    for row in rows:
+        if len(row) < 2:
+            continue
+        try:
+            re_part, im_part = float(row[-2]), float(row[-1])
+        except ValueError:
+            continue
+        values.append(complex(re_part, im_part))
+    return np.asarray(values, dtype=np.complex128)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -394,3 +395,88 @@ def test_non_finite_samples_csv_is_a_config_error(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and err.count("\n") == 1
     assert str(samples) in err and "data row 6" in err
+
+
+def test_one_field_lines_in_samples_csv_are_skipped(tmp_path):
+    samples = tmp_path / "datum.csv"
+    rows = ["# one field", "x0,re,im"] + [f"{-4.0 + 0.5 * k!r},{k!r},0.0" for k in range(16)]
+    rows.insert(9, "# between data rows")
+    samples.write_text("\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid={"dim": 1, "counts": [16], "half_extents": [4.0]},
+        operator={"type": "multiplication", "symbol": {"name": "one"}},
+        datum={"kind": "samples", "path": str(samples)},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["expand", "--config", cfg]) == 0
+    _, values = read_csv_samples(tmp_path / "out" / "expansion.csv")
+    np.testing.assert_array_equal(values, np.arange(16.0))
+
+
+def _error_cases(tmp_path):
+    base = dict(grid=GRID_64_PI, operator=DDX, datum={"kind": "sin", "k": 1.0})
+    (tmp_path / "a_file").write_text("")
+    taken = tmp_path / "taken"
+    (taken / "solution.csv").mkdir(parents=True)  # a directory cannot be opened for writing
+    return {
+        "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
+        "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
+        "csv-unwritable": dict(base, output={"directory": str(taken)}),
+    }
+
+
+@pytest.mark.parametrize("case", ["sigma", "output-parent-is-a-file", "csv-unwritable"])
+def test_bad_values_and_unwritable_outputs_exit_1_without_traceback(tmp_path, case):
+    cfg = write_config(tmp_path / "run.json", **_error_cases(tmp_path)[case])
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", "solve", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), run.stderr
+
+
+def test_unwritable_report_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator=DDX,
+        datum={"kind": "sin", "k": 1.0},
+        output={"directory": str(out)},
+    )
+    assert main(["solve", "--config", cfg]) == 1
+    assert "report.json" in capsys.readouterr().err
+    assert main(["verify", "identity", "--report", str(out / "report.json")]) == 1
+
+
+def test_expand_analyses_once_and_samples_once(monkeypatch, tmp_path):
+    from schwartzcalc import FourierFamily, SymbolFunction
+
+    calls = collections.Counter()
+    for owner, name in (
+        (SymbolFunction, "sample"),
+        (FourierFamily, "coordinates_rows"),
+        (FourierFamily, "superpose_rows"),
+    ):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator={"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}},
+        datum={"kind": "gaussian", "sigma": 0.5},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["expand", "--config", cfg]) == 0
+    # one analysis, one synthesis of the integrand, one symbol sample
+    assert calls == {"sample": 1, "coordinates_rows": 1, "superpose_rows": 1}

@@ -217,3 +217,43 @@ def test_cli_outputs_match_golden_hashes(tmp_path, name):
     code, digests = run_case(tmp_path, name)
     assert code == CASES[name][2]
     assert digests == EXPECTED[name]
+
+
+def samples_text():
+    """A 2-d samples CSV (16 x 8 nodes on [-4, 4) x [-2, 2)) with a header
+    and a comment line, written with ``repr`` of Python floats."""
+    lines = ["x0,x1,re,im", "# smooth field, row-major, re, im"]
+    for i in range(16):
+        x = -4.0 + 0.5 * i
+        for j in range(8):
+            y = -2.0 + 0.5 * j
+            g = math.exp(-(x * x + 2.0 * y * y) / 3.0)
+            lines.append(f"{x!r},{y!r},{g * math.cos(x)!r},{0.25 * g * y!r}")
+    return "\n".join(lines) + "\n"
+
+
+SAMPLES_SECTIONS = {
+    "grid": {"dim": 2, "counts": [16, 8], "half_extents": [4.0, 2.0]},
+    "operator": HELMHOLTZ_2D,
+    # relative, so that the path recorded in report.json does not vary
+    "datum": {"kind": "samples", "path": "datum.csv"},
+}
+
+SAMPLES_EXPECTED = {
+    "report.json": "09fa6e30e5b1c4cd7531e628417b2c442f23af987753a0bec4387f8c78f4b9af",
+    "solution.csv": "8d38f00a7d438967e61db8f1128de5ec641bcd4465a3fc862c02bb102dd2d65c",
+}
+
+
+def test_samples_datum_outputs_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "datum.csv").write_text(samples_text())
+    (tmp_path / "run.json").write_text(
+        json.dumps(dict(SAMPLES_SECTIONS, output={"directory": "out"}))
+    )
+    assert main(["solve", "--config", "run.json"]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "out").iterdir())
+    }
+    assert digests == SAMPLES_EXPECTED
