@@ -14,6 +14,7 @@ from .errors import (
     IllConditioned,
     IndexOffGrid,
     InvalidGrid,
+    NonFiniteSamples,
     NonFiniteSymbol,
     NotABasis,
     NotDivisible,

@@ -55,16 +55,18 @@ from .grid import (
     Grid,
     GridDistribution,
     SymbolFunction,
+    _polynomial_symbol,
     delta_distribution,
     make_grid,
     sample_function,
+    unit_symbol,
 )
 from .families import DiracFamily, FourierFamily, SchwartzFamily
 from .solver import (
     DifferentialOperatorSpec,
     DivisionPolicy,
-    differential_symbol,
-    solve,
+    _fourier_pair,
+    _solve,
 )
 from .green import green_family, green_family_divided, left_inverse_family
 from .verify import SUITE_NAMES, format_report, run_suites
@@ -100,12 +102,19 @@ def _require(cfg: dict, key: str, kind=dict):
     return value
 
 
+def _integral(value) -> int:
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return n
+
+
 def _parse_grid(section: dict) -> Grid:
     try:
-        dim = int(section["dim"])
-        counts = [int(n) for n in section["counts"]]
+        dim = _integral(section["dim"])
+        counts = [_integral(n) for n in section["counts"]]
         extents = [float(L) for L in section["half_extents"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid section needs dim, counts, half_extents: {exc}") from exc
     return make_grid(dim, counts, extents)
 
@@ -114,7 +123,10 @@ def _parse_complex(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad [re, im] pair {value!r}: {exc}") from exc
     raise ConfigError(f"coefficients must be numbers or [re, im] pairs, got {value!r}")
 
 
@@ -135,8 +147,6 @@ def _parse_multi_index(key: str, dim: int) -> tuple[int, ...]:
 def _parse_symbol(section: dict, dim: int) -> SymbolFunction:
     name = section.get("name")
     if name == "one":
-        from .grid import unit_symbol
-
         return unit_symbol(dim)
     if name == "polynomial":
         terms_cfg = section.get("terms")
@@ -145,19 +155,8 @@ def _parse_symbol(section: dict, dim: int) -> SymbolFunction:
         terms = [
             (_parse_multi_index(k, dim), _parse_complex(v)) for k, v in terms_cfg.items()
         ]
-
-        def evaluator(*coords):
-            total = np.zeros(np.broadcast(*coords).shape, dtype=np.complex128)
-            for idx, coeff in terms:
-                mono = np.full(np.broadcast(*coords).shape, coeff)
-                for axis, power in enumerate(idx):
-                    if power:
-                        mono = mono * np.asarray(coords[axis]) ** power
-                total = total + mono
-            return total
-
         label = "+".join(f"{c}*x^{idx}" for idx, c in terms)
-        return SymbolFunction(dim, evaluator, f"poly[{label}]")
+        return _polynomial_symbol(dim, terms, f"poly[{label}]")
     raise ConfigError(f"unknown symbol name {name!r} (use 'one' or 'polynomial')")
 
 
@@ -281,9 +280,7 @@ def _parse_operator(section: dict, grid: Grid) -> tuple[SchwartzFamily, SymbolFu
             _parse_multi_index(k, grid.dim): _parse_complex(v)
             for k, v in coeffs_cfg.items()
         }
-        spec = DifferentialOperatorSpec(coeffs)
-        family = FourierFamily(grid)
-        symbol = differential_symbol(spec, family.index_grid)
+        family, symbol = _fourier_pair(DifferentialOperatorSpec(coeffs), grid)
         label = ", ".join(
             f"d^{','.join(map(str, idx))}: {coeffs[idx]}" for idx in sorted(coeffs)
         )
@@ -396,7 +393,8 @@ def _cmd_solve(args) -> int:
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     policy = _parse_policy(cfg.get("policy"))
     out_dir = _output_dir(cfg)
-    applied = policy.resolve_zero_threshold(symbol.sample_finite(family.index_grid))
+    a_values = symbol.sample_finite(family.index_grid)
+    applied = policy.resolve_zero_threshold(a_values)
     report = {
         "command": "solve",
         "grid": _grid_json(grid),
@@ -405,7 +403,7 @@ def _cmd_solve(args) -> int:
         "policy": _policy_json(policy, applied),
     }
     try:
-        result = solve(family, symbol, datum, policy)
+        result = _solve(family, a_values, datum, policy)
     except NotDivisible as exc:
         report.update(
             {
@@ -516,8 +514,9 @@ def _cmd_expand(args) -> int:
     # the steps of spectral_apply, keeping the integrand a * c it forms
     a_values = symbol.sample_finite(family.index_grid)
     coords = family.coordinates(datum)
-    integrand = GridDistribution._trusted(family.index_grid, a_values * coords.samples)
-    image = family.superpose(integrand)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NonFiniteSamples
+        integrand = GridDistribution._trusted(family.index_grid, a_values * coords.samples)
+        image = family.superpose(integrand)
     write_distribution_csv(out_dir / "expansion.csv", image)
     write_distribution_csv(out_dir / "integrand.csv", integrand)
     report = {

@@ -63,6 +63,11 @@ class NonFiniteSymbol(SchwartzCalcError, ValueError):
     Also a ``ValueError``, the type a non-finite sample used to surface as."""
 
 
+class NonFiniteSamples(SchwartzCalcError, ValueError):
+    """A distribution's samples hold ``inf`` or ``nan``, for instance after a
+    finite product overflows.  Also a ``ValueError``, the type it used to be."""
+
+
 class TooLarge(SchwartzCalcError):
     """Dense-matrix oracle requested on a grid beyond the desk-scale cap."""
 

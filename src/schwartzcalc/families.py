@@ -35,7 +35,7 @@ import threading
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, IllConditioned
+from .errors import ArityMismatch, GridMismatch, IllConditioned, NotABasis
 from .grid import Grid, GridDistribution, SymbolFunction, delta_distribution, dual_grid
 
 __all__ = [
@@ -129,13 +129,17 @@ class SchwartzFamily(abc.ABC):
     def member(self, p) -> GridDistribution:
         """The member distribution at index point ``p``."""
 
-    @abc.abstractmethod
     def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
         """Coefficients ``c`` on the index grid with ``superpose(c) ~= u``."""
+        self._check_space(u)
+        row = self.coordinates_rows(u.samples[np.newaxis])[0]
+        return GridDistribution._trusted(self.index_grid, row)
 
-    @abc.abstractmethod
     def superpose(self, c: CoordinateDistribution) -> GridDistribution:
         """Weighted sum ``sum_k c(p_k) member(p_k) * index cell volume``."""
+        self._check_index(c)
+        row = self.superpose_rows(c.samples[np.newaxis])[0]
+        return GridDistribution._trusted(self.space_grid, row)
 
     @abc.abstractmethod
     def matrix(self) -> np.ndarray:
@@ -160,6 +164,12 @@ class SchwartzFamily(abc.ABC):
         if c.grid != self.index_grid:
             raise GridMismatch("coefficients do not live on the family's index grid")
 
+    def _check_symbol(self, a: SymbolFunction):
+        if a.arity != self.index_dim:
+            raise ArityMismatch(
+                f"symbol arity {a.arity} does not match index dimension {self.index_dim}"
+            )
+
 
 class DiracFamily(SchwartzFamily):
     """Point masses indexed by their own location; the canonical basis.
@@ -180,23 +190,13 @@ class DiracFamily(SchwartzFamily):
     def member(self, p) -> GridDistribution:
         return delta_distribution(self.space_grid, p)
 
-    def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
-        self._check_space(u)
-        return u
-
-    def superpose(self, c: CoordinateDistribution) -> GridDistribution:
-        self._check_index(c)
-        return c
-
     def matrix(self) -> np.ndarray:
-        n = self.space_grid.size
-        return np.eye(n, dtype=np.complex128) / self.space_grid.cell_volume
+        return point_mass_rows(self.space_grid, 0, self.space_grid.size)
 
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
         return np.array(rows, dtype=np.complex128, copy=True)
 
-    def coordinates_rows(self, rows: np.ndarray) -> np.ndarray:
-        return np.array(rows, dtype=np.complex128, copy=True)
+    coordinates_rows = superpose_rows
 
     def __repr__(self):
         return f"DiracFamily(space_grid={self.space_grid!r})"
@@ -220,16 +220,6 @@ class FourierFamily(SchwartzFamily):
         meshes = self.space_grid.meshes()
         phase = sum(pt[i] * meshes[i] for i in range(self.space_grid.dim))
         return GridDistribution._trusted(self.space_grid, np.exp(-1j * phase))
-
-    def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
-        self._check_space(u)
-        row = self.coordinates_rows(u.samples[np.newaxis])[0]
-        return GridDistribution._trusted(self.index_grid, row)
-
-    def superpose(self, c: CoordinateDistribution) -> GridDistribution:
-        self._check_index(c)
-        row = self.superpose_rows(c.samples[np.newaxis])[0]
-        return GridDistribution._trusted(self.space_grid, row)
 
     def matrix(self) -> np.ndarray:
         phase = self.index_grid.points() @ self.space_grid.points().T
@@ -267,7 +257,7 @@ class KernelFamily(SchwartzFamily):
 
     def __init__(self, index_grid: Grid, space_grid: Grid, kernel,
                  is_basis: bool = False, condition_limit: float = DEFAULT_CONDITION_LIMIT):
-        arr = np.asarray(kernel, dtype=np.complex128)
+        arr = np.array(kernel, dtype=np.complex128, order="C")
         if arr.shape != (index_grid.size, space_grid.size):
             raise GridMismatch(
                 f"kernel shape {arr.shape} does not match "
@@ -275,7 +265,6 @@ class KernelFamily(SchwartzFamily):
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("kernel entries must all be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.index_grid = index_grid
         self.space_grid = space_grid
@@ -292,18 +281,6 @@ class KernelFamily(SchwartzFamily):
     def member(self, p) -> GridDistribution:
         flat = self.index_grid.index_of(p)
         return GridDistribution(self.space_grid, self.kernel[flat])
-
-    def superpose(self, c: CoordinateDistribution) -> GridDistribution:
-        self._check_index(c)
-        return GridDistribution._trusted(
-            self.space_grid, self.superpose_rows(c.samples[np.newaxis])[0]
-        )
-
-    def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
-        self._check_space(u)
-        return GridDistribution._trusted(
-            self.index_grid, self.coordinates_rows(u.samples[np.newaxis])[0]
-        )
 
     def matrix(self) -> np.ndarray:
         return self.kernel
@@ -344,8 +321,6 @@ class KernelFamily(SchwartzFamily):
         Checks ``coordinates(superpose(c)) ~= c`` for random coefficient
         vectors; raises ``NotABasis`` when the relative error exceeds ``tol``.
         """
-        from .errors import NotABasis
-
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(probes):
@@ -403,14 +378,6 @@ class LazyFamily(SchwartzFamily):
         row = self.rows_map(point_mass_rows(self.index_grid, flat, flat + 1))[0]
         return GridDistribution(self.space_grid, row)
 
-    def superpose(self, c: CoordinateDistribution) -> GridDistribution:
-        self._check_index(c)
-        return GridDistribution(self.space_grid, self.rows_map(c.samples[np.newaxis])[0])
-
-    def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
-        self._check_space(u)
-        return GridDistribution(self.index_grid, self.coordinates_rows(u.samples[np.newaxis])[0])
-
     def matrix(self) -> np.ndarray:
         return self.rows_map(point_mass_rows(self.index_grid, 0, self.index_grid.size))
 
@@ -451,10 +418,7 @@ def superpose(c: CoordinateDistribution, v: SchwartzFamily) -> GridDistribution:
 
 def scale_family(a: SymbolFunction, v: SchwartzFamily) -> KernelFamily:
     """Family with members ``a(p) * v_p``; materialized as a kernel table."""
-    if a.arity != v.index_dim:
-        raise ArityMismatch(
-            f"symbol arity {a.arity} does not match family index dimension {v.index_dim}"
-        )
+    v._check_symbol(a)
     values = a.sample(v.index_grid)
     return KernelFamily(v.index_grid, v.space_grid, values[:, np.newaxis] * v.matrix())
 

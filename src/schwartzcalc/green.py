@@ -28,7 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotDivisible, NotInvertible
+from .errors import GridMismatch, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
 from .families import (
     DiracFamily,
@@ -110,9 +110,13 @@ def left_inverse_family(lam: SchwartzFamily) -> SchwartzFamily:
 
 
 def _image_rows(lam: SchwartzFamily, l_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``L`` applied to each row: analyse, scale by ``l``, resynthesize."""
-    coords = lam.coordinates_rows(rows)
-    return lam.superpose_rows(coords * l_values[np.newaxis, :])
+    """``L`` applied to each row: analyse, scale by ``l``, resynthesize.
+
+    This is ``spectral._apply_rows`` with the product taken as ``coords * l``:
+    numpy's complex product is not bitwise commutative, and the weak
+    residuals in ``report.json`` are pinned to this order.
+    """
+    return lam.superpose_rows(lam.coordinates_rows(rows) * l_values)
 
 
 def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
@@ -121,7 +125,6 @@ def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
         type(lam) is FourierFamily
         and isinstance(mu, LazyFamily)
         and mu.rows_map == lam.coordinates_rows
-        and mu.index_grid == lam.space_grid
     )
 
 
@@ -147,7 +150,6 @@ def _weak_residuals(
     lam: SchwartzFamily, l_values: np.ndarray, green: LazyFamily, mu: SchwartzFamily
 ) -> tuple[np.ndarray, list]:
     space = lam.space_grid
-    index_grid = green.index_grid
     probes, centers = gaussian_probes(space)
     weighted = probes * space.cell_volume
     if _is_translation_family(lam, mu):
@@ -155,17 +157,8 @@ def _weak_residuals(
     else:
         # L G_p for every p at once from the dense table
         pair_matrix = _image_rows(lam, l_values, green.matrix()) @ weighted
-    # target phi(p) for each index node p and probe
-    pts = index_grid.points()
-    targets = np.empty((index_grid.size, len(centers)), dtype=np.complex128)
-    for j, center in enumerate(centers):
-        expo = np.zeros(index_grid.size)
-        for axis in range(index_grid.dim):
-            sigma = PROBE_WIDTH_CELLS * space.spacings[axis]
-            expo += ((pts[:, axis] - center[axis]) / sigma) ** 2 / 2.0
-        targets[:, j] = np.exp(-expo)
-    residuals = np.max(np.abs(pair_matrix - targets), axis=1)
-    return residuals, centers
+    # the index grid is the space grid, so the targets phi(p) are the probe samples
+    return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
 
 def _check_invertible(lam: SchwartzFamily, l_values: np.ndarray, eps: float) -> None:
@@ -215,6 +208,8 @@ def _green(
     policy: DivisionPolicy | None,
     divided: bool,
 ) -> GreenFamilyResult:
+    if mu.index_grid != lam.space_grid:
+        raise GridMismatch("a left inverse must be indexed by the operator family's space grid")
     policy = policy or DivisionPolicy()
     l_values = l.sample_finite(lam.index_grid)
     eps = policy.resolve_zero_threshold(l_values)
@@ -254,7 +249,8 @@ def green_family(
     Requires ``|l|`` to stay above the policy's zero threshold on the whole
     index grid (``NotInvertible`` otherwise, ``NonFiniteSymbol`` when ``l`` is
     not finite there) and ``mu`` to be a left inverse of ``lam`` (weak
-    residuals certify the combination actually used).
+    residuals certify the combination actually used; ``GridMismatch`` when
+    ``mu`` is not indexed by ``lam``'s space grid).
     """
     return _green(lam, l, mu, policy, divided=False)
 

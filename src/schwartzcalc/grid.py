@@ -20,7 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, IndexOffGrid, InvalidGrid, NonFiniteSymbol
+from .errors import (
+    ArityMismatch, GridMismatch, IndexOffGrid, InvalidGrid, NonFiniteSamples, NonFiniteSymbol,
+)
 
 __all__ = [
     "Grid",
@@ -202,7 +204,7 @@ class GridDistribution:
                 f"expected {grid.size} samples for the grid, got {arr.size}"
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("distribution samples must all be finite")
+            raise NonFiniteSamples("distribution samples must all be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", arr)
@@ -243,9 +245,15 @@ def sample_function(grid: Grid, fn: Callable) -> GridDistribution:
     ``fn`` receives one coordinate array per axis (shaped ``counts``) and
     must return an array broadcastable to that shape.
     """
-    values = np.asarray(fn(*grid.meshes()), dtype=np.complex128)
-    values = np.broadcast_to(values, grid.counts)
-    return GridDistribution(grid, values.ravel())
+    return GridDistribution(grid, _on_nodes(fn, grid))
+
+
+def _on_nodes(fn: Callable, grid: Grid) -> np.ndarray:
+    """A vectorized ``fn`` of the coordinate arrays on every node of ``grid``
+    (flat, row-major, complex, contiguous; may share memory with what ``fn``
+    returned)."""
+    values = np.broadcast_to(np.asarray(fn(*grid.meshes()), dtype=np.complex128), grid.counts)
+    return np.ascontiguousarray(values.ravel())
 
 
 def zero_distribution(grid: Grid) -> GridDistribution:
@@ -272,9 +280,7 @@ def pairing(u: GridDistribution, phi) -> complex:
     applied (distributional pairing, not an inner product).
     """
     if callable(phi):
-        phi_vals = np.broadcast_to(
-            np.asarray(phi(*u.grid.meshes()), dtype=np.complex128), u.grid.counts
-        ).ravel()
+        phi_vals = _on_nodes(phi, u.grid)
     elif isinstance(phi, GridDistribution):
         if phi.grid != u.grid:
             raise GridMismatch("pairing operands live on different grids")
@@ -335,9 +341,7 @@ class SymbolFunction:
                 f"symbol {self.descriptor!r} has arity {self.arity}, "
                 f"grid has dimension {grid.dim}"
             )
-        values = np.asarray(self.evaluator(*grid.meshes()), dtype=np.complex128)
-        values = np.broadcast_to(values, grid.counts)
-        return np.ascontiguousarray(values.ravel())
+        return _on_nodes(self.evaluator, grid)
 
     def sample_finite(self, grid: Grid) -> np.ndarray:
         """:meth:`sample`, raising ``NonFiniteSymbol`` at the first node where
@@ -387,6 +391,26 @@ class SymbolFunction:
         return self._combine(other, np.add, "+")
 
     __radd__ = __add__
+
+
+def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
+    """The polynomial ``sum c x^j`` over the ``(j, c)`` pairs of ``terms``.
+
+    The sum starts from complex zeros and multiplies each monomial's factors
+    left to right, one axis at a time.
+    """
+
+    def evaluator(*x):
+        total = np.zeros(np.broadcast(*x).shape, dtype=np.complex128)
+        for idx, coeff in terms:
+            mono = coeff
+            for axis, power in enumerate(idx):
+                if power:
+                    mono = mono * np.asarray(x[axis]) ** power
+            total = total + mono
+        return total
+
+    return SymbolFunction(arity, evaluator, descriptor)
 
 
 def constant_symbol(arity: int, value: complex, descriptor: str | None = None) -> SymbolFunction:

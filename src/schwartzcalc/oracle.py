@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooLarge, UnsupportedOrder
-from .grid import Grid, GridDistribution, SymbolFunction
+from .errors import ArityMismatch, TooLarge, UnsupportedOrder
+from .grid import Grid, SymbolFunction
 from .families import SchwartzFamily
 from .solver import DifferentialOperatorSpec
-from .spectral import DenseOperator, spectral_apply
+from .spectral import DenseOperator, _apply_rows
 
 __all__ = ["DenseOperator", "dense_from_diagonal", "finite_difference", "MAX_DENSE_POINTS"]
 
@@ -24,8 +24,8 @@ MAX_DENSE_POINTS = 4096
 def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
     """Materialize the operator diagonal in ``v`` as a dense matrix.
 
-    Columns are assembled one by one by applying the spectral expansion to
-    unit sample vectors, so the matrix action agrees with
+    Column k is the spectral expansion applied to the k-th unit sample
+    vector, all columns in one batch, so the matrix action agrees with
     :func:`schwartzcalc.spectral.spectral_apply` up to accumulation rounding.
     """
     grid = v.space_grid
@@ -33,14 +33,8 @@ def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
         raise TooLarge(
             f"grid has {grid.size} nodes; dense oracles are capped at {MAX_DENSE_POINTS}"
         )
-    n = grid.size
-    matrix = np.empty((n, n), dtype=np.complex128)
-    unit = np.zeros(n, dtype=np.complex128)
-    for k in range(n):
-        unit[k] = 1.0
-        matrix[:, k] = spectral_apply(a, v, GridDistribution(grid, unit)).samples
-        unit[k] = 0.0
-    return DenseOperator(grid, matrix)
+    units = np.eye(grid.size, dtype=np.complex128)
+    return DenseOperator(grid, _apply_rows(v, a.sample_finite(v.index_grid), units).T)
 
 
 # periodic central-difference stencils: {accuracy order: {offset: coefficient}}
@@ -93,8 +87,6 @@ def finite_difference(
             f"grid has {grid.size} nodes; dense oracles are capped at {MAX_DENSE_POINTS}"
         )
     if spec.arity is not None and spec.arity != grid.dim:
-        from .errors import ArityMismatch
-
         raise ArityMismatch(
             f"operator spec has arity {spec.arity}, grid has dimension {grid.dim}"
         )

@@ -23,8 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, NotDivisible
-from .grid import Grid, GridDistribution, SymbolFunction, _l2, l2_norm
+from .errors import ArityMismatch, NotDivisible
+from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol, l2_norm
 from .families import CoordinateDistribution, FourierFamily, SchwartzFamily
 from .spectral import SLinearOperator, _apply_rows, spectral_apply
 
@@ -99,23 +99,17 @@ def differential_symbol(spec: DifferentialOperatorSpec, index_grid: Grid) -> Sym
             f"{index_grid.dim}"
         )
     terms = [(idx, c * (-1j) ** sum(idx)) for idx, c in spec.coeffs.items()]
-    dim = index_grid.dim
-
-    def evaluator(*p):
-        total = np.zeros(np.broadcast(*p).shape, dtype=np.complex128)
-        for idx, factor in terms:
-            mono = factor
-            for axis in range(dim):
-                if idx[axis]:
-                    mono = mono * np.asarray(p[axis]) ** idx[axis]
-            total = total + mono
-        return total
-
     label = " + ".join(
         f"{c}*d^{idx}" if len(idx) > 1 else f"{c}*d^{idx[0]}"
         for idx, c in spec.coeffs.items()
     )
-    return SymbolFunction(dim, evaluator, f"symbol[{label or '0'}]")
+    return _polynomial_symbol(index_grid.dim, terms, f"symbol[{label or '0'}]")
+
+
+def _fourier_pair(spec: DifferentialOperatorSpec, grid: Grid):
+    """The eigen-pair of ``spec`` on ``grid``: its Fourier family and polynomial symbol."""
+    family = FourierFamily(grid)
+    return family, differential_symbol(spec, family.index_grid)
 
 
 class DifferentialOperator(SLinearOperator):
@@ -125,14 +119,8 @@ class DifferentialOperator(SLinearOperator):
         self.spec = spec
 
     def apply(self, u: GridDistribution) -> GridDistribution:
-        if self.spec.arity is not None and self.spec.arity != u.grid.dim:
-            raise ArityMismatch(
-                f"operator arity {self.spec.arity} does not match grid dimension "
-                f"{u.grid.dim}"
-            )
-        fam = FourierFamily(u.grid)
-        a = differential_symbol(self.spec, fam.index_grid)
-        return spectral_apply(a, fam, u)
+        family, symbol = _fourier_pair(self.spec, u.grid)
+        return spectral_apply(symbol, family, u)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,9 +140,9 @@ class DivisionPolicy:
         zt = self.zero_threshold
         if zt is not None and (math.isnan(zt) or zt <= 0.0):
             raise ValueError(f"zero_threshold must be positive (or None), got {zt}")
-        if math.isnan(self.residual_threshold) or self.residual_threshold < 0.0:
+        if not math.isfinite(self.residual_threshold) or self.residual_threshold < 0.0:
             raise ValueError(
-                f"residual_threshold must be non-negative, got {self.residual_threshold}"
+                f"residual_threshold must be non-negative and finite, got {self.residual_threshold}"
             )
 
     def resolve_zero_threshold(self, symbol_values: np.ndarray) -> float:
@@ -234,15 +222,22 @@ def solve(
     synthesise again for ``A(u)``) run on arrays, and the results are the
     same bits as the composition above.
     """
-    if d.grid != v.space_grid:
-        raise GridMismatch("datum does not live on the family's space grid")
-    a_values = a.sample_finite(v.index_grid)
+    v._check_space(d)
+    return _solve(v, a.sample_finite(v.index_grid), d, policy or DivisionPolicy())
+
+
+def _solve(
+    v: SchwartzFamily, a_values: np.ndarray, d: GridDistribution, policy: DivisionPolicy
+) -> SolveResult:
+    """Core of :func:`solve` for a datum on ``v``'s space grid: ``a_values``
+    are the symbol's finite samples on the index grid."""
     d_v = v.coordinates_rows(d.samples[np.newaxis])[0]
-    q = _quotient(d_v, a_values, policy or DivisionPolicy(), v.index_grid)
+    q = _quotient(d_v, a_values, policy, v.index_grid)
     del d_v  # not needed for the residual; keeps the peak down
     u = v.superpose_rows(q[np.newaxis])[0]
     denom = l2_norm(d)
-    resid = _l2(_apply_rows(v, a_values, u) - d.samples, d.grid) / denom if denom > 0.0 else 0.0
+    image = _apply_rows(v, a_values, u[np.newaxis])[0]
+    resid = _l2(image - d.samples, d.grid) / denom if denom > 0.0 else 0.0
     return SolveResult(
         solution=GridDistribution._trusted(v.space_grid, u),
         quotient=GridDistribution._trusted(v.index_grid, q),
@@ -261,6 +256,4 @@ def solve_pde(
     polynomial symbol) and symbol division.  The result is the periodic
     solution on the box.
     """
-    fam = FourierFamily(d.grid)
-    a = differential_symbol(spec, fam.index_grid)
-    return solve(fam, a, d, policy)
+    return solve(*_fourier_pair(spec, d.grid), d, policy)

@@ -68,15 +68,15 @@ def spectral_apply(a: SymbolFunction, v: SchwartzFamily, u: GridDistribution) ->
     ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.
     """
     v._check_space(u)
-    image = _apply_rows(v, a.sample_finite(v.index_grid), u.samples)
+    image = _apply_rows(v, a.sample_finite(v.index_grid), u.samples[np.newaxis])[0]
     return GridDistribution._trusted(v.space_grid, image)
 
 
-def _apply_rows(v: SchwartzFamily, a_values: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Core of :func:`spectral_apply` on arrays: ``a_values`` are the symbol's
-    samples on the index grid, ``samples`` those of ``u``."""
-    c = v.coordinates_rows(samples[np.newaxis])[0]
-    return v.superpose_rows((a_values * c)[np.newaxis])[0]
+def _apply_rows(v: SchwartzFamily, a_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Core of :func:`spectral_apply` on arrays, one image per row of ``rows``:
+    analyse in ``v``, scale by ``a_values`` (the symbol's samples on the index
+    grid), resynthesize."""
+    return v.superpose_rows(a_values * v.coordinates_rows(rows))
 
 
 class SLinearOperator(abc.ABC):
@@ -136,11 +136,7 @@ class DiagonalOperator(SLinearOperator):
     """Operator with eigenfamily ``family`` and eigenvalue system ``symbol``."""
 
     def __init__(self, family: SchwartzFamily, symbol: SymbolFunction):
-        if symbol.arity != family.index_dim:
-            raise ArityMismatch(
-                f"symbol arity {symbol.arity} does not match index dimension "
-                f"{family.index_dim}"
-            )
+        family._check_symbol(symbol)
         self.family = family
         self.symbol = symbol
 
@@ -168,14 +164,13 @@ class DenseOperator(SLinearOperator):
     """Explicit matrix over a grid's nodes; applied by matrix-vector product."""
 
     def __init__(self, grid: Grid, matrix):
-        arr = np.asarray(matrix, dtype=np.complex128)
+        arr = np.array(matrix, dtype=np.complex128, order="C")
         if arr.shape != (grid.size, grid.size):
             raise GridMismatch(
                 f"matrix shape {arr.shape} does not match grid size {grid.size}"
             )
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise ValueError("dense operator entries must all be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         self.grid = grid
         self.matrix = arr
@@ -317,30 +312,32 @@ class SpectralProductMeasure(GeneralizedMeasure):
         self.family = family
 
     def evaluate(self, f: SymbolFunction) -> SLinearOperator:
-        if f.arity != self.family.index_dim:
-            raise ArityMismatch(
-                f"symbol arity {f.arity} does not match index dimension "
-                f"{self.family.index_dim}"
-            )
-        B = self.operator
-        fam = self.family
-
-        class _ProductOperator(SLinearOperator):
-            def apply(self, u):
-                mid = B.apply(u)
-                if mid.grid != fam.index_grid:
-                    raise GridMismatch(
-                        "spectral product operator must land on the family's index grid"
-                    )
-                return superpose(
-                    GridDistribution(fam.index_grid, f.sample(fam.index_grid) * mid.samples),
-                    fam,
-                )
-
-        return _ProductOperator()
+        self.family._check_symbol(f)
+        return _ProductOperator(self.operator, self.family, f)
 
     def _unit(self):
         return unit_symbol(self.family.index_dim)
+
+
+class _ProductOperator(SLinearOperator):
+    """``u -> superpose(f * B(u), v)``, the value of a spectral product measure."""
+
+    def __init__(self, operator: SLinearOperator, family: SchwartzFamily, f: SymbolFunction):
+        self.operator = operator
+        self.family = family
+        self.f = f
+
+    def apply(self, u):
+        mid = self.operator.apply(u)
+        fam = self.family
+        if mid.grid != fam.index_grid:
+            raise GridMismatch(
+                "spectral product operator must land on the family's index grid"
+            )
+        return superpose(
+            GridDistribution(fam.index_grid, self.f.sample(fam.index_grid) * mid.samples),
+            fam,
+        )
 
 
 class ScaledMeasure(GeneralizedMeasure):
@@ -377,13 +374,8 @@ class EigenspectrumMeasure(GeneralizedMeasure):
     """
 
     def __init__(self, u: GridDistribution, family: SchwartzFamily, symbol: SymbolFunction):
-        if u.grid != family.space_grid:
-            raise GridMismatch("distribution does not live on the family's space grid")
-        if symbol.arity != family.index_dim:
-            raise ArityMismatch(
-                f"symbol arity {symbol.arity} does not match index dimension "
-                f"{family.index_dim}"
-            )
+        family._check_space(u)
+        family._check_symbol(symbol)
         self.u = u
         self.family = family
         self.symbol = symbol
@@ -402,15 +394,6 @@ class EigenspectrumMeasure(GeneralizedMeasure):
         return spectrum_one()
 
 
-class OperatorSpectrumApply(SLinearOperator):
-    def __init__(self, family: SchwartzFamily, composed_symbol: SymbolFunction):
-        self.family = family
-        self.symbol = composed_symbol
-
-    def apply(self, u):
-        return spectral_apply(self.symbol, self.family, u)
-
-
 class OperatorSpectralMeasure(GeneralizedMeasure):
     """Operator-valued measure on the eigenvalue values of ``a``.
 
@@ -421,18 +404,14 @@ class OperatorSpectralMeasure(GeneralizedMeasure):
 
     def __init__(self, symbol: SymbolFunction, family: SchwartzFamily):
         _require_basis(family)
-        if symbol.arity != family.index_dim:
-            raise ArityMismatch(
-                f"symbol arity {symbol.arity} does not match index dimension "
-                f"{family.index_dim}"
-            )
+        family._check_symbol(symbol)
         self.symbol = symbol
         self.family = family
 
     def evaluate(self, f: SpectrumFunction) -> SLinearOperator:
         if not isinstance(f, SpectrumFunction):
             raise ArityMismatch("eigenspectrum measures consume spectrum functions")
-        return OperatorSpectrumApply(self.family, f.compose(self.symbol))
+        return DiagonalOperator(self.family, f.compose(self.symbol))
 
     def _unit(self):
         return spectrum_one()
@@ -462,10 +441,7 @@ def is_eigenfamily(
     probe only the resolved band of an approximate operator); the default is
     every node of the index grid.
     """
-    if a.arity != v.index_dim:
-        raise ArityMismatch(
-            f"symbol arity {a.arity} does not match index dimension {v.index_dim}"
-        )
+    v._check_symbol(a)
     if indices is None:
         pts = [v.index_grid.point_at(k) for k in range(v.index_grid.size)]
     else:

@@ -18,6 +18,7 @@ from schwartzcalc import (
     gaussian_probes,
     l2_norm,
     member,
+    spectral_apply,
     superpose,
 )
 
@@ -165,3 +166,51 @@ def read_samples_csv(path):
             continue
         values.append(complex(re_part, im_part))
     return np.asarray(values, dtype=np.complex128)
+
+
+def differential_evaluator(terms, dim):
+    """The evaluator ``differential_symbol`` used to build for the
+    pre-multiplied ``(multi-index, c * (-i)^|j|)`` pairs of ``terms``."""
+
+    def evaluator(*p):
+        total = np.zeros(np.broadcast(*p).shape, dtype=np.complex128)
+        for idx, factor in terms:
+            mono = factor
+            for axis in range(dim):
+                if idx[axis]:
+                    mono = mono * np.asarray(p[axis]) ** idx[axis]
+            total = total + mono
+        return total
+
+    return evaluator
+
+
+def config_polynomial_evaluator(terms):
+    """The evaluator the CLI used to build for a ``polynomial`` symbol's
+    ``(multi-index, coefficient)`` pairs: each monomial starts as a full array."""
+
+    def evaluator(*coords):
+        total = np.zeros(np.broadcast(*coords).shape, dtype=np.complex128)
+        for idx, coeff in terms:
+            mono = np.full(np.broadcast(*coords).shape, coeff)
+            for axis, power in enumerate(idx):
+                if power:
+                    mono = mono * np.asarray(coords[axis]) ** power
+            total = total + mono
+        return total
+
+    return evaluator
+
+
+def dense_from_diagonal_columns(v, a):
+    """The matrix of the operator diagonal in ``v``, one ``spectral_apply``
+    per unit sample vector, column by column."""
+    grid = v.space_grid
+    n = grid.size
+    matrix = np.empty((n, n), dtype=np.complex128)
+    unit = np.zeros(n, dtype=np.complex128)
+    for k in range(n):
+        unit[k] = 1.0
+        matrix[:, k] = spectral_apply(a, v, GridDistribution(grid, unit)).samples
+        unit[k] = 0.0
+    return matrix

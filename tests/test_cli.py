@@ -480,3 +480,38 @@ def test_expand_analyses_once_and_samples_once(monkeypatch, tmp_path):
     assert main(["expand", "--config", cfg]) == 0
     # one analysis, one synthesis of the integrand, one symbol sample
     assert calls == {"sample": 1, "coordinates_rows": 1, "superpose_rows": 1}
+
+
+def _contract_cases():
+    grid8 = {"dim": 1, "counts": [8], "half_extents": [1.0]}
+    one = {"type": "multiplication", "symbol": {"name": "one"}}
+    huge = {"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"0": 1e300}}}
+    base = dict(grid=grid8, operator=one, datum={"kind": "constant"})
+    return {
+        "non-numeric-pair": ("expand", dict(base, datum={"kind": "constant", "c": ["a", 0]})),
+        "fractional-dim": ("expand", dict(base, grid=dict(grid8, dim=1.7))),
+        "fractional-count": ("expand", dict(base, grid=dict(grid8, counts=[8.9]))),
+        "infinite-residual-threshold": (
+            "solve", dict(base, policy={"residual_threshold": math.inf})
+        ),
+        # each factor is finite, their product is not
+        "overflowing-product": (
+            "expand", dict(base, operator=huge, datum={"kind": "constant", "c": 1e300})
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_contract_cases()))
+def test_malformed_values_exit_1_with_one_line(tmp_path, case):
+    command, sections = _contract_cases()[case]
+    out = {"directory": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "run.json", output=out, **sections)
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", command, "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.strip().splitlines()) == 1, run.stderr

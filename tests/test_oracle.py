@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from schwartzcalc import (
+    DenseOperator,
     DifferentialOperatorSpec,
     FourierFamily,
+    KernelFamily,
     SymbolFunction,
     TooLarge,
     UnsupportedOrder,
@@ -109,3 +111,22 @@ def test_finite_difference_2d_mixed_term():
     u = sample_function(g, lambda x, y: np.sin(x) * np.sin(y))
     exact = sample_function(g, lambda x, y: np.cos(x) * np.cos(y))
     assert sup_norm(fd.apply(u) - exact) <= 1e-4
+
+
+def test_transposed_matrices_are_accepted_and_still_checked():
+    g = make_grid(1, [8], [2.0])
+    m = np.random.default_rng(3).standard_normal((8, 8)) + 1j * np.arange(64.0).reshape(8, 8)
+    transposed, copied = m.T, np.ascontiguousarray(m.T)
+    assert not transposed.flags.c_contiguous
+    np.testing.assert_array_equal(
+        DenseOperator(g, transposed).matrix, DenseOperator(g, copied).matrix
+    )
+    np.testing.assert_array_equal(
+        KernelFamily(g, g, transposed).kernel, KernelFamily(g, g, copied).kernel
+    )
+    bad = m.copy()
+    bad[2, 5] = np.nan
+    with pytest.raises(ValueError):
+        DenseOperator(g, bad.T)
+    with pytest.raises(ValueError):
+        KernelFamily(g, g, bad.T)

@@ -4,9 +4,12 @@
 These tests pin that its solution, quotient and residual are the same bits
 (signed zeros included) as the step-by-step composition of the public
 functions and as ``naive.literal_solve``, and count what one call does.
+The shared cores (the polynomial evaluator, the batched dense oracle) are
+pinned the same way against literal copies of the code they replaced.
 """
 
 import collections
+import json
 import math
 
 import numpy as np
@@ -18,10 +21,13 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    GridMismatch,
+    KernelFamily,
     NonFiniteSymbol,
     SymbolFunction,
     coordinates,
     delta_distribution,
+    dense_from_diagonal,
     differential_symbol,
     divide,
     green_family,
@@ -35,7 +41,15 @@ from schwartzcalc import (
     superpose,
 )
 
-from naive import literal_solve
+from schwartzcalc.cli import _parse_symbol, main
+
+from naive import (
+    config_polynomial_evaluator,
+    dense_from_diagonal_columns,
+    dense_green,
+    differential_evaluator,
+    literal_solve,
+)
 
 HELMHOLTZ_1D = DifferentialOperatorSpec({(0,): 1.0, (2,): -1.0})
 HELMHOLTZ_2D = DifferentialOperatorSpec({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
@@ -173,3 +187,106 @@ def test_divide_names_the_first_non_finite_node():
     assert "(0.0,)" in str(info.value)
     # the same datum divides by a finite symbol
     divide(d_v, SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2"))
+
+
+# --- the shared cores against literal copies of the code they replaced -----
+
+
+def same_words(x, y):
+    """Bitwise equality read as unsigned words, so signed zeros and NaN
+    payloads count."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+POLYNOMIAL_GRIDS = {
+    1: make_grid(1, [64], [3.0]),
+    2: make_grid(2, [16, 12], [2.0, 3.0]),
+    3: make_grid(3, [8, 6, 4], [1.5, 2.0, 2.5]),
+}
+# every coefficient kind: signed zeros, real, imaginary and complex
+POLYNOMIAL_TERMS = {
+    1: {(0,): -0.0, (1,): 1.5 - 2.0j, (2,): -1.0, (3,): complex(0.25, -0.0)},
+    2: {(0, 0): complex(-0.0, -0.0), (1, 0): 2.0j, (0, 1): -0.5 + 0.75j, (2, 1): -0.0,
+        (1, 3): 3.0},
+    3: {(0, 0, 0): 1.0 - 1.0j, (1, 0, 2): -0.0j, (0, 2, 0): -2.5, (1, 1, 1): 0.5 + 0.25j},
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_differential_symbol_is_bitwise_the_old_evaluator(dim):
+    grid = POLYNOMIAL_GRIDS[dim]
+    spec = DifferentialOperatorSpec(POLYNOMIAL_TERMS[dim])
+    terms = [(idx, c * (-1j) ** sum(idx)) for idx, c in spec.coeffs.items()]
+    old = SymbolFunction(dim, differential_evaluator(terms, dim))
+    new = differential_symbol(spec, grid)
+    assert same_words(new.sample(grid), old.sample(grid))
+    point = grid.point_at(grid.size // 3)
+    assert same_words(np.array([new.at(point)]), np.array([old.at(point)]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_config_polynomial_is_bitwise_the_old_evaluator(dim):
+    grid = POLYNOMIAL_GRIDS[dim]
+    raw = POLYNOMIAL_TERMS[dim]
+    terms = [(idx, complex(c)) for idx, c in raw.items()]
+    section = {
+        "name": "polynomial",
+        "terms": {",".join(map(str, idx)): [c.real, c.imag] for idx, c in terms},
+    }
+    old = SymbolFunction(dim, config_polynomial_evaluator(terms))
+    assert same_words(_parse_symbol(section, dim).sample(grid), old.sample(grid))
+
+
+def _oracle_cases():
+    a1 = SymbolFunction(1, lambda p: 1.0 + 0.5j * p - 0.25 * p**2, "complex 1-d")
+    a2 = SymbolFunction(2, lambda p, q: 2.0 + 1j * p * q + q**2, "complex 2-d")
+    return {
+        "fourier-1d-256": (FourierFamily(make_grid(1, [256], [8.0])), a1),
+        "fourier-1d-64": (FourierFamily(make_grid(1, [64], [math.pi])), a1),
+        "fourier-2d-16x12": (FourierFamily(make_grid(2, [16, 12], [3.0, 2.0])), a2),
+        "dirac-1d-64": (DiracFamily(make_grid(1, [64], [5.0])), a1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_cases()))
+def test_batched_dense_oracle_is_bitwise_the_column_loop(name):
+    v, a = _oracle_cases()[name]
+    assert same_words(dense_from_diagonal(v, a).matrix, dense_from_diagonal_columns(v, a))
+
+
+def test_cli_solve_samples_the_symbol_once(monkeypatch, tmp_path):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, SymbolFunction, "sample", calls)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "grid": {"dim": 1, "counts": [64], "half_extents": [10.0]},
+        "operator": {"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}},
+        "datum": {"kind": "gaussian", "sigma": 1.5},
+        "output": {"directory": str(tmp_path / "out")},
+    }))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert calls == {"sample": 1}
+
+
+def test_green_family_refuses_a_left_inverse_off_the_space_grid():
+    g = make_grid(1, [16], [4.0])
+    lam = FourierFamily(g)
+    l = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
+    # the product mu . lam is defined (mu lives on lam's index grid), but mu
+    # is indexed by a grid other than lam's space grid
+    other = make_grid(1, [8], [4.0])
+    kernel = np.random.default_rng(0).standard_normal((other.size, g.size)) + 0j
+    mu = KernelFamily(other, lam.index_grid, kernel)
+    with pytest.raises(GridMismatch):
+        green_family(lam, l, mu)
+
+
+def test_dense_green_residuals_of_a_complex_symbol_keep_their_bits():
+    # the Green image scales as coords * l, the apply core as a * coords; a
+    # complex product is not bitwise commutative, so the order shows here
+    g = make_grid(1, [32], [5.0])
+    lam = DiracFamily(g)
+    l = SymbolFunction(1, lambda p: 2.0 + 0.5j * p + (1.0 - 0.3j) * p**2, "complex")
+    residuals = green_family(lam, l, left_inverse_family(lam)).weak_residuals
+    assert same_words(residuals, dense_green(lam, l)[1])
