@@ -102,9 +102,16 @@ def _require(cfg: dict, key: str, kind=dict):
     return value
 
 
+def _real(value) -> float:
+    """``float(value)`` for a config number; JSON ``true``/``false`` are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integral(value) -> int:
     n = int(value)
-    if n != float(value):
+    if n != _real(value):
         raise ValueError(f"{value!r} is not an integer")
     return n
 
@@ -113,18 +120,18 @@ def _parse_grid(section: dict) -> Grid:
     try:
         dim = _integral(section["dim"])
         counts = [_integral(n) for n in section["counts"]]
-        extents = [float(L) for L in section["half_extents"]]
+        extents = [_real(L) for L in section["half_extents"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid section needs dim, counts, half_extents: {exc}") from exc
     return make_grid(dim, counts, extents)
 
 
 def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            return complex(_real(value[0]), _real(value[1]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad [re, im] pair {value!r}: {exc}") from exc
     raise ConfigError(f"coefficients must be numbers or [re, im] pairs, got {value!r}")
@@ -164,7 +171,7 @@ def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         value = [value]
     try:
-        pt = tuple(float(v) for v in value)
+        pt = tuple(_real(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a number or list of numbers") from exc
     if len(pt) != dim:
@@ -213,7 +220,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     kind = section.get("kind")
     if kind == "gaussian":
         try:
-            sigma = float(section.get("sigma", 1.0))
+            sigma = _real(section.get("sigma", 1.0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"gaussian sigma must be a number: {exc}") from exc
         if sigma <= 0:
@@ -262,8 +269,8 @@ def _parse_policy(section: dict | None) -> DivisionPolicy:
     rt = section.get("residual_threshold", 1e-10)
     try:
         return DivisionPolicy(
-            zero_threshold=None if zt is None else float(zt),
-            residual_threshold=float(rt),
+            zero_threshold=None if zt is None else _real(zt),
+            residual_threshold=_real(rt),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad division policy: {exc}") from exc

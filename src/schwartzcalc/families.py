@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import math
 import threading
 
@@ -78,32 +79,48 @@ def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
     return functools.reduce(np.multiply.outer, vectors)
 
 
+def _signed_half_roll(src: np.ndarray, signs: np.ndarray, signs_at_src: bool) -> np.ndarray:
+    """``fftshift(src) * signs`` (``signs_at_src=False``) or ``fftshift(src * signs)``
+    (``True``) over every axis after the batch axis, in one pass into a new array.
+
+    The counts are even, so ``fftshift`` and ``ifftshift`` are the same
+    half-roll: each of the ``2^dim`` half blocks of the result is one product
+    of the opposite block of ``src`` with its block of ``signs``, the same
+    operands in the same order as a shift followed by (or following) one
+    multiply.
+    """
+    dst = np.empty(src.shape, dtype=np.complex128)
+    halves = [(slice(None, n // 2), slice(n // 2, None)) for n in signs.shape]
+    for picks in itertools.product((0, 1), repeat=signs.ndim):
+        to = tuple(axis[k] for axis, k in zip(halves, picks))
+        frm = tuple(axis[1 - k] for axis, k in zip(halves, picks))
+        np.multiply(src[(slice(None),) + frm], signs[frm if signs_at_src else to],
+                    out=dst[(slice(None),) + to])
+    return dst
+
+
 def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the analysis transform to each row of ``rows`` (batched)."""
     counts = space.counts
     dim = space.dim
     batch = rows.shape[0]
-    arr = rows.reshape((batch,) + counts)
-    axes = tuple(range(1, dim + 1))
-    raw = np.fft.ifftn(arr, axes=axes)
+    raw = np.fft.ifftn(rows.reshape((batch,) + counts), axes=tuple(range(1, dim + 1)))
     raw *= space.size
-    raw = np.fft.fftshift(raw, axes=axes)
-    raw *= _centered_signs(counts)
-    raw *= space.cell_volume / (2.0 * math.pi) ** dim
-    return raw.reshape(batch, -1)
+    out = _signed_half_roll(raw, _centered_signs(counts), signs_at_src=False)
+    del raw  # frees the FFT output before the scaling pass
+    out *= space.cell_volume / (2.0 * math.pi) ** dim
+    return out.reshape(batch, -1)
 
 
 def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the synthesis transform to each row of coefficient ``rows``."""
     counts = space.counts
-    dim = space.dim
     batch = rows.shape[0]
-    arr = rows.reshape((batch,) + counts) * _centered_signs(counts)
-    axes = tuple(range(1, dim + 1))
-    arr = np.fft.ifftshift(arr, axes=axes)
-    out = np.fft.fftn(arr, axes=axes)
-    out *= index.cell_volume
-    return out.reshape(batch, -1)
+    buf = _signed_half_roll(rows.reshape((batch,) + counts), _centered_signs(counts),
+                            signs_at_src=True)
+    np.fft.fftn(buf, axes=tuple(range(1, space.dim + 1)), out=buf)
+    buf *= index.cell_volume
+    return buf.reshape(batch, -1)
 
 
 class SchwartzFamily(abc.ABC):

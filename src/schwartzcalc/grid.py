@@ -185,7 +185,7 @@ class GridDistribution:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid: Grid, samples):
-        self._freeze(grid, np.asarray(samples, dtype=np.complex128).reshape(-1).copy())
+        self._freeze(grid, np.array(samples, dtype=np.complex128, order="C").reshape(-1))
 
     @classmethod
     def _trusted(cls, grid: Grid, samples: np.ndarray) -> "GridDistribution":
@@ -302,8 +302,20 @@ def l2_norm(u: GridDistribution) -> float:
 
 
 def _l2(samples: np.ndarray, grid: Grid) -> float:
-    """:func:`l2_norm` of a flat sample array on ``grid``."""
-    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * grid.cell_volume))
+    """:func:`l2_norm` of a flat sample array on ``grid``.
+
+    When ``max|u|`` lies outside ``[1e-150, 1e150]`` the squares would
+    overflow or underflow, so ``|u|`` is divided by it first and the norm
+    multiplied back (the scaling of LAPACK's ``dnrm2``).  Inside that range
+    the sum is the plain ``sum |u|^2``.
+    """
+    mag = np.abs(samples)
+    peak = float(np.max(mag))
+    scale = peak if 0.0 < peak < math.inf and not 1e-150 <= peak <= 1e150 else 1.0
+    if scale != 1.0:
+        mag /= scale
+    np.square(mag, out=mag)
+    return float(np.sqrt(np.sum(mag) * grid.cell_volume)) * scale
 
 
 @dataclasses.dataclass(frozen=True)
@@ -407,7 +419,7 @@ def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
             for axis, power in enumerate(idx):
                 if power:
                     mono = mono * np.asarray(x[axis]) ** power
-            total = total + mono
+            total += mono
         return total
 
     return SymbolFunction(arity, evaluator, descriptor)

@@ -237,7 +237,8 @@ def _solve(
     u = v.superpose_rows(q[np.newaxis])[0]
     denom = l2_norm(d)
     image = _apply_rows(v, a_values, u[np.newaxis])[0]
-    resid = _l2(image - d.samples, d.grid) / denom if denom > 0.0 else 0.0
+    np.subtract(image, d.samples, out=image)
+    resid = _l2(image, d.grid) / denom if denom > 0.0 else 0.0
     return SolveResult(
         solution=GridDistribution._trusted(v.space_grid, u),
         quotient=GridDistribution._trusted(v.index_grid, q),

@@ -75,8 +75,12 @@ def spectral_apply(a: SymbolFunction, v: SchwartzFamily, u: GridDistribution) ->
 def _apply_rows(v: SchwartzFamily, a_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Core of :func:`spectral_apply` on arrays, one image per row of ``rows``:
     analyse in ``v``, scale by ``a_values`` (the symbol's samples on the index
-    grid), resynthesize."""
-    return v.superpose_rows(a_values * v.coordinates_rows(rows))
+    grid), resynthesize.  The scaling runs in place in the fresh coefficient
+    array, with ``a_values`` as the first operand: numpy's complex product is
+    not bitwise commutative."""
+    coords = v.coordinates_rows(rows)
+    np.multiply(a_values, coords, out=coords)
+    return v.superpose_rows(coords)
 
 
 class SLinearOperator(abc.ABC):

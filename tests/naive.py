@@ -21,6 +21,7 @@ from schwartzcalc import (
     spectral_apply,
     superpose,
 )
+from schwartzcalc.families import _centered_signs
 
 
 def naive_superpose(c, family):
@@ -214,3 +215,45 @@ def dense_from_diagonal_columns(v, a):
         matrix[:, k] = spectral_apply(a, v, GridDistribution(grid, unit)).samples
         unit[k] = 0.0
     return matrix
+
+
+def fourier_analysis_rows(space, rows):
+    """The Fourier analysis as first written: ``ifftn``, times the node count,
+    an ``fftshift`` copy, the centred signs, then the ``(2 pi)^-n dx^n`` scale."""
+    counts = space.counts
+    dim = space.dim
+    batch = rows.shape[0]
+    arr = rows.reshape((batch,) + counts)
+    axes = tuple(range(1, dim + 1))
+    raw = np.fft.ifftn(arr, axes=axes)
+    raw *= space.size
+    raw = np.fft.fftshift(raw, axes=axes)
+    raw *= _centered_signs(counts)
+    raw *= space.cell_volume / (2.0 * np.pi) ** dim
+    return raw.reshape(batch, -1)
+
+
+def fourier_synthesis_rows(space, index, rows):
+    """The Fourier synthesis as first written: the centred signs, an
+    ``ifftshift`` copy, an out-of-place ``fftn``, then the ``dp^n`` scale."""
+    counts = space.counts
+    dim = space.dim
+    batch = rows.shape[0]
+    arr = rows.reshape((batch,) + counts) * _centered_signs(counts)
+    axes = tuple(range(1, dim + 1))
+    arr = np.fft.ifftshift(arr, axes=axes)
+    out = np.fft.fftn(arr, axes=axes)
+    out *= index.cell_volume
+    return out.reshape(batch, -1)
+
+
+def l2(samples, grid):
+    """The quadrature L2 norm as first written: ``sqrt(sum |u|**2 * dx^n)``,
+    with no scaling (it overflows above about 1e154)."""
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * grid.cell_volume))
+
+
+def distribution_samples(samples):
+    """The sample array ``GridDistribution`` first stored: a complex
+    conversion, then a second copy."""
+    return np.asarray(samples, dtype=np.complex128).reshape(-1).copy()

@@ -515,3 +515,75 @@ def test_malformed_values_exit_1_with_one_line(tmp_path, case):
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert len(run.stderr.strip().splitlines()) == 1, run.stderr
+
+
+def _boolean_cases():
+    grid8 = {"dim": 1, "counts": [8], "half_extents": [1.0]}
+    one = {"type": "multiplication", "symbol": {"name": "one"}}
+    base = dict(grid=grid8, operator=one, datum={"kind": "constant"})
+
+    def datum(**fields):
+        return dict(base, datum=fields)
+
+    return {
+        "dim": dict(base, grid=dict(grid8, dim=True)),
+        "count": dict(base, grid={"dim": 2, "counts": [8, True], "half_extents": [1.0, 1.0]}),
+        "half-extent": dict(base, grid=dict(grid8, half_extents=[True])),
+        "coefficient": dict(base, operator={"type": "differential", "coefficients": {"0": True}}),
+        "polynomial-term": dict(
+            base, operator={"type": "multiplication",
+                            "symbol": {"name": "polynomial", "terms": {"0": True}}}
+        ),
+        "pair": datum(kind="constant", c=[1.0, False]),
+        "constant": datum(kind="constant", c=True),
+        "sigma": datum(kind="gaussian", sigma=True),
+        "center": datum(kind="gaussian", center=[False]),
+        "k": datum(kind="sin", k=True),
+        "zero-threshold": dict(base, policy={"zero_threshold": True}),
+        "residual-threshold": dict(base, policy={"residual_threshold": False}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_boolean_cases()))
+def test_json_booleans_are_not_numbers(tmp_path, case):
+    out = {"directory": str(tmp_path / "out")}
+    cfg = write_config(tmp_path / "run.json", output=out, **_boolean_cases()[case])
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", "solve", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.strip().splitlines()) == 1, run.stderr
+
+
+def test_solve_of_data_near_1e160_reports_a_true_residual(tmp_path):
+    # the squares of the L2 norm overflow here; the residual used to read 0.0
+    # under a numpy overflow warning
+    n = 64
+    x = -math.pi + 2.0 * math.pi / n * np.arange(n)
+    samples = tmp_path / "d.csv"
+    samples.write_text(
+        "x0,re,im\n" + "".join(f"{xi!r},{v!r},0.0\n" for xi, v in
+                              zip(x.tolist(), (1e160 * np.sin(3.0 * x)).tolist()))
+    )
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator={"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}},
+        datum={"kind": "samples", "path": str(samples)},
+        output={"directory": str(tmp_path / "out")},
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", "solve", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert len(run.stdout.strip().splitlines()) == 1
+    residual = json.loads((tmp_path / "out" / "report.json").read_text())["residual"]
+    assert 0.0 < residual < 1e-12
