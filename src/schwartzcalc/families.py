@@ -1,7 +1,7 @@
 """Families of grid distributions indexed by a second grid.
 
 A family maps every node ``p`` of an index grid to a member distribution on
-a space grid.  Three variants are provided:
+a space grid.  Four variants are provided:
 
 * ``DiracFamily`` -- member at ``p`` is the unit point mass at ``p``
   (index grid = space grid).
@@ -10,6 +10,9 @@ a space grid.  Three variants are provided:
 * ``KernelFamily`` -- members given explicitly as rows of a matrix.
 * ``LazyFamily`` -- members given by a linear map on coefficient rows; the
   member table is built only when asked for.
+
+Members are superpositions of point masses (``_member_rows``); the Fourier
+and kernel families keep their closed form and their table.
 
 Fixed transform convention
 --------------------------
@@ -36,8 +39,8 @@ import threading
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, IllConditioned, NotABasis
-from .grid import Grid, GridDistribution, SymbolFunction, delta_distribution, dual_grid
+from .errors import ArityMismatch, GridMismatch, IllConditioned, NotABasis, TooLarge
+from .grid import Grid, GridDistribution, SymbolFunction, dual_grid
 
 __all__ = [
     "SchwartzFamily",
@@ -59,6 +62,18 @@ CoordinateDistribution = GridDistribution
 
 #: Default cap on the condition estimate of a kernel coordinate solve.
 DEFAULT_CONDITION_LIMIT = 1e8
+
+#: member tables, Green pairings and dense oracles hold at most this squared entries
+MAX_DENSE_POINTS = 4096
+
+
+def _check_dense(rows: int, cols: int) -> None:
+    """Raise ``TooLarge`` before allocating a ``rows x cols`` table above the cap."""
+    if rows * cols > MAX_DENSE_POINTS**2:
+        raise TooLarge(
+            f"a dense {rows} x {cols} table exceeds the cap of "
+            f"{MAX_DENSE_POINTS} x {MAX_DENSE_POINTS} entries"
+        )
 
 
 def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
@@ -142,9 +157,10 @@ class SchwartzFamily(abc.ABC):
     def is_basis(self) -> bool:
         """Whether coordinates/superpose form a two-sided inverse pair."""
 
-    @abc.abstractmethod
     def member(self, p) -> GridDistribution:
-        """The member distribution at index point ``p``."""
+        """The member distribution at index point ``p`` (``IndexOffGrid`` off the grid)."""
+        flat = self.index_grid.index_of(p)
+        return GridDistribution._trusted(self.space_grid, self._member_rows(flat, flat + 1)[0])
 
     def coordinates(self, u: GridDistribution) -> CoordinateDistribution:
         """Coefficients ``c`` on the index grid with ``superpose(c) ~= u``."""
@@ -158,10 +174,15 @@ class SchwartzFamily(abc.ABC):
         row = self.superpose_rows(c.samples[np.newaxis])[0]
         return GridDistribution._trusted(self.space_grid, row)
 
-    @abc.abstractmethod
     def matrix(self) -> np.ndarray:
         """Dense member table, shape ``(index size, space size)``; row k is
         the sample vector of the member at the k-th index node."""
+        return self._member_rows(0, self.index_grid.size)
+
+    def _member_rows(self, start: int, stop: int) -> np.ndarray:
+        """Members at flat index nodes ``start:stop`` as rows: the
+        superpositions of the point masses there."""
+        return self.superpose_rows(point_mass_rows(self.index_grid, start, stop))
 
     @abc.abstractmethod
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -204,11 +225,8 @@ class DiracFamily(SchwartzFamily):
     def is_basis(self) -> bool:
         return True
 
-    def member(self, p) -> GridDistribution:
-        return delta_distribution(self.space_grid, p)
-
-    def matrix(self) -> np.ndarray:
-        return point_mass_rows(self.space_grid, 0, self.space_grid.size)
+    def _member_rows(self, start: int, stop: int) -> np.ndarray:
+        return point_mass_rows(self.index_grid, start, stop)
 
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
         return np.array(rows, dtype=np.complex128, copy=True)
@@ -220,7 +238,8 @@ class DiracFamily(SchwartzFamily):
 
 
 class FourierFamily(SchwartzFamily):
-    """Plane waves ``x -> exp(-i p.x)`` indexed by the dual lattice."""
+    """Plane waves ``x -> exp(-i p.x)`` indexed by the dual lattice; ``member``
+    and ``matrix`` keep the closed form, other arithmetic than the FFT rows."""
 
     def __init__(self, space_grid: Grid):
         self.space_grid = space_grid
@@ -239,6 +258,7 @@ class FourierFamily(SchwartzFamily):
         return GridDistribution._trusted(self.space_grid, np.exp(-1j * phase))
 
     def matrix(self) -> np.ndarray:
+        _check_dense(self.index_grid.size, self.space_grid.size)
         phase = self.index_grid.points() @ self.space_grid.points().T
         return np.exp(-1j * phase)
 
@@ -295,12 +315,8 @@ class KernelFamily(SchwartzFamily):
     def is_basis(self) -> bool:
         return self._is_basis
 
-    def member(self, p) -> GridDistribution:
-        flat = self.index_grid.index_of(p)
-        return GridDistribution(self.space_grid, self.kernel[flat])
-
-    def matrix(self) -> np.ndarray:
-        return self.kernel
+    def _member_rows(self, start: int, stop: int) -> np.ndarray:
+        return self.kernel[start:stop]  # a read-only view
 
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
         return (rows * self.index_grid.cell_volume) @ self.kernel
@@ -366,6 +382,7 @@ class KernelFamily(SchwartzFamily):
 
 def point_mass_rows(grid: Grid, start: int, stop: int) -> np.ndarray:
     """Rows ``start:stop`` of the point-mass table ``eye(grid.size) / cell_volume``."""
+    _check_dense(stop - start, grid.size)
     rows = np.zeros((stop - start, grid.size), dtype=np.complex128)
     rows[np.arange(stop - start), np.arange(start, stop)] = 1.0 / grid.cell_volume
     return rows
@@ -389,14 +406,6 @@ class LazyFamily(SchwartzFamily):
     @property
     def is_basis(self) -> bool:
         return False
-
-    def member(self, p) -> GridDistribution:
-        flat = self.index_grid.index_of(p)
-        row = self.rows_map(point_mass_rows(self.index_grid, flat, flat + 1))[0]
-        return GridDistribution(self.space_grid, row)
-
-    def matrix(self) -> np.ndarray:
-        return self.rows_map(point_mass_rows(self.index_grid, 0, self.index_grid.size))
 
     @property
     def kernel(self) -> np.ndarray:

@@ -30,13 +30,7 @@ import numpy as np
 
 from .errors import GridMismatch, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
-from .families import (
-    DiracFamily,
-    FourierFamily,
-    LazyFamily,
-    SchwartzFamily,
-    point_mass_rows,
-)
+from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily
 from .solver import DivisionPolicy
 
 __all__ = [
@@ -120,11 +114,13 @@ def _image_rows(lam: SchwartzFamily, l_values: np.ndarray, rows: np.ndarray) -> 
 
 
 def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
-    """Whether ``mu`` is the canonical left inverse of a Fourier family."""
+    """Whether ``mu`` is the canonical left inverse of ``lam``, a Fourier family:
+    the Fourier analysis on ``lam``'s space grid, from whichever instance."""
     return (
         type(lam) is FourierFamily
         and isinstance(mu, LazyFamily)
-        and mu.rows_map == lam.coordinates_rows
+        and getattr(mu.rows_map, "__func__", None) is FourierFamily.coordinates_rows
+        and mu.rows_map.__self__.space_grid == lam.space_grid
     )
 
 
@@ -138,8 +134,7 @@ def _translate_pairings(
     cross-correlation of ``phi`` with ``h``.
     """
     space = lam.space_grid
-    g0 = green.superpose_rows(point_mass_rows(green.index_grid, 0, 1))
-    h = _image_rows(lam, l_values, g0)[0].reshape(space.counts)
+    h = _image_rows(lam, l_values, green._member_rows(0, 1))[0].reshape(space.counts)
     axes = tuple(range(1, space.dim + 1))
     phis = weighted_probes.T.reshape((-1,) + space.counts)
     spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
@@ -161,20 +156,6 @@ def _weak_residuals(
     return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
 
-def _check_invertible(lam: SchwartzFamily, l_values: np.ndarray, eps: float) -> None:
-    magnitudes = np.abs(l_values)
-    flat = int(np.argmin(magnitudes))
-    if magnitudes[flat] <= eps:
-        raise NotInvertible(
-            f"symbol magnitude {magnitudes[flat]:.6e} at index node "
-            f"{lam.index_grid.point_at(flat)} is below the invertibility "
-            f"threshold {eps:.6e}",
-            worst_index=flat,
-            worst_point=lam.index_grid.point_at(flat),
-            magnitude=float(magnitudes[flat]),
-        )
-
-
 def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: DivisionPolicy) -> None:
     """Raise ``NotDivisible`` for the first ``mu`` member with mass on the zero set.
 
@@ -185,7 +166,7 @@ def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: Division
     block = max(1, CHECK_BLOCK_ENTRIES // mu.space_grid.size)
     for start in range(0, index.size, block):
         stop = min(start + block, index.size)
-        mass = np.abs(mu.superpose_rows(point_mass_rows(index, start, stop)))
+        mass = np.abs(mu._member_rows(start, stop))
         allowed = policy.residual_threshold * np.max(mass, axis=1, initial=0.0)
         bad = zero_mask[np.newaxis, :] & (mass > allowed[:, np.newaxis])
         bad_rows = np.nonzero(np.any(bad, axis=1))[0]
@@ -213,16 +194,26 @@ def _green(
     policy = policy or DivisionPolicy()
     l_values = l.sample_finite(lam.index_grid)
     eps = policy.resolve_zero_threshold(l_values)
+    magnitudes = np.abs(l_values)
+    zero_mask = magnitudes <= eps
+    if zero_mask.any():
+        if not divided:
+            flat = int(np.argmin(magnitudes))
+            point = lam.index_grid.point_at(flat)
+            raise NotInvertible(
+                f"symbol magnitude {magnitudes[flat]:.6e} at index node {point} is below "
+                f"the invertibility threshold {eps:.6e}",
+                worst_index=flat,
+                worst_point=point,
+                magnitude=float(magnitudes[flat]),
+            )
+        _check_divisible(mu, zero_mask, policy)
     if divided:
-        zero_mask = np.abs(l_values) <= eps
-        if zero_mask.any():
-            _check_divisible(mu, zero_mask, policy)
         safe = np.where(zero_mask, 1.0, l_values)
 
         def quotient(rows):
             return np.where(zero_mask[np.newaxis, :], 0.0 + 0.0j, rows / safe)
     else:
-        _check_invertible(lam, l_values, eps)
         reciprocal = (1.0 / l_values)[np.newaxis, :]
 
         def quotient(rows):

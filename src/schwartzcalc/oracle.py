@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArityMismatch, TooLarge, UnsupportedOrder
+from .errors import ArityMismatch, UnsupportedOrder
 from .grid import Grid, SymbolFunction
-from .families import SchwartzFamily
+from .families import MAX_DENSE_POINTS, SchwartzFamily, _check_dense
 from .solver import DifferentialOperatorSpec
 from .spectral import DenseOperator, _apply_rows
 
 __all__ = ["DenseOperator", "dense_from_diagonal", "finite_difference", "MAX_DENSE_POINTS"]
-
-#: dense oracles refuse grids with more nodes than this
-MAX_DENSE_POINTS = 4096
 
 
 def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
@@ -29,10 +26,7 @@ def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
     :func:`schwartzcalc.spectral.spectral_apply` up to accumulation rounding.
     """
     grid = v.space_grid
-    if grid.size > MAX_DENSE_POINTS:
-        raise TooLarge(
-            f"grid has {grid.size} nodes; dense oracles are capped at {MAX_DENSE_POINTS}"
-        )
+    _check_dense(grid.size, grid.size)
     units = np.eye(grid.size, dtype=np.complex128)
     return DenseOperator(grid, _apply_rows(v, a.sample_finite(v.index_grid), units).T)
 
@@ -82,10 +76,7 @@ def finite_difference(
     """
     if order not in (2, 4):
         raise UnsupportedOrder(f"finite difference order must be 2 or 4, got {order}")
-    if grid.size > MAX_DENSE_POINTS:
-        raise TooLarge(
-            f"grid has {grid.size} nodes; dense oracles are capped at {MAX_DENSE_POINTS}"
-        )
+    _check_dense(grid.size, grid.size)
     if spec.arity is not None and spec.arity != grid.dim:
         raise ArityMismatch(
             f"operator spec has arity {spec.arity}, grid has dimension {grid.dim}"

@@ -467,35 +467,10 @@ def is_eigenfamily(
     )
 
 
-def spectral_distribution(v: SchwartzFamily) -> BasisMeasure:
-    """The measure sending a symbol ``f`` to the operator diagonal in ``v``."""
-    return BasisMeasure(v)
-
-
-def spectral_product(B: SLinearOperator, v: SchwartzFamily) -> SpectralProductMeasure:
-    """The measure ``f -> superpose(f * B(.), v)``."""
-    return SpectralProductMeasure(B, v)
-
-
-def scale_measure(g, mu: GeneralizedMeasure) -> ScaledMeasure:
-    """The measure ``f -> mu(g * f)``."""
-    return ScaledMeasure(g, mu)
-
-
-def integrate_measure(mu: GeneralizedMeasure):
-    """Value of the measure at the unit constant function."""
-    return mu.integrate()
-
-
-def eigenspectrum_measure(
-    u: GridDistribution, v: SchwartzFamily, a: SymbolFunction
-) -> EigenspectrumMeasure:
-    """Distribution-valued measure ``f -> (f o a) * coordinates(u, v)``."""
-    return EigenspectrumMeasure(u, v, a)
-
-
-def operator_spectral_measure(
-    a: SymbolFunction, v: SchwartzFamily
-) -> OperatorSpectralMeasure:
-    """Operator-valued measure ``f -> superpose((f o a) * coordinates(., v), v)``."""
-    return OperatorSpectralMeasure(a, v)
+# the measure constructors under their functional names
+spectral_distribution = BasisMeasure
+spectral_product = SpectralProductMeasure
+scale_measure = ScaledMeasure
+integrate_measure = GeneralizedMeasure.integrate
+eigenspectrum_measure = EigenspectrumMeasure
+operator_spectral_measure = OperatorSpectralMeasure

@@ -15,13 +15,14 @@ from schwartzcalc import (
     NotDivisible,
     NotInvertible,
     coordinates,
+    delta_distribution,
     gaussian_probes,
     l2_norm,
     member,
     spectral_apply,
     superpose,
 )
-from schwartzcalc.families import _centered_signs
+from schwartzcalc.families import _centered_signs, point_mass_rows
 
 
 def naive_superpose(c, family):
@@ -257,3 +258,48 @@ def distribution_samples(samples):
     """The sample array ``GridDistribution`` first stored: a complex
     conversion, then a second copy."""
     return np.asarray(samples, dtype=np.complex128).reshape(-1).copy()
+
+
+# the member and matrix methods of the Dirac, kernel and lazy families, and
+# the Green invertibility check, as first written
+
+
+def dirac_member(family, p):
+    return delta_distribution(family.space_grid, p)
+
+
+def dirac_matrix(family):
+    return point_mass_rows(family.space_grid, 0, family.space_grid.size)
+
+
+def kernel_member(family, p):
+    flat = family.index_grid.index_of(p)
+    return GridDistribution(family.space_grid, family.kernel[flat])
+
+
+def kernel_matrix(family):
+    return family.kernel
+
+
+def lazy_member(family, p):
+    flat = family.index_grid.index_of(p)
+    row = family.rows_map(point_mass_rows(family.index_grid, flat, flat + 1))[0]
+    return GridDistribution(family.space_grid, row)
+
+
+def lazy_matrix(family):
+    return family.rows_map(point_mass_rows(family.index_grid, 0, family.index_grid.size))
+
+
+def check_invertible(lam, l_values, eps):
+    magnitudes = np.abs(l_values)
+    flat = int(np.argmin(magnitudes))
+    if magnitudes[flat] <= eps:
+        raise NotInvertible(
+            f"symbol magnitude {magnitudes[flat]:.6e} at index node "
+            f"{lam.index_grid.point_at(flat)} is below the invertibility "
+            f"threshold {eps:.6e}",
+            worst_index=flat,
+            worst_point=lam.index_grid.point_at(flat),
+            magnitude=float(magnitudes[flat]),
+        )

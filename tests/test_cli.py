@@ -587,3 +587,55 @@ def test_solve_of_data_near_1e160_reports_a_true_residual(tmp_path):
     assert len(run.stdout.strip().splitlines()) == 1
     residual = json.loads((tmp_path / "out" / "report.json").read_text())["residual"]
     assert 0.0 < residual < 1e-12
+
+
+def _one_line_exit_1(tmp_path, argv, **sections):
+    cfg = write_config(tmp_path / "run.json", output={"directory": str(tmp_path / "out")}, **sections)
+    run = subprocess.run(
+        [sys.executable, "-m", "schwartzcalc", argv[0], "--config", cfg] + argv[1:],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr, run.stderr
+    assert len(run.stderr.strip().splitlines()) == 1, run.stderr
+    return run.stderr
+
+
+def test_overflowing_quotient_in_solve_prints_no_numpy_warning(tmp_path):
+    # 1e200 / 1e-200 overflows in the division, then in the synthesis
+    err = _one_line_exit_1(
+        tmp_path,
+        ["solve"],
+        grid={"dim": 1, "counts": [64], "half_extents": [3.0]},
+        operator={"type": "differential", "coefficients": {"0": 1e-200}},
+        datum={"kind": "constant", "c": 1e200},
+    )
+    assert "samples must all be finite" in err
+
+
+def test_overflowing_reciprocal_in_green_prints_no_numpy_warning(tmp_path):
+    # 1 / 1e-310 overflows to inf, and inf times a zero point-mass entry is nan
+    err = _one_line_exit_1(
+        tmp_path,
+        ["green", "--index", "0"],
+        grid={"dim": 1, "counts": [64], "half_extents": [3.0]},
+        operator={"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"0": 1e-310}}},
+    )
+    assert "samples must all be finite" in err
+
+
+def test_green_above_the_dense_cap_exits_1_before_building(tmp_path):
+    # the multiplication operator's Green pairing needs a 5184 x 5184 table
+    err = _one_line_exit_1(
+        tmp_path,
+        ["green", "--index", "0,0"],
+        grid={"dim": 2, "counts": [72, 72], "half_extents": [4.0, 4.0]},
+        operator={
+            "type": "multiplication",
+            "symbol": {"name": "polynomial", "terms": {"0,0": 1, "2,0": 1, "0,2": 1}},
+        },
+    )
+    assert "5184 x 5184" in err
+    assert not (tmp_path / "out" / "report.json").exists()
