@@ -61,7 +61,7 @@ from .grid import (
     sample_function,
     unit_symbol,
 )
-from .families import DiracFamily, FourierFamily, SchwartzFamily
+from .families import MAX_DENSE_POINTS, DiracFamily, FourierFamily, SchwartzFamily
 from .solver import (
     DifferentialOperatorSpec,
     DivisionPolicy,
@@ -84,57 +84,70 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # missing, a directory, unreadable, not UTF-8, not JSON or nested too deep
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _require(cfg: dict, key: str) -> dict:
-    if key not in cfg:
+def _require(cfg: dict, key: str, optional: bool = False) -> dict:
+    """The section ``cfg[key]``, a JSON object; an absent optional section is ``{}``."""
+    if key not in cfg and not optional:
         raise ConfigError(f"config is missing the {key!r} section")
-    value = cfg[key]
+    value = cfg.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"config section {key!r} must be a dict")
     return value
 
 
-def _real(value) -> float:
-    """``float(value)`` for a config number; JSON ``true``/``false`` are not numbers."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
+def _real(value, what: str) -> float:
+    """The one ``float()`` of config input; JSON ``true``/``false`` are not numbers."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
-def _integral(value) -> int:
-    n = int(value)
-    if n != _real(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return n
+def _integral(value, what: str) -> int:
+    """A config whole number: an ``int`` unchanged, any other number only without a fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    x = _real(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return int(x)
+
+
+def _reals(values, what: str, number=_real) -> list:
+    """A config list of numbers, each read by ``number`` (``_real`` or ``_integral``)."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return [number(v, what) for v in values]
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _parse_grid(section: dict) -> Grid:
-    try:
-        dim = _integral(section["dim"])
-        counts = [_integral(n) for n in section["counts"]]
-        extents = [_real(L) for L in section["half_extents"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid section needs dim, counts, half_extents: {exc}") from exc
-    return make_grid(dim, counts, extents)
+    grid = make_grid(
+        _integral(section.get("dim"), "grid dim"),
+        _reals(section.get("counts"), "grid counts", _integral),
+        _reals(section.get("half_extents"), "grid half_extents"),
+    )
+    if grid.size > MAX_DENSE_POINTS**2:
+        raise ConfigError(f"a grid of {grid.size} nodes exceeds the cap of {MAX_DENSE_POINTS**2}")
+    return grid
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+def _parse_complex(value, what: str) -> complex:
     if isinstance(value, list) and len(value) == 2:
-        try:
-            return complex(_real(value[0]), _real(value[1]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad [re, im] pair {value!r}: {exc}") from exc
-    raise ConfigError(f"coefficients must be numbers or [re, im] pairs, got {value!r}")
+        return complex(_real(value[0], what), _real(value[1], what))
+    return complex(_real(value, what))
 
 
 def _parse_multi_index(key: str, dim: int) -> tuple[int, ...]:
@@ -151,29 +164,30 @@ def _parse_multi_index(key: str, dim: int) -> tuple[int, ...]:
     return parts
 
 
+def _parse_terms(section: dict, key: str, dim: int, what: str) -> list:
+    """The ``{multi-index: coefficient}`` object ``section[key]`` as pairs in config order."""
+    terms = section.get(key)
+    if not isinstance(terms, dict) or not terms:
+        raise ConfigError(f"{what} needs a non-empty {key!r} object")
+    return [
+        (_parse_multi_index(k, dim), _parse_complex(v, f"{what} term {k!r}"))
+        for k, v in terms.items()
+    ]
+
+
 def _parse_symbol(section: dict, dim: int) -> SymbolFunction:
     name = section.get("name")
     if name == "one":
         return unit_symbol(dim)
     if name == "polynomial":
-        terms_cfg = section.get("terms")
-        if not isinstance(terms_cfg, dict) or not terms_cfg:
-            raise ConfigError("polynomial symbol needs a non-empty 'terms' object")
-        terms = [
-            (_parse_multi_index(k, dim), _parse_complex(v)) for k, v in terms_cfg.items()
-        ]
+        terms = _parse_terms(section, "terms", dim, "polynomial symbol")
         label = "+".join(f"{c}*x^{idx}" for idx, c in terms)
         return _polynomial_symbol(dim, terms, f"poly[{label}]")
     raise ConfigError(f"unknown symbol name {name!r} (use 'one' or 'polynomial')")
 
 
 def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        value = [value]
-    try:
-        pt = tuple(_real(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a number or list of numbers") from exc
+    pt = tuple(_reals([value] if isinstance(value, (int, float)) else value, what))
     if len(pt) != dim:
         raise ConfigError(f"{what} needs {dim} coordinates, got {len(pt)}")
     return pt
@@ -219,12 +233,9 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
 def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     kind = section.get("kind")
     if kind == "gaussian":
-        try:
-            sigma = _real(section.get("sigma", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"gaussian sigma must be a number: {exc}") from exc
-        if sigma <= 0:
-            raise ConfigError("gaussian sigma must be positive")
+        sigma = _real(section.get("sigma", 1.0), "gaussian sigma")
+        if not (sigma > 0 and np.isfinite(sigma * sigma)):
+            raise ConfigError(f"gaussian sigma must be positive with a finite square, got {sigma}")
         center = _parse_point(section.get("center", [0.0] * grid.dim), grid.dim, "center")
         datum = sample_function(
             grid,
@@ -241,7 +252,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
         )
         return datum, f"{kind}(k={list(k)})"
     if kind == "constant":
-        c = _parse_complex(section.get("c", 1.0))
+        c = _parse_complex(section.get("c", 1.0), "constant datum c")
         datum = sample_function(grid, lambda *xs: np.full(np.broadcast(*xs).shape, c))
         return datum, f"constant({c})"
     if kind == "delta":
@@ -252,9 +263,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
             raise ConfigError(str(exc)) from exc
         return datum, f"delta(p={list(p)})"
     if kind == "samples":
-        path = section.get("path")
-        if not path:
-            raise ConfigError("samples datum needs a 'path'")
+        path = _string(section.get("path"), "samples datum path")
         return _read_samples_csv(path, grid), f"samples({path})"
     raise ConfigError(
         f"unknown datum kind {kind!r} "
@@ -262,17 +271,13 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     )
 
 
-def _parse_policy(section: dict | None) -> DivisionPolicy:
-    if section is None:
-        return DivisionPolicy()
+def _parse_policy(section: dict) -> DivisionPolicy:
     zt = section.get("zero_threshold")
-    rt = section.get("residual_threshold", 1e-10)
+    zero_threshold = None if zt is None else _real(zt, "policy zero_threshold")
+    rt = _real(section.get("residual_threshold", 1e-10), "policy residual_threshold")
     try:
-        return DivisionPolicy(
-            zero_threshold=None if zt is None else _real(zt),
-            residual_threshold=_real(rt),
-        )
-    except (TypeError, ValueError) as exc:
+        return DivisionPolicy(zero_threshold=zero_threshold, residual_threshold=rt)
+    except ValueError as exc:
         raise ConfigError(f"bad division policy: {exc}") from exc
 
 
@@ -280,13 +285,7 @@ def _parse_operator(section: dict, grid: Grid) -> tuple[SchwartzFamily, SymbolFu
     """Resolve the operator config to its eigen-pair (family, symbol)."""
     kind = section.get("type")
     if kind == "differential":
-        coeffs_cfg = section.get("coefficients")
-        if not isinstance(coeffs_cfg, dict) or not coeffs_cfg:
-            raise ConfigError("differential operator needs a non-empty 'coefficients' object")
-        coeffs = {
-            _parse_multi_index(k, grid.dim): _parse_complex(v)
-            for k, v in coeffs_cfg.items()
-        }
+        coeffs = dict(_parse_terms(section, "coefficients", grid.dim, "differential operator"))
         family, symbol = _fourier_pair(DifferentialOperatorSpec(coeffs), grid)
         label = ", ".join(
             f"d^{','.join(map(str, idx))}: {coeffs[idx]}" for idx in sorted(coeffs)
@@ -312,10 +311,8 @@ def _parse_operator(section: dict, grid: Grid) -> tuple[SchwartzFamily, SymbolFu
 
 
 def _output_dir(cfg: dict) -> Path:
-    section = cfg.get("output", {})
-    if not isinstance(section, dict):
-        raise ConfigError("output section must be an object")
-    directory = Path(section.get("directory", "."))
+    section = _require(cfg, "output", optional=True)
+    directory = Path(_string(section.get("directory", "."), "output directory"))
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -398,7 +395,7 @@ def _cmd_solve(args) -> int:
     grid = _parse_grid(_require(cfg, "grid"))
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
-    policy = _parse_policy(cfg.get("policy"))
+    policy = _parse_policy(_require(cfg, "policy", optional=True))
     out_dir = _output_dir(cfg)
     a_values = symbol.sample_finite(family.index_grid)
     applied = policy.resolve_zero_threshold(a_values)
@@ -443,17 +440,15 @@ def _cmd_green(args) -> int:
     cfg = _load_config(args.config)
     grid = _parse_grid(_require(cfg, "grid"))
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
-    policy = _parse_policy(cfg.get("policy"))
+    policy = _parse_policy(_require(cfg, "policy", optional=True))
     out_dir = _output_dir(cfg)
     # every index is resolved on the Green index grid (the space grid)
     # before anything is built
     points, flats = [], []
     for raw in args.index:
+        pt = _parse_point(raw.split(","), grid.dim, f"index {raw!r}")
         try:
-            pt = _parse_point([float(v) for v in raw.split(",")], grid.dim, "index")
             flats.append(grid.index_of(pt))
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad index {raw!r}: {exc}") from exc
         except IndexOffGrid as exc:
             raise ConfigError(str(exc)) from exc
         points.append(pt)
@@ -544,13 +539,14 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     suite = args.suite
     if suite != "all" and suite not in SUITE_NAMES:
-        print(
-            f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'",
-            file=sys.stderr,
-        )
-        return 1
+        raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
     names = SUITE_NAMES if suite == "all" else (suite,)
-    seed = int(os.environ.get("SCHWARTZ_SEED", DEFAULT_SEED))
+    raw = os.environ.get("SCHWARTZ_SEED", str(DEFAULT_SEED))
+    seed = -1
+    with contextlib.suppress(ValueError):
+        seed = int(raw)
+    if seed < 0:
+        raise ConfigError(f"SCHWARTZ_SEED must be a non-negative integer, got {raw!r}")
     checks = run_suites(names, seed)
     report = format_report(checks, seed)
     sys.stdout.write(report)

@@ -128,12 +128,13 @@ class Grid:
                 f"index point must have {self.dim} coordinates, got shape {p.shape}"
             )
         multi = []
-        for i in range(self.dim):
+        for i, x in enumerate(p.tolist()):
             L = self.half_extents[i]
             n = self.counts[i]
             dx = 2.0 * L / n
-            k = round((p[i] + L) / dx)
-            if k < 0 or k >= n or abs(p[i] - (-L + k * dx)) > _NODE_TOLERANCE * dx:
+            t = (x + L) / dx
+            k = round(t) if math.isfinite(t) else t  # inf and nan fail the test below
+            if not (0 <= k < n and abs(x - (-L + k * dx)) <= _NODE_TOLERANCE * dx):
                 raise IndexOffGrid(
                     f"point {tuple(p)} is not a node of the grid "
                     f"(axis {i}: nearest node {-L + k * dx:g})"

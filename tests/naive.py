@@ -55,15 +55,6 @@ def naive_pairing(u, phi_values):
     return complex(np.sum(u.samples * np.asarray(phi_values)) * u.grid.cell_volume)
 
 
-def band_limited(rng, family, width):
-    """Random distribution supported on the `width` lowest frequencies."""
-    n = family.index_grid.size
-    c = np.zeros(n, dtype=np.complex128)
-    lo, hi = n // 2 - width, n // 2 + width
-    c[lo:hi] = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
-    return family.superpose(GridDistribution(family.index_grid, c))
-
-
 def literal_solve(v, a, d, policy=None):
     """``u = superpose(q, v)`` with ``q = d_v / a`` off the zero set, step by step.
 

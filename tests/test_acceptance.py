@@ -53,7 +53,7 @@ from schwartzcalc import (
 )
 from schwartzcalc.cli import main
 
-from naive import band_limited
+from schwartzcalc.verify import _band_limited as band_limited
 
 
 def report(num, name, ok, detail):

@@ -414,26 +414,71 @@ def test_one_field_lines_in_samples_csv_are_skipped(tmp_path):
     np.testing.assert_array_equal(values, np.arange(16.0))
 
 
+BIG = int("9" * 400)  # a JSON integer that no float holds
+
+
 def _error_cases(tmp_path):
+    """Each case's ``solve`` config sections, or its command line and extra
+    environment."""
     base = dict(grid=GRID_64_PI, operator=DDX, datum={"kind": "sin", "k": 1.0})
     (tmp_path / "a_file").write_text("")
     taken = tmp_path / "taken"
     (taken / "solution.csv").mkdir(parents=True)  # a directory cannot be opened for writing
+    (tmp_path / "latin1.json").write_bytes('{"grid": "\u00e9"}'.encode("latin-1"))
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
         "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
         "csv-unwritable": dict(base, output={"directory": str(taken)}),
+        "coefficient-overflow": dict(base, operator=dict(DDX, coefficients={"1": BIG})),
+        "center-overflow": dict(base, datum={"kind": "gaussian", "center": [BIG]}),
+        "sigma-overflow": dict(base, datum={"kind": "gaussian", "sigma": BIG}),
+        "sigma-square-overflow": dict(base, datum={"kind": "gaussian", "sigma": 1e308}),
+        "residual-threshold-overflow": dict(base, policy={"residual_threshold": BIG}),
+        "pair-im-overflow": dict(base, datum={"kind": "constant", "c": [1.0, BIG]}),
+        "directory-not-a-string": dict(base, output={"directory": 5}),
+        "path-a-list": dict(base, datum={"kind": "samples", "path": [4.0]}),
+        "path-an-int": dict(base, datum={"kind": "samples", "path": 7}),  # a file descriptor
+        "policy-a-string": dict(base, policy="x"),
+        "policy-a-list": dict(base, policy=[True]),
+        "grid-2^40-nodes": dict(base, grid={"dim": 1, "counts": [2**40], "half_extents": [1.0]}),
+        "grid-1e308-nodes": dict(base, grid={"dim": 1, "counts": [1e308], "half_extents": [1.0]}),
+        "grid-40-axes": dict(
+            grid={"dim": 40, "counts": [4] * 40, "half_extents": [1.0] * 40},
+            operator={"type": "diagonal", "family": "fourier", "symbol": {"name": "one"}},
+            datum={"kind": "sin", "k": [1.0] * 40},
+        ),
+        "config-a-directory": (["solve", "--config", str(taken)], {}),
+        "config-not-utf8": (["solve", "--config", str(tmp_path / "latin1.json")], {}),
+        "config-nested-too-deep": (["solve", "--config", str(tmp_path / "deep.json")], {}),
+        "seed-not-an-integer": (["verify", "identity"], {"SCHWARTZ_SEED": "abc"}),
+        "seed-negative": (["verify", "identity"], {"SCHWARTZ_SEED": "-1"}),
+        "unknown-suite": (["verify", "nonsense"], {}),
     }
 
 
-@pytest.mark.parametrize("case", ["sigma", "output-parent-is-a-file", "csv-unwritable"])
+ERROR_CASES = [
+    "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
+    "center-overflow", "sigma-overflow", "sigma-square-overflow",
+    "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
+    "path-a-list", "path-an-int", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
+    "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
+    "config-nested-too-deep", "seed-not-an-integer", "seed-negative",
+    "unknown-suite",
+]
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
 def test_bad_values_and_unwritable_outputs_exit_1_without_traceback(tmp_path, case):
-    cfg = write_config(tmp_path / "run.json", **_error_cases(tmp_path)[case])
+    spec = _error_cases(tmp_path)[case]
+    if isinstance(spec, dict):
+        spec = ["solve", "--config", write_config(tmp_path / "run.json", **spec)], {}
+    argv, env = spec
     run = subprocess.run(
-        [sys.executable, "-m", "schwartzcalc", "solve", "--config", cfg],
+        [sys.executable, "-m", "schwartzcalc", *argv],
         capture_output=True,
         text=True,
-        env=child_env(),
+        env=child_env(**env),
     )
     assert run.returncode == 1
     assert "Traceback" not in run.stderr

@@ -162,3 +162,88 @@ def test_samples_reader_property(tmp_path, text):
         assert code == 0 and lines == []
         grid = make_grid(1, [4], [1.0])
         assert same_bits(cli._read_samples_csv(str(path), grid).samples, expected)
+
+
+# -- property test: generated configs keep the CLI contract
+
+BIG = int("9" * 400)  # a JSON integer that no float holds
+WRONG = [None, True, False, BIG, -BIG, 2**40, 0, -1, 1.5, 1e308, -1e308, 5e-324,
+         math.inf, -math.inf, math.nan, "", "x", "8", "1e400", "nan", [], {}, [True],
+         [BIG], [math.nan], [1e308], [[1.0, 2.0]], {"a": 1}]
+MISSING = object()
+OPERATORS = [
+    {"type": "differential", "coefficients": {"0": 1.0, "2": [-1.0, 0.0]}},
+    {"type": "differential", "coefficients": {"1": 1.0}},  # zero at p = 0: exit 2 on most data
+    {"type": "diagonal", "family": "fourier",
+     "symbol": {"name": "polynomial", "terms": {"0": 1.0, "2": 1.0}}},
+    {"type": "diagonal", "family": "dirac", "symbol": {"name": "one"}},
+    {"type": "multiplication",
+     "symbol": {"name": "polynomial", "terms": {"0": 2.0, "1": [0.0, 1.0]}}},
+]
+DATA = [
+    {"kind": "gaussian", "sigma": 0.5, "center": [0.25]},
+    {"kind": "sin", "k": 1.0},
+    {"kind": "cos", "k": [2.0]},
+    {"kind": "constant", "c": [1.0, 0.5]},
+    {"kind": "delta", "p": [0.5]},
+    {"kind": "samples", "path": "datum.csv"},
+]
+
+
+def field_paths(node, prefix=()):
+    """The path of every key or list position below ``node``, outermost first."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield prefix + (key,)
+            yield from field_paths(child, prefix + (key,))
+
+
+@st.composite
+def broken_configs(draw):
+    cfg = {
+        "grid": {"dim": 1, "counts": [8], "half_extents": [2.0]},
+        "operator": draw(st.sampled_from(OPERATORS)),
+        "datum": draw(st.sampled_from(DATA)),
+        "policy": {"zero_threshold": None, "residual_threshold": 1e-8},
+        "output": {"directory": "out"},
+    }
+    cfg = json.loads(json.dumps(cfg))  # a deep copy
+    *parents, last = draw(st.sampled_from(list(field_paths(cfg))))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    value = draw(st.sampled_from([MISSING] + WRONG))
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    cfg=broken_configs(),
+    command=st.sampled_from([["solve"], ["expand"], ["green", "--index", "0"]]),
+)
+def test_generated_configs_keep_the_cli_contract(tmp_path, monkeypatch, cfg, command):
+    monkeypatch.chdir(tmp_path)  # relative output directories land here
+    rows = [f"{-2.0 + 0.5 * k!r},{math.sin(k)!r},0.0\n" for k in range(8)]
+    (tmp_path / "datum.csv").write_text("x0,re,im\n" + "".join(rows))
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    output = cfg.get("output", {})
+    directory = output.get("directory", ".") if isinstance(output, dict) else None
+    if isinstance(directory, str):
+        (tmp_path / directory / "report.json").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command[0], "--config", "run.json"] + command[1:])
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    if code == 2:
+        assert (tmp_path / directory / "report.json").exists()

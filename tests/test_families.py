@@ -31,7 +31,8 @@ from schwartzcalc import (
 from schwartzcalc.solver import DifferentialOperatorSpec
 from schwartzcalc.oracle import finite_difference
 
-from naive import band_limited, naive_fourier_coordinates, naive_superpose
+from naive import naive_fourier_coordinates, naive_superpose
+from schwartzcalc.verify import _band_limited as band_limited
 
 
 def test_dirac_member_normalization():

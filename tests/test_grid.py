@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schwartzcalc import (
+    DiracFamily,
     GridDistribution,
     IndexOffGrid,
     InvalidGrid,
@@ -105,6 +106,16 @@ def test_index_of_roundtrip_and_tolerance():
         g.index_of((0.3, 0.0))
     with pytest.raises(IndexOffGrid):
         g.index_of((5.0, 0.0))  # out of the box
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+def test_non_finite_or_overflowing_point_is_off_the_grid(x):
+    # 1e308 is finite, but (x + L) / dx is not
+    g = make_grid(1, [8], [2.0])
+    with pytest.raises(IndexOffGrid):
+        g.index_of((x,))
+    with pytest.raises(IndexOffGrid):
+        DiracFamily(g).member((x,))
 
 
 def test_grid_distribution_validation_and_immutability():

@@ -20,7 +20,7 @@ from schwartzcalc import (
     unit_symbol,
 )
 
-from naive import band_limited
+from schwartzcalc.verify import _band_limited as band_limited
 
 
 def test_dense_from_diagonal_unit_symbol_is_identity():

@@ -27,7 +27,7 @@ from schwartzcalc import (
 )
 from schwartzcalc.oracle import finite_difference
 
-from naive import band_limited
+from schwartzcalc.verify import _band_limited as band_limited
 
 
 def test_differential_symbol_first_derivative():

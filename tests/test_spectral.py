@@ -37,7 +37,7 @@ from schwartzcalc.solver import DifferentialOperatorSpec
 from schwartzcalc.oracle import finite_difference
 from schwartzcalc.spectral import SpectrumFunction
 
-from naive import band_limited
+from schwartzcalc.verify import _band_limited as band_limited
 
 
 @pytest.fixture
