@@ -234,8 +234,10 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     kind = section.get("kind")
     if kind == "gaussian":
         sigma = _real(section.get("sigma", 1.0), "gaussian sigma")
-        if not (sigma > 0 and np.isfinite(sigma * sigma)):
-            raise ConfigError(f"gaussian sigma must be positive with a finite square, got {sigma}")
+        if not 0.0 < sigma * sigma < np.inf:
+            raise ConfigError(
+                f"gaussian sigma must be positive with a finite, non-zero square, got {sigma}"
+            )
         center = _parse_point(section.get("center", [0.0] * grid.dim), grid.dim, "center")
         datum = sample_function(
             grid,
@@ -407,7 +409,7 @@ def _cmd_solve(args) -> int:
         "policy": _policy_json(policy, applied),
     }
     try:
-        result = _solve(family, a_values, datum, policy)
+        result = _solve(family, a_values, datum, policy, symbol._real_even)
     except NotDivisible as exc:
         report.update(
             {

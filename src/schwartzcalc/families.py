@@ -76,22 +76,31 @@ def _check_dense(rows: int, cols: int) -> None:
         )
 
 
+def _sign_table(shape: tuple[int, ...], parities, scale: float = 1.0) -> np.ndarray:
+    """``scale * prod_i (-1)^(k_i + parities[i])`` at entry ``k``, shaped ``shape``.
+
+    It is one ``±1`` vector per axis, the first one times ``scale``.  In
+    several dimensions the vectors are joined by outer products into one
+    table: a complex times ``±1 + 0i`` product can change the sign of a zero
+    component, so multiplying by the vectors one axis at a time is not the
+    same arithmetic as one product.
+    """
+    vectors = []
+    for n, parity in zip(shape, parities):
+        sign = np.ones(n)
+        sign[(parity + 1) % 2 :: 2] = -1.0
+        vectors.append(sign)
+    vectors[0] *= scale
+    return functools.reduce(np.multiply.outer, vectors)
+
+
 def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
     """``prod_i (-1)^{j_i}`` over the centered index ``j = k - N//2``, shaped ``counts``.
 
     This is the phase relating the box transforms above to plain DFTs: on the
     nodes ``x_k = -L + k*dx`` one has ``exp(+i p_j x_k) = (-1)^j exp(2i*pi*jk/N)``.
-    It is one ``±1`` vector per axis.  In several dimensions the vectors are
-    joined by outer products into one table: a complex times ``±1 + 0i``
-    product can change the sign of a zero component, so multiplying by the
-    vectors one axis at a time is not the same arithmetic as one product.
     """
-    vectors = []
-    for n in counts:
-        sign = np.ones(n)
-        sign[(n // 2 + 1) % 2 :: 2] = -1.0
-        vectors.append(sign)
-    return functools.reduce(np.multiply.outer, vectors)
+    return _sign_table(counts, [n // 2 for n in counts])
 
 
 def _signed_half_roll(src: np.ndarray, signs: np.ndarray, signs_at_src: bool) -> np.ndarray:
@@ -136,6 +145,67 @@ def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
     np.fft.fftn(buf, axes=tuple(range(1, space.dim + 1)), out=buf)
     buf *= index.cell_volume
     return buf.reshape(batch, -1)
+
+
+# Real samples have Hermitian coefficients, c(-p) = conj(c(p)), so half of the
+# index grid fixes the other half.  The real transforms below keep the half
+# that ``rfftn`` stores: entry ``m`` (``0 <= m < N`` on the leading axes,
+# ``0 <= m <= N/2`` on the last) holds the coefficient at the centered index
+# ``j = -m`` (mod N), the nodes with ``j_last <= 0``.  There
+# ``(-1)^j = (-1)^m``, and the DFT sum of the analysis is rfftn's own.
+
+
+def _mirror_index(counts: tuple[int, ...]) -> tuple:
+    """Index between the half spectrum and the centered index grid: entry
+    ``m`` of the half and node ``k = (N/2 - m) mod N`` of the grid (with
+    ``k_last <= N/2``) are the same index ``j = -m``.  The map is its own
+    inverse, so it gathers either way; on the last axis it is a reversal."""
+    lead = [(n // 2 - np.arange(n)) % n for n in counts[:-1]]
+    return np.ix_(*lead) + (slice(counts[-1] // 2, None, -1),)
+
+
+def _half_node(counts: tuple[int, ...], flat: int) -> int:
+    """Flat index-grid node of the half-spectrum entry at flat position ``flat``."""
+    m = np.unravel_index(flat, counts[:-1] + (counts[-1] // 2 + 1,))
+    return int(np.ravel_multi_index([(n // 2 - k) % n for n, k in zip(counts, m)], counts))
+
+
+def _to_half(values: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Flat samples on the index grid, gathered onto the half spectrum."""
+    return values.reshape(counts)[_mirror_index(counts)]
+
+
+def _from_half(half: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """The coefficients of a real function on the whole index grid (flat,
+    complex) from its half spectrum: the stored nodes by the mirror map, the
+    nodes with ``j_last > 0`` as the conjugates of their mirrors ``-j``."""
+    n = counts[-1]
+    full = np.empty(counts, dtype=np.complex128)
+    full[..., : n // 2 + 1] = half[_mirror_index(counts)]
+    # node k with k_last = N/2 + t mirrors to m = (k - N/2) mod N, m_last = t
+    upper = np.ix_(*[(np.arange(c) - c // 2) % c for c in counts[:-1]]) + (slice(1, n // 2),)
+    np.conjugate(half[upper], out=full[..., n // 2 + 1 :])
+    return full.reshape(-1)
+
+
+def _fourier_analysis_real(space: Grid, x: np.ndarray) -> np.ndarray:
+    """The analysis transform of one array of real samples, on the half
+    spectrum: ``rfftn`` and one pass by the signed scale."""
+    out = np.fft.rfftn(x.reshape(space.counts))
+    scale = space.cell_volume / (2.0 * math.pi) ** space.dim
+    out *= _sign_table(out.shape, [0] * space.dim, scale)
+    return out
+
+
+def _fourier_synthesis_real(space: Grid, index: Grid, half: np.ndarray) -> np.ndarray:
+    """The synthesis transform of a half spectrum to real samples (flat): the
+    signs into a new array, ``irfftn`` unnormalised (it takes the other half
+    as the conjugate mirror), then the scale, as the complex synthesis does."""
+    signed = half * _sign_table(half.shape, [0] * space.dim)
+    axes = tuple(range(space.dim))
+    out = np.fft.irfftn(signed, s=space.counts, axes=axes, norm="forward").reshape(-1)
+    out *= index.cell_volume
+    return out
 
 
 class SchwartzFamily(abc.ABC):

@@ -78,8 +78,8 @@ class Grid:
             if n < 4 or n % 2 != 0:
                 raise InvalidGrid(f"axis counts must be even and >= 4, got {n}")
         for L in extents:
-            if not math.isfinite(L) or L <= 0.0:
-                raise InvalidGrid(f"half extents must be positive and finite, got {L}")
+            if not math.isfinite(2.0 * L) or L <= 0.0:
+                raise InvalidGrid(f"half extents must be positive with a finite width 2L, got {L}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "half_extents", extents)
 
@@ -133,11 +133,12 @@ class Grid:
             n = self.counts[i]
             dx = 2.0 * L / n
             t = (x + L) / dx
-            k = round(t) if math.isfinite(t) else t  # inf and nan fail the test below
-            if not (0 <= k < n and abs(x - (-L + k * dx)) <= _NODE_TOLERANCE * dx):
+            # the nearest node, clamped to the axis; nan fails the test below
+            k = min(max(round(t), 0), n - 1) if math.isfinite(t) else (0 if t < 0 else n - 1)
+            if not abs(x - (-L + k * dx)) <= _NODE_TOLERANCE * dx:
+                near = "not a number" if math.isnan(x) else f"nearest node {-L + k * dx:g}"
                 raise IndexOffGrid(
-                    f"point {tuple(p)} is not a node of the grid "
-                    f"(axis {i}: nearest node {-L + k * dx:g})"
+                    f"point {tuple(p.tolist())} is not a node of the grid (axis {i}: {near})"
                 )
             multi.append(k)
         return int(np.ravel_multi_index(multi, self.counts))
@@ -164,11 +165,11 @@ def dual_grid(g: Grid) -> Grid:
     construction is an involution: ``dual_grid(dual_grid(g))`` has the
     spacings of ``g``.
     """
-    return Grid(
-        g.dim,
-        g.counts,
-        tuple(n * math.pi / (2.0 * L) for n, L in zip(g.counts, g.half_extents)),
-    )
+    extents = tuple(n * math.pi / (2.0 * L) for n, L in zip(g.counts, g.half_extents))
+    for n, L, dual in zip(g.counts, g.half_extents, extents):
+        if not 0.0 < dual < math.inf:
+            raise InvalidGrid(f"half extent {L} on {n} nodes has no finite dual half extent")
+    return Grid(g.dim, g.counts, extents)
 
 
 def quadrature_weight(g: Grid) -> float:
@@ -332,6 +333,9 @@ class SymbolFunction:
     arity: int
     evaluator: Callable
     descriptor: str = "symbol"
+    #: known to be real with ``a(-p) = a(p)``; only :func:`_polynomial_symbol`
+    #: sets it, from its terms, never from sampled values
+    _real_even: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -410,7 +414,8 @@ def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
     """The polynomial ``sum c x^j`` over the ``(j, c)`` pairs of ``terms``.
 
     The sum starts from complex zeros and multiplies each monomial's factors
-    left to right, one axis at a time.
+    left to right, one axis at a time.  When every ``c`` is real and every
+    total degree ``|j|`` even, the symbol is marked real and even.
     """
 
     def evaluator(*x):
@@ -423,7 +428,10 @@ def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
             total += mono
         return total
 
-    return SymbolFunction(arity, evaluator, descriptor)
+    symbol = SymbolFunction(arity, evaluator, descriptor)
+    real_even = all(complex(c).imag == 0.0 and sum(idx) % 2 == 0 for idx, c in terms)
+    object.__setattr__(symbol, "_real_even", real_even)
+    return symbol
 
 
 def constant_symbol(arity: int, value: complex, descriptor: str | None = None) -> SymbolFunction:

@@ -238,6 +238,34 @@ def test_green_off_grid_index_exits_1_before_building(monkeypatch, tmp_path):
     assert cli.main(["green", "--config", cfg, "--index", "inf"]) == 1
 
 
+def test_green_far_off_grid_index_names_plain_floats_and_a_grid_node(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator={"type": "multiplication", "symbol": {"name": "one"}},
+        output={"directory": str(tmp_path / "out")},
+    )
+    last = -math.pi + 63 * (2 * math.pi / 64)
+    for index, node in (("1e30", f"{last:g}"), ("-1e30", f"{-math.pi:g}")):
+        assert main(["green", "--config", cfg, "--index", index]) == 1
+        err = capsys.readouterr().err
+        assert f"point ({float(index)!r},)" in err and "np.float64" not in err
+        assert f"nearest node {node})" in err
+
+
+def test_gaussian_sigma_whose_square_underflows_is_named(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid=GRID_64_PI,
+        operator=DDX,
+        datum={"kind": "gaussian", "sigma": 1e-200},
+        output={"directory": str(tmp_path / "out")},
+    )
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: gaussian sigma") and "1e-200" in err
+
+
 def test_green_negative_index_as_separate_argument(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",
@@ -434,6 +462,7 @@ def _error_cases(tmp_path):
         "center-overflow": dict(base, datum={"kind": "gaussian", "center": [BIG]}),
         "sigma-overflow": dict(base, datum={"kind": "gaussian", "sigma": BIG}),
         "sigma-square-overflow": dict(base, datum={"kind": "gaussian", "sigma": 1e308}),
+        "sigma-square-underflow": dict(base, datum={"kind": "gaussian", "sigma": 1e-200}),
         "residual-threshold-overflow": dict(base, policy={"residual_threshold": BIG}),
         "pair-im-overflow": dict(base, datum={"kind": "constant", "c": [1.0, BIG]}),
         "directory-not-a-string": dict(base, output={"directory": 5}),
@@ -459,7 +488,7 @@ def _error_cases(tmp_path):
 
 ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
-    "center-overflow", "sigma-overflow", "sigma-square-overflow",
+    "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
     "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
     "path-a-list", "path-an-int", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",

@@ -197,3 +197,26 @@ def test_distribution_copies_once_to_the_first_bits(samples):
     assert same_words(dist.samples, naive.distribution_samples(samples))
     assert dist.samples.flags.c_contiguous and not dist.samples.flags.writeable
     assert not np.shares_memory(dist.samples, np.asarray(samples))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_real_transforms_are_the_complex_ones_on_half_spectra(name):
+    counts, extents = GRIDS[name]
+    g = make_grid(len(counts), counts, extents)
+    fam = FourierFamily(g)
+    x = np.random.default_rng(5).standard_normal(g.size)
+    full = fam.coordinates_rows(x[np.newaxis].astype(np.complex128))[0]
+    half = families._fourier_analysis_real(g, x)
+    # the half, spread by the mirror map and the conjugates, is the analysis
+    spread = families._from_half(half, g.counts)
+    assert np.max(np.abs(spread - full)) <= 1e-14 * np.max(np.abs(full))
+    # each half entry sits at the node _half_node names
+    nodes = [families._half_node(g.counts, k) for k in range(half.size)]
+    assert np.array_equal(spread[nodes], half.ravel())
+    assert np.array_equal(families._to_half(full, g.counts).ravel(), full[nodes])
+    # the synthesis of the half is the real part of the complex synthesis
+    back = families._fourier_synthesis_real(g, fam.index_grid, half)
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
+    want = fam.superpose_rows(spread[np.newaxis])[0]
+    assert np.max(np.abs(back - want)) <= 1e-14 * np.max(np.abs(want))

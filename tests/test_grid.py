@@ -118,6 +118,35 @@ def test_non_finite_or_overflowing_point_is_off_the_grid(x):
         DiracFamily(g).member((x,))
 
 
+@pytest.mark.parametrize("x, node", [(1e30, 1.5), (-1e30, -2.0), (math.inf, 1.5), (5.0, 1.5), (0.3, 0.5)])
+def test_off_grid_message_names_plain_floats_and_a_node_on_the_grid(x, node):
+    g = make_grid(1, [8], [2.0])
+    with pytest.raises(IndexOffGrid) as info:
+        g.index_of((x,))
+    assert str(info.value) == (
+        f"point ({x!r},) is not a node of the grid (axis 0: nearest node {node:g})"
+    )
+    with pytest.raises(IndexOffGrid) as info:
+        g.index_of((math.nan,))
+    assert "(nan,)" in str(info.value) and "nearest" not in str(info.value)
+
+
+@pytest.mark.parametrize("L", [1e308, -1e308, 9e307])
+def test_half_extent_whose_width_overflows_is_named(L):
+    with pytest.raises(InvalidGrid) as info:
+        make_grid(1, [8], [L])
+    assert repr(L) in str(info.value)
+    make_grid(1, [8], [8e307])  # 2L is finite
+
+
+@pytest.mark.parametrize("L", [1e-320, 5e-324])
+def test_half_extent_whose_dual_overflows_is_named(L):
+    g = make_grid(1, [8], [L])
+    with pytest.raises(InvalidGrid) as info:
+        dual_grid(g)
+    assert repr(L) in str(info.value)
+
+
 def test_grid_distribution_validation_and_immutability():
     g = make_grid(1, [8], [1.0])
     with pytest.raises(GridMismatch):

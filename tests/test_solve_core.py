@@ -4,6 +4,8 @@
 These tests pin that its solution, quotient and residual are the same bits
 (signed zeros included) as the step-by-step composition of the public
 functions and as ``naive.literal_solve``, and count what one call does.
+A real datum with a real, even polynomial symbol takes the half-spectrum
+path instead, which agrees with both to rounding and is pinned that way.
 The shared cores (the polynomial evaluator, the batched dense oracle) are
 pinned the same way against literal copies of the code they replaced.
 """
@@ -25,6 +27,7 @@ from schwartzcalc import (
     GridMismatch,
     KernelFamily,
     NonFiniteSymbol,
+    NotDivisible,
     SymbolFunction,
     coordinates,
     delta_distribution,
@@ -42,6 +45,7 @@ from schwartzcalc import (
     superpose,
 )
 
+from schwartzcalc import solver
 from schwartzcalc.cli import _parse_symbol, main
 
 from naive import (
@@ -62,13 +66,19 @@ def same_bits(x, y):
 
 
 def _cases():
+    """Cases on the complex path: complex data, or an odd-order operator.
+    ``1d-helmholtz`` and ``2d-delta`` are the complex twins of the real data
+    in :func:`_real_cases`."""
     g1 = make_grid(1, [256], [8.0])
     g2 = make_grid(2, [32, 16], [6.0, 4.0])
     pi1 = make_grid(1, [64], [math.pi])
     pi2 = make_grid(2, [16, 16], [math.pi, math.pi])
     g3 = make_grid(2, [16, 16], [4.0, 4.0])
     return {
-        "1d-helmholtz": (HELMHOLTZ_1D, sample_function(g1, lambda x: np.exp(-((x - 0.5) ** 2)))),
+        "1d-helmholtz": (
+            HELMHOLTZ_1D,
+            sample_function(g1, lambda x: np.exp(-((x - 0.5) ** 2)) * (1 + 0.25j * x)),
+        ),
         "2d-helmholtz": (
             HELMHOLTZ_2D,
             sample_function(g2, lambda x, y: np.exp(-(x**2 + 2.0 * y**2) / 3.0) * (1 + 0.5j * y)),
@@ -78,7 +88,7 @@ def _cases():
             DifferentialOperatorSpec({(1, 0): 1.0, (0, 1): 2.0}),
             sample_function(pi2, lambda x, y: np.sin(x + 2.0 * y)),
         ),
-        "2d-delta": (HELMHOLTZ_2D, delta_distribution(g3, (0.5, -1.0))),
+        "2d-delta": (HELMHOLTZ_2D, 1j * delta_distribution(g3, (0.5, -1.0))),
     }
 
 
@@ -101,6 +111,93 @@ def test_solve_pde_is_bitwise_the_literal_composition(name):
             assert same_bits(r.quotient.samples, expected_q.samples)
             assert same_bits(r.residual, expected_r)
     assert result.residual <= 1e-12
+
+
+def _real_cases():
+    """Real data with the real, even Helmholtz symbol: the half-spectrum path.
+    The 1-d boxes keep ``dx = 1/4``, so that the symbol's range, and with it
+    the rounding of the residual, is the same at every size."""
+    cases = {}
+    for n in (64, 1024, 1 << 16):
+        g = make_grid(1, [n], [n / 8])
+        width = n / 32
+        cases[f"1d-{n}"] = (
+            HELMHOLTZ_1D,
+            sample_function(g, lambda x: np.exp(-(((x - 0.5) / width) ** 2)) * np.cos(x)),
+        )
+    for counts in ([16, 16], [32, 16]):
+        g = make_grid(2, counts, [4.0, 4.0])
+        tag = "x".join(map(str, counts))
+        cases[f"2d-{tag}"] = (
+            HELMHOLTZ_2D,
+            sample_function(g, lambda x, y: np.exp(-((x - 0.5) ** 2) - 2.0 * (y + 1.0) ** 2)),
+        )
+        cases[f"2d-delta-{tag}"] = (HELMHOLTZ_2D, delta_distribution(g, (0.5, -1.0)))
+    return cases
+
+
+def _relative(x, y):
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+@pytest.mark.parametrize("name", sorted(_real_cases()))
+def test_real_path_agrees_with_the_literal_composition(name):
+    spec, d = _real_cases()[name]
+    fam = FourierFamily(d.grid)
+    a = differential_symbol(spec, fam.index_grid)
+    result = solve_pde(spec, d)
+    q = divide(coordinates(d, fam), a)
+    u = superpose(q, fam)
+    residual = l2_norm(spectral_apply(a, fam, u) - d) / l2_norm(d)
+    u_lit, q_lit, residual_lit = literal_solve(fam, a, d)
+    for expected_u, expected_q, expected_r in ((u, q, residual), (u_lit, q_lit, residual_lit)):
+        assert _relative(result.solution.samples, expected_u.samples) <= 1e-14
+        assert _relative(result.quotient.samples, expected_q.samples) <= 1e-14
+        assert abs(result.residual - expected_r) <= 1e-14
+    assert result.residual <= 1e-13
+    # the solution is real: every imaginary part is +0.0
+    assert same_bits(result.solution.samples.imag, np.zeros(d.grid.size))
+    assert result.quotient.samples.dtype == np.complex128
+    assert result.quotient.grid == fam.index_grid
+
+
+def test_the_path_is_chosen_from_exact_facts():
+    spec, d = _real_cases()["1d-64"]
+    fam = FourierFamily(d.grid)
+    # a lambda symbol, or one imaginary part of 5e-324, keeps the complex path
+    lam = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
+    nudged = d.samples.copy()
+    nudged[7] += 5e-324j
+    for a, datum in ((lam, d), (differential_symbol(spec, fam.index_grid), GridDistribution(d.grid, nudged))):
+        result = solve(fam, a, datum)
+        u_lit, q_lit, residual_lit = literal_solve(fam, a, datum)
+        assert same_bits(result.solution.samples, u_lit.samples)
+        assert same_bits(result.quotient.samples, q_lit.samples)
+    # the terms decide: real coefficients (after (-i)^|j|) and even degrees
+    index = fam.index_grid
+    assert differential_symbol(spec, index)._real_even
+    assert differential_symbol(DifferentialOperatorSpec({(0,): 1.0, (1,): 1.0}), index)._real_even is False
+    assert differential_symbol(DifferentialOperatorSpec({(2,): 1j}), index)._real_even is False
+    assert lam._real_even is False
+    mixed = DifferentialOperatorSpec({(1, 1): 1.0, (0, 0): 2.0})
+    assert differential_symbol(mixed, make_grid(2, [4, 4], [1.0, 1.0]))._real_even
+    assert _parse_symbol({"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, 0.5]}}, 1)._real_even is False
+    assert _parse_symbol({"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, 0.0]}}, 1)._real_even
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_real_path_names_the_node_the_complex_path_names(dim):
+    # -Laplacian vanishes at p = 0, where a Gaussian has its largest coefficient
+    g = make_grid(dim, [16] * dim, [4.0] * dim)
+    spec = DifferentialOperatorSpec({(2,) + (0,) * (dim - 1): -1.0})
+    d = sample_function(g, lambda *xs: np.exp(-sum((x - 0.5) ** 2 for x in xs)))
+    with pytest.raises(NotDivisible) as real:
+        solve_pde(spec, d)
+    with pytest.raises(NotDivisible) as plain:
+        solve_pde(spec, d + GridDistribution(g, np.full(g.size, 1e-300j)))
+    assert real.value.worst_point == plain.value.worst_point
+    assert real.value.worst_index == plain.value.worst_index
+    assert abs(real.value.magnitude - plain.value.magnitude) <= 1e-14 * plain.value.magnitude
 
 
 def test_zero_set_cases_hold_zero_components():
@@ -157,20 +254,24 @@ def test_solve_pde_samples_once_and_makes_four_transforms(monkeypatch, name):
     assert calls == {"sample": 1, "coordinates_rows": 2, "superpose_rows": 2}
 
 
-def test_solve_pde_traced_peak_stays_below_seven_arrays():
-    """The ``tracemalloc`` peak of one ``solve_pde`` at 2^16 nodes, building
-    the datum's ``GridDistribution`` from real samples included, counted in
-    complex arrays of ``16 N`` bytes.
+def test_real_path_samples_once_and_makes_four_half_transforms(monkeypatch):
+    spec, d = _real_cases()["1d-1024"]
+    calls = collections.Counter()
+    _count_calls(monkeypatch, SymbolFunction, "sample", calls)
+    _count_calls(monkeypatch, FourierFamily, "coordinates_rows", calls)
+    _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
+    _count_calls(monkeypatch, GridDistribution, "__init__", calls)
+    _count_calls(monkeypatch, solver, "_fourier_analysis_real", calls)
+    _count_calls(monkeypatch, solver, "_fourier_synthesis_real", calls)
+    solve_pde(spec, d)
+    assert calls == {"sample": 1, "_fourier_analysis_real": 2, "_fourier_synthesis_real": 2}
 
-    It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
-    copies and ``GridDistribution`` copied real input twice; it is 6.6 now.
-    The peak is the analysis inside ``A(u)``: the datum, the symbol samples,
-    the quotient and the solution stay alive beside the FFT output, its
-    signed half-roll and the half-size ``±1`` table.
-    """
-    n = 1 << 16
-    g = make_grid(1, [n], [40.0])
-    datum = np.sin(3.0 * g.axis_points(0))
+
+def _traced_peak(datum):
+    """``tracemalloc`` peak of one Helmholtz ``solve_pde`` on ``datum`` (1-d,
+    over [-40, 40)), building its ``GridDistribution`` included, counted in
+    complex arrays of ``16 N`` bytes."""
+    g = make_grid(1, [datum.size], [40.0])
     solve_pde(HELMHOLTZ_1D, GridDistribution(g, datum))  # warm-up
     tracemalloc.start()
     try:
@@ -178,7 +279,31 @@ def test_solve_pde_traced_peak_stays_below_seven_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 16 * n, f"peak {peak / (16 * n):.2f} arrays"
+    return peak / (16 * datum.size)
+
+
+def test_solve_pde_traced_peak_stays_below_seven_arrays():
+    """The peak of a complex datum at 2^16 nodes.
+
+    It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
+    copies and ``GridDistribution`` copied its input twice; it is 6.6 now.
+    The peak is the analysis inside ``A(u)``: the datum, the symbol samples,
+    the quotient and the solution stay alive beside the FFT output, its
+    signed half-roll and the half-size ``±1`` table.
+    """
+    x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
+    peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x))
+    assert peak < 7, f"peak {peak:.2f} arrays"
+
+
+def test_real_path_traced_peak_stays_below_five_arrays():
+    """The peak of a real datum at 2^16 nodes, 4.6 arrays when pinned: the
+    datum and the symbol samples (full size), the real solution and the half
+    spectra of the quotient and of ``A(u)``, then the full quotient and the
+    complex solution made one after the other."""
+    x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
+    peak = _traced_peak(np.sin(3.0 * x))
+    assert peak < 5, f"peak {peak:.2f} arrays"
 
 
 # p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
