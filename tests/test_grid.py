@@ -118,7 +118,9 @@ def test_non_finite_or_overflowing_point_is_off_the_grid(x):
         DiracFamily(g).member((x,))
 
 
-@pytest.mark.parametrize("x, node", [(1e30, 1.5), (-1e30, -2.0), (math.inf, 1.5), (5.0, 1.5), (0.3, 0.5)])
+@pytest.mark.parametrize(
+    "x, node", [(1e30, 1.5), (-1e30, -2.0), (math.inf, 1.5), (5.0, 1.5), (0.3, 0.5)]
+)
 def test_off_grid_message_names_plain_floats_and_a_node_on_the_grid(x, node):
     g = make_grid(1, [8], [2.0])
     with pytest.raises(IndexOffGrid) as info:

@@ -168,21 +168,24 @@ def test_the_path_is_chosen_from_exact_facts():
     lam = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
     nudged = d.samples.copy()
     nudged[7] += 5e-324j
-    for a, datum in ((lam, d), (differential_symbol(spec, fam.index_grid), GridDistribution(d.grid, nudged))):
+    helmholtz = differential_symbol(spec, fam.index_grid)
+    for a, datum in ((lam, d), (helmholtz, GridDistribution(d.grid, nudged))):
         result = solve(fam, a, datum)
         u_lit, q_lit, residual_lit = literal_solve(fam, a, datum)
         assert same_bits(result.solution.samples, u_lit.samples)
         assert same_bits(result.quotient.samples, q_lit.samples)
+        assert same_bits(result.residual, residual_lit)
     # the terms decide: real coefficients (after (-i)^|j|) and even degrees
-    index = fam.index_grid
-    assert differential_symbol(spec, index)._real_even
-    assert differential_symbol(DifferentialOperatorSpec({(0,): 1.0, (1,): 1.0}), index)._real_even is False
-    assert differential_symbol(DifferentialOperatorSpec({(2,): 1j}), index)._real_even is False
-    assert lam._real_even is False
+    assert helmholtz._real_even and not lam._real_even
+    odd = DifferentialOperatorSpec({(0,): 1.0, (1,): 1.0})
+    assert not differential_symbol(odd, fam.index_grid)._real_even
+    imaginary = DifferentialOperatorSpec({(2,): 1j})
+    assert not differential_symbol(imaginary, fam.index_grid)._real_even
     mixed = DifferentialOperatorSpec({(1, 1): 1.0, (0, 0): 2.0})
     assert differential_symbol(mixed, make_grid(2, [4, 4], [1.0, 1.0]))._real_even
-    assert _parse_symbol({"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, 0.5]}}, 1)._real_even is False
-    assert _parse_symbol({"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, 0.0]}}, 1)._real_even
+    for im, real_even in ((0.5, False), (0.0, True)):
+        section = {"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, im]}}
+        assert _parse_symbol(section, 1)._real_even is real_even
 
 
 @pytest.mark.parametrize("dim", [1, 2])
