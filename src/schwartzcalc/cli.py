@@ -234,7 +234,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     kind = section.get("kind")
     if kind == "gaussian":
         sigma = _real(section.get("sigma", 1.0), "gaussian sigma")
-        if not 0.0 < sigma * sigma < np.inf:
+        if not (sigma > 0.0 and 0.0 < sigma * sigma < np.inf):
             raise ConfigError(
                 f"gaussian sigma must be positive with a finite, non-zero square, got {sigma}"
             )

@@ -164,12 +164,6 @@ def _mirror_index(counts: tuple[int, ...]) -> tuple:
     return np.ix_(*lead) + (slice(counts[-1] // 2, None, -1),)
 
 
-def _half_node(counts: tuple[int, ...], flat: int) -> int:
-    """Flat index-grid node of the half-spectrum entry at flat position ``flat``."""
-    m = np.unravel_index(flat, counts[:-1] + (counts[-1] // 2 + 1,))
-    return int(np.ravel_multi_index([(n // 2 - k) % n for n, k in zip(counts, m)], counts))
-
-
 def _to_half(values: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """Flat samples on the index grid, gathered onto the half spectrum."""
     return values.reshape(counts)[_mirror_index(counts)]
@@ -178,13 +172,13 @@ def _to_half(values: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
 def _from_half(half: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """The coefficients of a real function on the whole index grid (flat,
     complex) from its half spectrum: the stored nodes by the mirror map, the
-    nodes with ``j_last > 0`` as the conjugates of their mirrors ``-j``."""
+    nodes with ``j_last > 0`` as the conjugates of the nodes ``-j``."""
     n = counts[-1]
     full = np.empty(counts, dtype=np.complex128)
     full[..., : n // 2 + 1] = half[_mirror_index(counts)]
-    # node k with k_last = N/2 + t mirrors to m = (k - N/2) mod N, m_last = t
-    upper = np.ix_(*[(np.arange(c) - c // 2) % c for c in counts[:-1]]) + (slice(1, n // 2),)
-    np.conjugate(half[upper], out=full[..., n // 2 + 1 :])
+    # node k holds j = k - N/2, so node (-k) mod N holds -j
+    negated = np.ix_(*[-np.arange(c) % c for c in counts[:-1]]) + (slice(n // 2 - 1, 0, -1),)
+    np.conjugate(full[negated], out=full[..., n // 2 + 1 :])
     return full.reshape(-1)
 
 

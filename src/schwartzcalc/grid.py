@@ -415,7 +415,9 @@ def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
 
     The sum starts from complex zeros and multiplies each monomial's factors
     left to right, one axis at a time.  When every ``c`` is real and every
-    total degree ``|j|`` even, the symbol is marked real and even.
+    degree ``j_i`` even, the symbol is marked real and even.  It then keeps
+    its value when any one coordinate changes sign, as at the mirror of an
+    index node, which keeps a Nyquist coordinate ``-N_i dp_i / 2`` as it is.
     """
 
     def evaluator(*x):
@@ -429,7 +431,9 @@ def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
         return total
 
     symbol = SymbolFunction(arity, evaluator, descriptor)
-    real_even = all(complex(c).imag == 0.0 and sum(idx) % 2 == 0 for idx, c in terms)
+    real_even = all(
+        complex(c).imag == 0.0 and all(k % 2 == 0 for k in idx) for idx, c in terms
+    )
     object.__setattr__(symbol, "_real_even", real_even)
     return symbol
 

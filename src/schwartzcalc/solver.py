@@ -32,7 +32,6 @@ from .families import (
     _fourier_analysis_real,
     _fourier_synthesis_real,
     _from_half,
-    _half_node,
     _to_half,
 )
 from .spectral import SLinearOperator, _apply_rows, spectral_apply
@@ -178,12 +177,10 @@ def divide(
 
 
 def _quotient(
-    d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid, node=None
+    d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid
 ) -> np.ndarray:
     """Core of :func:`divide` on arrays: ``a_values`` are the symbol's samples
-    on ``grid``, the index grid of the coefficients ``d_v``.  When the arrays
-    hold only part of the grid, ``node`` maps a flat position in them to the
-    flat node of ``grid`` that an error names."""
+    on ``grid``, the index grid of the coefficients ``d_v``."""
     magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
     zero_mask = magnitudes <= eps
@@ -194,13 +191,12 @@ def _quotient(
     bad = zero_mask & (mass > allowed)
     if np.any(bad):
         worst = int(np.argmax(np.where(bad, mass, -1.0)))
-        flat = worst if node is None else node(worst)
         raise NotDivisible(
             f"datum has coefficient mass {mass.flat[worst]:.6e} at index node "
-            f"{grid.point_at(flat)} where the symbol magnitude is below "
+            f"{grid.point_at(worst)} where the symbol magnitude is below "
             f"{eps:.6e}",
-            worst_index=flat,
-            worst_point=grid.point_at(flat),
+            worst_index=worst,
+            worst_point=grid.point_at(worst),
             magnitude=float(mass.flat[worst]),
         )
     return np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_values))
@@ -253,7 +249,10 @@ def _solve(
     are the symbol's finite samples on the index grid, ``real_even`` whether
     the symbol is known to be real and even."""
     if real_even and isinstance(v, FourierFamily) and not d.samples.imag.any():
-        return _solve_real(v, a_values, d, policy)
+        try:
+            return _solve_real(v, a_values, d, policy)
+        except NotDivisible:
+            pass  # the complex path names the offending node on the whole grid
     d_v = v.coordinates_rows(d.samples[np.newaxis])[0]
     q = _quotient(d_v, a_values, policy, v.index_grid)
     del d_v  # not needed for the residual; keeps the peak down
@@ -278,7 +277,7 @@ def _solve_real(
     counts = space.counts
     a_half = _to_half(a_values.real, counts)
     d_v = _fourier_analysis_real(space, d.samples.real)
-    q = _quotient(d_v, a_half, policy, index, lambda k: _half_node(counts, k))
+    q = _quotient(d_v, a_half, policy, index)
     del d_v
     u = _fourier_synthesis_real(space, index, q)
     coords = _fourier_analysis_real(space, u)

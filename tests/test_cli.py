@@ -253,17 +253,18 @@ def test_green_far_off_grid_index_names_plain_floats_and_a_grid_node(tmp_path, c
         assert f"nearest node {node})" in err
 
 
-def test_gaussian_sigma_whose_square_underflows_is_named(tmp_path, capsys):
+@pytest.mark.parametrize("sigma", [1e-200, -1.0])
+def test_gaussian_sigma_negative_or_whose_square_underflows_is_named(tmp_path, capsys, sigma):
     cfg = write_config(
         tmp_path / "run.json",
         grid=GRID_64_PI,
         operator=DDX,
-        datum={"kind": "gaussian", "sigma": 1e-200},
+        datum={"kind": "gaussian", "sigma": sigma},
         output={"directory": str(tmp_path / "out")},
     )
     assert main(["solve", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: gaussian sigma") and "1e-200" in err
+    assert err.startswith("configuration error: gaussian sigma") and repr(sigma) in err
 
 
 def test_green_negative_index_as_separate_argument(tmp_path):
@@ -463,6 +464,7 @@ def _error_cases(tmp_path):
         "sigma-overflow": dict(base, datum={"kind": "gaussian", "sigma": BIG}),
         "sigma-square-overflow": dict(base, datum={"kind": "gaussian", "sigma": 1e308}),
         "sigma-square-underflow": dict(base, datum={"kind": "gaussian", "sigma": 1e-200}),
+        "sigma-negative": dict(base, datum={"kind": "gaussian", "sigma": -1.0}),
         "residual-threshold-overflow": dict(base, policy={"residual_threshold": BIG}),
         "pair-im-overflow": dict(base, datum={"kind": "constant", "c": [1.0, BIG]}),
         "directory-not-a-string": dict(base, output={"directory": 5}),
@@ -489,7 +491,7 @@ def _error_cases(tmp_path):
 ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
     "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
-    "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
+    "sigma-negative", "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
     "path-a-list", "path-an-int", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
     "config-nested-too-deep", "seed-not-an-integer", "seed-negative",

@@ -58,6 +58,11 @@ from naive import (
 
 HELMHOLTZ_1D = DifferentialOperatorSpec({(0,): 1.0, (2,): -1.0})
 HELMHOLTZ_2D = DifferentialOperatorSpec({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+# even in total degree but odd on each axis: its symbol 2 - p1 p2 changes
+# sign at the mirror of a node on a Nyquist line, so it is not real and even
+MIXED_2D = DifferentialOperatorSpec({(1, 1): 1.0, (0, 0): 2.0})
+# even on every axis, so real and even: 1 + p1^2 p2^2
+EVEN_MIXED_2D = DifferentialOperatorSpec({(0, 0): 1.0, (2, 2): 1.0})
 
 
 def same_bits(x, y):
@@ -66,9 +71,10 @@ def same_bits(x, y):
 
 
 def _cases():
-    """Cases on the complex path: complex data, or an odd-order operator.
-    ``1d-helmholtz`` and ``2d-delta`` are the complex twins of the real data
-    in :func:`_real_cases`."""
+    """Cases on the complex path: complex data, or an operator that is not
+    real and even.  ``1d-helmholtz`` and ``2d-delta`` are the complex twins
+    of the real data in :func:`_real_cases`; ``2d-mixed-delta`` is a real
+    point mass whose mixed-derivative operator keeps the complex path."""
     g1 = make_grid(1, [256], [8.0])
     g2 = make_grid(2, [32, 16], [6.0, 4.0])
     pi1 = make_grid(1, [64], [math.pi])
@@ -89,6 +95,7 @@ def _cases():
             sample_function(pi2, lambda x, y: np.sin(x + 2.0 * y)),
         ),
         "2d-delta": (HELMHOLTZ_2D, 1j * delta_distribution(g3, (0.5, -1.0))),
+        "2d-mixed-delta": (MIXED_2D, delta_distribution(g3, (0.5, -1.0))),
     }
 
 
@@ -133,6 +140,10 @@ def _real_cases():
             sample_function(g, lambda x, y: np.exp(-((x - 0.5) ** 2) - 2.0 * (y + 1.0) ** 2)),
         )
         cases[f"2d-delta-{tag}"] = (HELMHOLTZ_2D, delta_distribution(g, (0.5, -1.0)))
+    # a point mass has coefficients of full size on the Nyquist lines; dx = 1
+    # keeps 1 + p1^2 p2^2 below 1 + pi^4, near the Helmholtz symbols' range
+    g = make_grid(2, [16, 16], [8.0, 8.0])
+    cases["2d-even-mixed-delta-16x16"] = (EVEN_MIXED_2D, delta_distribution(g, (1.0, -2.0)))
     return cases
 
 
@@ -181,11 +192,16 @@ def test_the_path_is_chosen_from_exact_facts():
     assert not differential_symbol(odd, fam.index_grid)._real_even
     imaginary = DifferentialOperatorSpec({(2,): 1j})
     assert not differential_symbol(imaginary, fam.index_grid)._real_even
-    mixed = DifferentialOperatorSpec({(1, 1): 1.0, (0, 0): 2.0})
-    assert differential_symbol(mixed, make_grid(2, [4, 4], [1.0, 1.0]))._real_even
+    # even in total degree is not enough: every axis's degree must be even
+    g2 = make_grid(2, [4, 4], [1.0, 1.0])
+    assert not differential_symbol(MIXED_2D, g2)._real_even
+    assert differential_symbol(EVEN_MIXED_2D, g2)._real_even
     for im, real_even in ((0.5, False), (0.0, True)):
         section = {"name": "polynomial", "terms": {"0": 2.0, "2": [1.0, im]}}
         assert _parse_symbol(section, 1)._real_even is real_even
+    for key, real_even in (("1,1", False), ("2,2", True)):
+        section = {"name": "polynomial", "terms": {"0,0": 2.0, key: 1.0}}
+        assert _parse_symbol(section, 2)._real_even is real_even
 
 
 @pytest.mark.parametrize("dim", [1, 2])
