@@ -399,20 +399,18 @@ def _cmd_solve(args) -> int:
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     policy = _parse_policy(_require(cfg, "policy", optional=True))
     out_dir = _output_dir(cfg)
-    a_values = symbol.sample_finite(family.index_grid)
-    applied = policy.resolve_zero_threshold(a_values)
     report = {
         "command": "solve",
         "grid": _grid_json(grid),
         "operator": op_label,
         "datum": datum_label,
-        "policy": _policy_json(policy, applied),
     }
     try:
-        result = _solve(family, a_values, datum, policy, symbol._real_even)
+        result, applied = _solve(family, symbol, datum, policy)
     except NotDivisible as exc:
         report.update(
             {
+                "policy": _policy_json(policy, exc.zero_threshold),
                 "status": "not_divisible",
                 "divisible": False,
                 "residual": None,
@@ -427,6 +425,7 @@ def _cmd_solve(args) -> int:
     write_distribution_csv(out_dir / "solution.csv", result.solution)
     report.update(
         {
+            "policy": _policy_json(policy, applied),
             "status": "ok",
             "divisible": True,
             "residual": result.residual,

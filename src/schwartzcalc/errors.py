@@ -39,7 +39,7 @@ class DivisionError(SchwartzCalcError):
     """Base for failures of coefficient division by a symbol."""
 
     def __init__(self, message: str, worst_index: int, worst_point: tuple[float, ...],
-                 magnitude: float):
+                 magnitude: float, zero_threshold: float | None = None):
         super().__init__(message)
         #: flat (row-major) position of the offending index node
         self.worst_index = worst_index
@@ -47,6 +47,8 @@ class DivisionError(SchwartzCalcError):
         self.worst_point = worst_point
         #: size of the coefficient (or symbol) that triggered the failure
         self.magnitude = magnitude
+        #: the zero threshold the division applied, where it is known
+        self.zero_threshold = zero_threshold
 
 
 class NotDivisible(DivisionError):

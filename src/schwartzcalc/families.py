@@ -40,7 +40,7 @@ import threading
 import numpy as np
 
 from .errors import ArityMismatch, GridMismatch, IllConditioned, NotABasis, TooLarge
-from .grid import Grid, GridDistribution, SymbolFunction, dual_grid
+from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial, dual_grid
 
 __all__ = [
     "SchwartzFamily",
@@ -155,18 +155,51 @@ def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
 # ``(-1)^j = (-1)^m``, and the DFT sum of the analysis is rfftn's own.
 
 
+def _mirror_nodes(counts: tuple[int, ...]) -> list[np.ndarray]:
+    """Per axis, the node of the centered index grid at each entry of the
+    half spectrum: entry ``m`` and node ``k = (N/2 - m) mod N`` are the same
+    index ``j = -m``.  On the last axis, where ``m <= N/2``, that is
+    ``N/2, N/2 - 1, ..., 0``."""
+    *lead, n = counts
+    return [(c // 2 - np.arange(c)) % c for c in lead] + [np.arange(n // 2, -1, -1)]
+
+
 def _mirror_index(counts: tuple[int, ...]) -> tuple:
-    """Index between the half spectrum and the centered index grid: entry
-    ``m`` of the half and node ``k = (N/2 - m) mod N`` of the grid (with
-    ``k_last <= N/2``) are the same index ``j = -m``.  The map is its own
-    inverse, so it gathers either way; on the last axis it is a reversal."""
-    lead = [(n // 2 - np.arange(n)) % n for n in counts[:-1]]
-    return np.ix_(*lead) + (slice(counts[-1] // 2, None, -1),)
+    """Index between the half spectrum and the centered index grid, by
+    :func:`_mirror_nodes`.  The map is its own inverse, so it gathers either
+    way; on the last axis it is a reversal."""
+    return np.ix_(*_mirror_nodes(counts)[:-1]) + (slice(counts[-1] // 2, None, -1),)
 
 
 def _to_half(values: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """Flat samples on the index grid, gathered onto the half spectrum."""
     return values.reshape(counts)[_mirror_index(counts)]
+
+
+def _sample_half(a: SymbolFunction, index: Grid) -> np.ndarray:
+    """A real, even polynomial symbol on the half spectrum of ``index``, as
+    ``float64``, with no complex array and no other node.
+
+    It is evaluated at the nodes :func:`_mirror_nodes` gathers, not at
+    ``-m dp``: the lattice ``-L + k dp`` is not exactly symmetric, so only
+    the gathered nodes give the values of ``_to_half(a.sample(index).real)``
+    bit for bit.  Overflow is left for the caller to find as a non-finite
+    value.
+    """
+    nodes = []
+    for axis, k in enumerate(_mirror_nodes(index.counts)):
+        shape = [1] * index.dim
+        shape[axis] = k.size
+        nodes.append(index.axis_points(axis)[k].reshape(shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _polynomial(a._real_terms, nodes, np.float64)
+
+
+def _negated_lead(counts: tuple[int, ...]) -> tuple:
+    """Index of ``(-k) mod N`` on every axis but the last.  On the grid,
+    node ``k`` holds ``j = k - N/2`` and node ``-k`` holds ``-j``; on the
+    half, entry ``m`` holds ``j = -m`` and entry ``-m`` holds ``-j``."""
+    return np.ix_(*[-np.arange(c) % c for c in counts[:-1]])
 
 
 def _from_half(half: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
@@ -176,10 +209,25 @@ def _from_half(half: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     n = counts[-1]
     full = np.empty(counts, dtype=np.complex128)
     full[..., : n // 2 + 1] = half[_mirror_index(counts)]
-    # node k holds j = k - N/2, so node (-k) mod N holds -j
-    negated = np.ix_(*[-np.arange(c) % c for c in counts[:-1]]) + (slice(n // 2 - 1, 0, -1),)
+    negated = _negated_lead(counts) + (slice(n // 2 - 1, 0, -1),)
     np.conjugate(full[negated], out=full[..., n // 2 + 1 :])
     return full.reshape(-1)
+
+
+def _half_l2(coeffs: np.ndarray, index: Grid) -> float:
+    """The quadrature norm on ``index`` of the real function's coefficients
+    that the half spectrum ``coeffs`` stands for; ``coeffs`` is overwritten.
+
+    Every entry off the last-axis planes ``m = 0`` and ``m = N/2`` stands for
+    itself and its conjugate mirror.  Those two planes hold their own
+    mirrors, where a real function's coefficients have ``c(-j) = conj(c(j))``:
+    only that Hermitian part counts, the part ``irfftn`` reads.  Rounding
+    leaves the rest there in two and more dimensions.
+    """
+    negated = _negated_lead(coeffs.shape)
+    for plane in (coeffs[..., 0], coeffs[..., -1]):
+        plane[...] = (plane + plane[negated].conj()) / 2
+    return _l2(coeffs, index, half=True)
 
 
 def _fourier_analysis_real(space: Grid, x: np.ndarray) -> np.ndarray:
@@ -207,6 +255,9 @@ class SchwartzFamily(abc.ABC):
 
     index_grid: Grid
     space_grid: Grid
+    #: ``k`` with ``|superpose(c)| = k |c|`` for every ``c``, each in its own
+    #: grid's quadrature norm, when the family has one (Parseval)
+    _parseval: float | None = None
 
     @property
     def index_dim(self) -> int:
@@ -281,6 +332,8 @@ class DiracFamily(SchwartzFamily):
     implemented as the identity.
     """
 
+    _parseval = 1.0
+
     def __init__(self, space_grid: Grid):
         self.index_grid = space_grid
         self.space_grid = space_grid
@@ -308,6 +361,8 @@ class FourierFamily(SchwartzFamily):
     def __init__(self, space_grid: Grid):
         self.space_grid = space_grid
         self.index_grid = dual_grid(space_grid)
+        # dx dp N = 2 pi per axis turns the DFT's Parseval identity into this
+        self._parseval = (2.0 * math.pi) ** (space_grid.dim / 2)
 
     @property
     def is_basis(self) -> bool:

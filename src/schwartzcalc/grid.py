@@ -303,13 +303,15 @@ def l2_norm(u: GridDistribution) -> float:
     return _l2(u.samples, u.grid)
 
 
-def _l2(samples: np.ndarray, grid: Grid) -> float:
+def _l2(samples: np.ndarray, grid: Grid, half: bool = False) -> float:
     """:func:`l2_norm` of a flat sample array on ``grid``.
 
     When ``max|u|`` lies outside ``[1e-150, 1e150]`` the squares would
     overflow or underflow, so ``|u|`` is divided by it first and the norm
     multiplied back (the scaling of LAPACK's ``dnrm2``).  Inside that range
-    the sum is the plain ``sum |u|^2``.
+    the sum is the plain ``sum |u|^2``.  With ``half``, ``samples`` is a
+    half spectrum on ``grid`` (see :func:`schwartzcalc.families._half_l2`):
+    each square off the last axis's first and last planes counts twice.
     """
     mag = np.abs(samples)
     peak = float(np.max(mag))
@@ -317,6 +319,8 @@ def _l2(samples: np.ndarray, grid: Grid) -> float:
     if scale != 1.0:
         mag /= scale
     np.square(mag, out=mag)
+    if half:
+        mag[..., 1:-1] *= 2.0
     return float(np.sqrt(np.sum(mag) * grid.cell_volume)) * scale
 
 
@@ -333,13 +337,21 @@ class SymbolFunction:
     arity: int
     evaluator: Callable
     descriptor: str = "symbol"
-    #: known to be real with ``a(-p) = a(p)``; only :func:`_polynomial_symbol`
-    #: sets it, from its terms, never from sampled values
-    _real_even: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
+    #: the ``(j, c)`` terms of a polynomial known to be real with
+    #: ``a(-p) = a(p)``, with real ``c``; only :func:`_polynomial_symbol` sets
+    #: them, from its terms, never from sampled values
+    _real_terms: tuple | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.arity < 1:
             raise ArityMismatch(f"symbol arity must be >= 1, got {self.arity}")
+
+    @property
+    def _real_even(self) -> bool:
+        """Whether the symbol is known to be real and even."""
+        return self._real_terms is not None
 
     def at(self, point) -> complex:
         """Evaluate at a single point (scalar allowed when arity is 1)."""
@@ -410,31 +422,38 @@ class SymbolFunction:
     __radd__ = __add__
 
 
-def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
-    """The polynomial ``sum c x^j`` over the ``(j, c)`` pairs of ``terms``.
+def _polynomial(terms, x, dtype) -> np.ndarray:
+    """``sum c x^j`` over the ``(j, c)`` pairs of ``terms`` at the coordinate
+    arrays ``x``, summed from zeros of ``dtype``; each monomial multiplies its
+    factors left to right, one axis at a time."""
+    total = np.zeros(np.broadcast(*x).shape, dtype=dtype)
+    for idx, coeff in terms:
+        mono = coeff
+        for axis, power in enumerate(idx):
+            if power:
+                mono = mono * np.asarray(x[axis]) ** power
+        total += mono
+    return total
 
-    The sum starts from complex zeros and multiplies each monomial's factors
-    left to right, one axis at a time.  When every ``c`` is real and every
-    degree ``j_i`` even, the symbol is marked real and even.  It then keeps
+
+def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:
+    """The polynomial ``sum c x^j`` over the ``(j, c)`` pairs of ``terms``,
+    evaluated by :func:`_polynomial` from complex zeros.
+
+    When every ``c`` is real and every degree ``j_i`` even, the symbol is
+    marked real and even and keeps its terms with real ``c``.  It then keeps
     its value when any one coordinate changes sign, as at the mirror of an
     index node, which keeps a Nyquist coordinate ``-N_i dp_i / 2`` as it is.
+    Summed from real zeros, those terms give the real part of the complex
+    sum value for value: a real factor ``x + 0i`` changes a product's real
+    part at most in the sign of a zero, and no sum from ``+0.0`` ends at
+    ``-0.0``.
     """
-
-    def evaluator(*x):
-        total = np.zeros(np.broadcast(*x).shape, dtype=np.complex128)
-        for idx, coeff in terms:
-            mono = coeff
-            for axis, power in enumerate(idx):
-                if power:
-                    mono = mono * np.asarray(x[axis]) ** power
-            total += mono
-        return total
-
-    symbol = SymbolFunction(arity, evaluator, descriptor)
-    real_even = all(
-        complex(c).imag == 0.0 and all(k % 2 == 0 for k in idx) for idx, c in terms
-    )
-    object.__setattr__(symbol, "_real_even", real_even)
+    terms = list(terms)
+    symbol = SymbolFunction(arity, lambda *x: _polynomial(terms, x, np.complex128), descriptor)
+    if all(complex(c).imag == 0.0 and all(k % 2 == 0 for k in idx) for idx, c in terms):
+        real_terms = tuple((idx, complex(c).real) for idx, c in terms)
+        object.__setattr__(symbol, "_real_terms", real_terms)
     return symbol
 
 

@@ -18,13 +18,14 @@ periodic box the returned solution is the periodic one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ArityMismatch, NotDivisible
-from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol, l2_norm
+from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol
 from .families import (
     CoordinateDistribution,
     FourierFamily,
@@ -32,9 +33,10 @@ from .families import (
     _fourier_analysis_real,
     _fourier_synthesis_real,
     _from_half,
-    _to_half,
+    _half_l2,
+    _sample_half,
 )
-from .spectral import SLinearOperator, _apply_rows, spectral_apply
+from .spectral import SLinearOperator, spectral_apply
 
 __all__ = [
     "DifferentialOperatorSpec",
@@ -172,20 +174,22 @@ def divide(
     raised, carrying the worst offending node.  ``NonFiniteSymbol`` is
     raised when ``a`` is not finite on the grid.
     """
-    q = _quotient(d_v.samples, a.sample_finite(d_v.grid), policy or DivisionPolicy(), d_v.grid)
+    policy = policy or DivisionPolicy()
+    q, _ = _quotient(d_v.samples, a.sample_finite(d_v.grid), policy, d_v.grid)
     return GridDistribution._trusted(d_v.grid, q)
 
 
 def _quotient(
     d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Core of :func:`divide` on arrays: ``a_values`` are the symbol's samples
-    on ``grid``, the index grid of the coefficients ``d_v``."""
+    on ``grid``, the index grid of the coefficients ``d_v``.  Returns the
+    quotient and the zero threshold it applied."""
     magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
     zero_mask = magnitudes <= eps
     if not zero_mask.any():
-        return d_v / a_values
+        return d_v / a_values, eps
     mass = np.abs(d_v)
     allowed = policy.residual_threshold * (float(np.max(mass)) if mass.size else 0.0)
     bad = zero_mask & (mass > allowed)
@@ -198,8 +202,9 @@ def _quotient(
             worst_index=worst,
             worst_point=grid.point_at(worst),
             magnitude=float(mass.flat[worst]),
+            zero_threshold=eps,
         )
-    return np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_values))
+    return np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_values)), eps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,7 +213,7 @@ class SolveResult:
 
     solution: GridDistribution
     quotient: CoordinateDistribution
-    #: relative L2 residual of the resynthesized solution against the datum
+    #: relative L2 residual ``|A(u) - d| / |d|`` of the solution
     residual: float
 
 
@@ -225,76 +230,91 @@ def solve(
     ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.  The
     reported residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
 
-    The symbol is sampled once, for the division and for ``A(u)``; the
-    four transforms (analyse ``d``, synthesise ``u``, then analyse and
-    synthesise again for ``A(u)``) run on arrays, and the results are the
-    same bits as the composition above.  The exception is a real datum on
-    the Fourier family with a polynomial symbol known to be real and even:
-    the quotient is then Hermitian, and the four transforms run on half
-    spectra (``rfftn``/``irfftn``).  That solution is real (imaginary part
-    ``+0.0``) and agrees with the composition to rounding, not bit for bit.
+    The symbol is sampled once, and three transforms run on arrays: analyse
+    ``d``, synthesise ``u``, analyse ``u``.  The solution and quotient are
+    the same bits as the composition above.  The residual is measured on
+    coefficients: on the Fourier family ``|f| = (2 pi)^(n/2) |c|`` (the
+    discrete Parseval identity, each side in its own grid's norm), so
+    ``|A(u) - d| = (2 pi)^(n/2) |a * coordinates(u) - coordinates(d)|`` and
+    ``A(u)`` is never synthesised; on the Dirac family the constant is 1.
+    It agrees with the spatial residual to the rounding of the synthesis it
+    saves.  A family with no such constant synthesises ``A(u)`` instead.
+
+    A real datum on the Fourier family with a polynomial symbol known to be
+    real and even runs on half spectra (``rfftn``/``irfftn``), with the
+    symbol sampled on the half only.  The quotient is then Hermitian; the
+    solution is real (imaginary part ``+0.0``) and agrees with the
+    composition to rounding, not bit for bit.
     """
     v._check_space(d)
-    return _solve(v, a.sample_finite(v.index_grid), d, policy or DivisionPolicy(), a._real_even)
+    return _solve(v, a, d, policy or DivisionPolicy())[0]
 
 
 def _solve(
-    v: SchwartzFamily,
-    a_values: np.ndarray,
-    d: GridDistribution,
-    policy: DivisionPolicy,
-    real_even: bool,
-) -> SolveResult:
-    """Core of :func:`solve` for a datum on ``v``'s space grid: ``a_values``
-    are the symbol's finite samples on the index grid, ``real_even`` whether
-    the symbol is known to be real and even."""
-    if real_even and isinstance(v, FourierFamily) and not d.samples.imag.any():
-        try:
-            return _solve_real(v, a_values, d, policy)
-        except NotDivisible:
-            pass  # the complex path names the offending node on the whole grid
-    d_v = v.coordinates_rows(d.samples[np.newaxis])[0]
-    q = _quotient(d_v, a_values, policy, v.index_grid)
-    del d_v  # not needed for the residual; keeps the peak down
-    u = v.superpose_rows(q[np.newaxis])[0]
-    denom = l2_norm(d)
-    image = _apply_rows(v, a_values, u[np.newaxis])[0]
-    np.subtract(image, d.samples, out=image)
-    resid = _l2(image, d.grid) / denom if denom > 0.0 else 0.0
-    return SolveResult(
-        solution=GridDistribution._trusted(v.space_grid, u),
-        quotient=GridDistribution._trusted(v.index_grid, q),
-        residual=float(resid),
-    )
-
-
-def _solve_real(
-    v: FourierFamily, a_values: np.ndarray, d: GridDistribution, policy: DivisionPolicy
-) -> SolveResult:
-    """:func:`_solve` for a real datum and a real, even symbol: every step
-    on the half spectrum, reading the symbol's samples at its nodes only."""
+    v: SchwartzFamily, a: SymbolFunction, d: GridDistribution, policy: DivisionPolicy
+) -> tuple[SolveResult, float]:
+    """Core of :func:`solve` for a datum on ``v``'s space grid: the result and
+    the zero threshold its division applied."""
     space, index = v.space_grid, v.index_grid
-    counts = space.counts
-    a_half = _to_half(a_values.real, counts)
-    d_v = _fourier_analysis_real(space, d.samples.real)
-    q = _quotient(d_v, a_half, policy, index)
-    del d_v
-    u = _fourier_synthesis_real(space, index, q)
-    coords = _fourier_analysis_real(space, u)
-    np.multiply(a_half, coords, out=coords)
-    image = _fourier_synthesis_real(space, index, coords)
-    del coords, a_half
-    np.subtract(image, d.samples.real, out=image)
-    denom = l2_norm(d)
-    resid = _l2(image, d.grid) / denom if denom > 0.0 else 0.0
-    del image
-    quotient = GridDistribution._trusted(index, _from_half(q, counts))
-    del q  # the full-size results are made one after the other
-    return SolveResult(
-        solution=GridDistribution._trusted(space, u.astype(np.complex128)),
-        quotient=quotient,
-        residual=float(resid),
+    if a._real_even and isinstance(v, FourierFamily) and not d.samples.imag.any():
+        a_half = _sample_half(a, index)
+        # a non-finite value, like a NotDivisible datum, is named by the
+        # complex path on the whole grid
+        if np.isfinite(a_half).all():
+            try:
+                q, u, resid, eps = _solve_core(
+                    v, a_half, d.samples.real, policy, half=True,
+                    analyse=functools.partial(_fourier_analysis_real, space),
+                    synthesise=functools.partial(_fourier_synthesis_real, space, index),
+                )
+            except NotDivisible:
+                pass
+            else:
+                quotient = GridDistribution._trusted(index, _from_half(q, space.counts))
+                del q  # the full-size results are made one after the other
+                solution = GridDistribution._trusted(space, u.astype(np.complex128))
+                return SolveResult(solution, quotient, resid), eps
+    q, u, resid, eps = _solve_core(
+        v, a.sample_finite(index), d.samples, policy, half=False,
+        analyse=lambda x: v.coordinates_rows(x[np.newaxis])[0],
+        synthesise=lambda c: v.superpose_rows(c[np.newaxis])[0],
     )
+    result = SolveResult(
+        solution=GridDistribution._trusted(space, u),
+        quotient=GridDistribution._trusted(index, q),
+        residual=resid,
+    )
+    return result, eps
+
+
+def _solve_core(v, a_values, x, policy, half, analyse, synthesise):
+    """The solve on arrays, for one transform pair: ``analyse`` takes samples
+    on the space grid to coefficients, ``synthesise`` back; ``a_values`` are
+    the symbol on the coefficients' nodes and ``x`` the datum's samples.
+    ``half`` marks the pair of half spectra.  Returns the quotient, the
+    solution, the residual and the zero threshold."""
+    d_v = analyse(x)
+    q, eps = _quotient(d_v, a_values, policy, v.index_grid)
+    u = synthesise(q)
+    if not half:
+        # beside d_v, a full-size quotient would be one array too many at the
+        # analysis of u; it is made again from d_v below, the same bits
+        q = None
+    coords = analyse(u)
+    np.multiply(a_values, coords, out=coords)
+    if v._parseval is None:
+        image = synthesise(coords)
+        np.subtract(image, x, out=image)
+        norm = _l2(image, v.space_grid)
+    else:
+        np.subtract(coords, d_v, out=coords)
+        norm = v._parseval * (_half_l2 if half else _l2)(coords, v.index_grid)
+    del coords
+    denom = _l2(x, v.space_grid)
+    resid = norm / denom if denom > 0.0 else 0.0
+    if q is None:
+        q, _ = _quotient(d_v, a_values, policy, v.index_grid)
+    return q, u, float(resid), eps
 
 
 def solve_pde(

@@ -22,7 +22,13 @@ from schwartzcalc import (
     spectral_apply,
     superpose,
 )
-from schwartzcalc.families import _centered_signs, point_mass_rows
+from schwartzcalc.families import (
+    _centered_signs,
+    _fourier_analysis_real,
+    _fourier_synthesis_real,
+    _to_half,
+    point_mass_rows,
+)
 
 
 def naive_superpose(c, family):
@@ -76,6 +82,26 @@ def literal_solve(v, a, d, policy=None):
     u = superpose(q, v)
     scaled = GridDistribution(index, a.sample(index) * coordinates(u, v).samples)
     residual = l2_norm(superpose(scaled, v) - d) / l2_norm(d)
+    return u, q, residual
+
+
+def literal_solve_half(fam, a, d, policy=None):
+    """:func:`literal_solve` on half spectra, for a real datum ``d`` on the
+    Fourier family ``fam`` and a real, even symbol ``a``: the half-spectrum
+    solve as first written, with ``A(u)`` synthesised and compared with
+    ``d`` on the samples.  The symbol is sampled on the whole index grid and
+    its real part gathered onto the half.  Returns ``(u, q, residual)``,
+    ``u`` real and ``q`` the half spectrum of the quotient.
+    """
+    policy = policy or DivisionPolicy()
+    space, index = fam.space_grid, fam.index_grid
+    a_half = _to_half(a.sample(index).real, space.counts)
+    d_v = _fourier_analysis_real(space, d.samples.real)
+    zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
+    q = np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_half))
+    u = _fourier_synthesis_real(space, index, q)
+    image = _fourier_synthesis_real(space, index, a_half * _fourier_analysis_real(space, u))
+    residual = l2_norm(GridDistribution(space, image - d.samples.real)) / l2_norm(d)
     return u, q, residual
 
 

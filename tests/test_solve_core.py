@@ -1,12 +1,17 @@
 """The solve core against the literal definitions, bit for bit, and its cost.
 
-``solve`` samples the symbol once and runs its four transforms on arrays.
-These tests pin that its solution, quotient and residual are the same bits
-(signed zeros included) as the step-by-step composition of the public
-functions and as ``naive.literal_solve``, and count what one call does.
-A real datum with a real, even polynomial symbol takes the half-spectrum
-path instead, which agrees with both to rounding and is pinned that way.
-The shared cores (the polynomial evaluator, the batched dense oracle) are
+``solve`` samples the symbol once and runs three transforms on arrays:
+analyse ``d``, synthesise ``u``, analyse ``u``.  These tests pin that its
+solution and quotient are the same bits (signed zeros included) as the
+step-by-step composition of the public functions and as
+``naive.literal_solve``, and count what one call does.  The residual is
+measured on coefficients by the discrete Parseval identity, so it agrees
+with ``literal_solve``'s spatial residual to the rounding of the synthesis
+it saves; :func:`test_coefficient_residual_agrees_with_the_spatial_one`
+pins that on both paths.  A real datum with a real, even polynomial symbol
+takes the half-spectrum path, with the symbol sampled on the half only,
+which agrees with the composition to rounding and is pinned that way.  The
+shared cores (the polynomial evaluator, the batched dense oracle) are
 pinned the same way against literal copies of the code they replaced.
 """
 
@@ -45,7 +50,7 @@ from schwartzcalc import (
     superpose,
 )
 
-from schwartzcalc import solver
+from schwartzcalc import families, solver
 from schwartzcalc.cli import _parse_symbol, main
 
 from naive import (
@@ -54,6 +59,7 @@ from naive import (
     dense_green,
     differential_evaluator,
     literal_solve,
+    literal_solve_half,
 )
 
 HELMHOLTZ_1D = DifferentialOperatorSpec({(0,): 1.0, (2,): -1.0})
@@ -68,6 +74,12 @@ EVEN_MIXED_2D = DifferentialOperatorSpec({(0, 0): 1.0, (2, 2): 1.0})
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def residual_agrees(r, r_spatial):
+    """The coefficient residual against the spatial one: equal to the
+    rounding of the synthesis the solve no longer makes."""
+    return abs(r - r_spatial) <= max(1e-6 * r_spatial, 1e-15)
 
 
 def _cases():
@@ -116,7 +128,7 @@ def test_solve_pde_is_bitwise_the_literal_composition(name):
         for expected_u, expected_q, expected_r in ((u, q, residual), (u_lit, q_lit, residual_lit)):
             assert same_bits(r.solution.samples, expected_u.samples)
             assert same_bits(r.quotient.samples, expected_q.samples)
-            assert same_bits(r.residual, expected_r)
+            assert residual_agrees(r.residual, expected_r)
     assert result.residual <= 1e-12
 
 
@@ -185,7 +197,7 @@ def test_the_path_is_chosen_from_exact_facts():
         u_lit, q_lit, residual_lit = literal_solve(fam, a, datum)
         assert same_bits(result.solution.samples, u_lit.samples)
         assert same_bits(result.quotient.samples, q_lit.samples)
-        assert same_bits(result.residual, residual_lit)
+        assert residual_agrees(result.residual, residual_lit)
     # the terms decide: real coefficients (after (-i)^|j|) and even degrees
     assert helmholtz._real_even and not lam._real_even
     odd = DifferentialOperatorSpec({(0,): 1.0, (1,): 1.0})
@@ -228,6 +240,125 @@ def test_zero_set_cases_hold_zero_components():
         assert np.any(q.view(np.float64) == 0.0), name
 
 
+# the grids of the residual oracle test: counts and half extents
+RESIDUAL_GRIDS = {
+    "1d-64": ([64], [8.0]),
+    "1d-1024": ([1024], [32.0]),
+    "1d-65536": ([1 << 16], [256.0]),
+    "2d-16x16": ([16, 16], [4.0, 4.0]),
+    "2d-16x12": ([16, 12], [4.0, 3.0]),
+    "2d-256x256": ([256, 256], [16.0, 16.0]),
+    "3d-8x8x8": ([8, 8, 8], [3.0, 3.0, 3.0]),
+}
+
+
+def _residual_case(grid_name, case):
+    """``(spec, datum, takes the half path)`` for one grid and case: a smooth
+    real datum under Helmholtz (half path) and under Helmholtz plus an odd
+    first derivative (complex path), scaled by 1, 1e-200 or 1e200; and a
+    datum with no mass at ``p_0 = 0`` under ``-Laplacian`` (half path) and
+    under ``d_0`` (complex path), whose symbols vanish there."""
+    counts, extents = RESIDUAL_GRIDS[grid_name]
+    g = make_grid(len(counts), counts, extents)
+    dim = g.dim
+    unit = (0,) * dim
+    second = [tuple(2 if i == k else 0 for i in range(dim)) for k in range(dim)]
+    first = (1,) + (0,) * (dim - 1)
+    helmholtz = {unit: 1.0, **{idx: -1.0 for idx in second}}
+    kind, _, scale = case.partition("*")
+    if kind.endswith("zero-set"):
+        spec = {idx: -1.0 for idx in second} if kind == "real-zero-set" else {first: 1.0}
+        width = [L / 3 for L in extents]
+        d = sample_function(g, lambda *xs: np.sin(np.pi * xs[0] / extents[0]) * np.exp(
+            -sum((x / w) ** 2 for x, w in zip(xs[1:], width[1:]))))
+    else:
+        spec = helmholtz if kind == "real" else {**helmholtz, first: 0.5}
+        width = [L / 4 for L in extents]
+        d = sample_function(g, lambda *xs: np.cos(xs[0]) * np.exp(
+            -sum(((x - 0.3) / w) ** 2 for x, w in zip(xs, width))))
+        d = float(scale or 1.0) * d
+    return DifferentialOperatorSpec(spec), d, kind.startswith("real")
+
+
+RESIDUAL_CASES = ["real", "real*1e-200", "real*1e200", "complex", "complex*1e-200",
+                  "complex*1e200", "real-zero-set", "complex-zero-set"]
+
+
+@pytest.mark.parametrize("case", RESIDUAL_CASES)
+@pytest.mark.parametrize("grid_name", sorted(RESIDUAL_GRIDS))
+def test_coefficient_residual_agrees_with_the_spatial_one(monkeypatch, grid_name, case):
+    """The residual by Parseval against the residual on the samples, made
+    with the same transforms: ``literal_solve`` on the complex path,
+    ``literal_solve_half`` on the half path.  A residual near rounding is
+    the rounding of the transforms that made it, so the two paths' residuals
+    agree with each other only to that, not to 1e-6."""
+    spec, d, half = _residual_case(grid_name, case)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, solver, "_sample_half", calls)
+    result = solve_pde(spec, d)
+    assert calls["_sample_half"] == (1 if half else 0)
+    fam = FourierFamily(d.grid)
+    a = differential_symbol(spec, fam.index_grid)
+    if half:
+        u, q_half, residual_lit = literal_solve_half(fam, a, d)
+        u, q = u.astype(complex), families._from_half(q_half, d.grid.counts)
+    else:
+        u, q, residual_lit = (getattr(x, "samples", x) for x in literal_solve(fam, a, d))
+    # the same solution and quotient, so only the residual's last step differs
+    assert same_bits(result.solution.samples, u)
+    assert same_bits(result.quotient.samples, q)
+    assert 0.0 < residual_lit < 1e-6
+    assert residual_agrees(result.residual, residual_lit), (result.residual, residual_lit)
+
+
+HALF_SAMPLER_GRIDS = {
+    "1d-1024": ([1024], [1.3]),
+    "2d-6x10": ([6, 10], [1.0, 2.0]),
+    "2d-16x16": ([16, 16], [4.0, 4.0]),
+    "3d-4x6x10": ([4, 6, 10], [1.0, 2.0, 0.5]),
+}
+# real, even on every axis, with degrees up to 8: 1 - d^2 + d^4/2 - 1e-3 d^6 + ...
+HALF_SAMPLER_TERMS = {
+    1: {(0,): 1.0, (2,): -1.0, (4,): 0.5, (6,): -1e-3, (8,): 2e-5},
+    2: {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0, (2, 2): 0.5, (4, 0): 0.25, (0, 6): -1e-3},
+    3: {(0, 0, 0): 1.0, (2, 0, 0): -1.0, (0, 2, 0): -2.0, (0, 0, 4): 0.5, (2, 2, 2): 1e-2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_SAMPLER_GRIDS))
+def test_half_sampler_is_the_gathered_real_part(name):
+    counts, extents = HALF_SAMPLER_GRIDS[name]
+    g = make_grid(len(counts), counts, extents)
+    index = FourierFamily(g).index_grid
+    a = differential_symbol(DifferentialOperatorSpec(HALF_SAMPLER_TERMS[g.dim]), index)
+    assert a._real_even
+    half = families._sample_half(a, index)
+    expected = families._to_half(a.sample_finite(index).real, g.counts)
+    assert half.dtype == np.float64
+    assert half.shape == tuple(counts[:-1]) + (counts[-1] // 2 + 1,)
+    assert np.array_equal(half, expected)
+
+
+def test_overflowing_real_even_symbol_raises_the_complex_paths_error():
+    # 1 - 1e308 d^2 has the real, even symbol 1 + 1e308 p^2, which overflows
+    # off |p| <= 1: the half path falls back, and the complex path names
+    # the first non-finite node of the whole grid
+    g = make_grid(1, [64], [4.0])
+    spec = DifferentialOperatorSpec({(0,): 1.0, (2,): -1e308})
+    fam = FourierFamily(g)
+    a = differential_symbol(spec, fam.index_grid)
+    assert a._real_even
+    real = sample_function(g, lambda x: np.exp(-(x**2)))
+    messages = []
+    for datum in (real, real + GridDistribution(g, np.full(g.size, 1e-300j))):
+        with pytest.raises(NonFiniteSymbol) as info:
+            solve_pde(spec, datum)
+        messages.append(str(info.value))
+    with pytest.raises(NonFiniteSymbol) as direct:
+        a.sample_finite(fam.index_grid)
+    assert messages == [str(direct.value)] * 2
+
+
 def test_solve_on_the_dirac_family_is_bitwise_the_literal_composition():
     g = make_grid(1, [64], [5.0])
     fam = DiracFamily(g)
@@ -261,7 +392,7 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("name", ["1d-helmholtz", "2d-zero-set"])
-def test_solve_pde_samples_once_and_makes_four_transforms(monkeypatch, name):
+def test_solve_pde_samples_once_and_makes_three_transforms(monkeypatch, name):
     spec, d = _cases()[name]
     calls = collections.Counter()
     _count_calls(monkeypatch, SymbolFunction, "sample", calls)
@@ -269,21 +400,24 @@ def test_solve_pde_samples_once_and_makes_four_transforms(monkeypatch, name):
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
     _count_calls(monkeypatch, GridDistribution, "__init__", calls)
     solve_pde(spec, d)
-    # no copying constructor either: the results are handed over, not copied
-    assert calls == {"sample": 1, "coordinates_rows": 2, "superpose_rows": 2}
+    # two analyses (d and u) and one synthesis (u); no copying constructor
+    # either: the results are handed over, not copied
+    assert calls == {"sample": 1, "coordinates_rows": 2, "superpose_rows": 1}
 
 
-def test_real_path_samples_once_and_makes_four_half_transforms(monkeypatch):
+def test_real_path_samples_the_half_once_and_makes_three_half_transforms(monkeypatch):
     spec, d = _real_cases()["1d-1024"]
     calls = collections.Counter()
     _count_calls(monkeypatch, SymbolFunction, "sample", calls)
     _count_calls(monkeypatch, FourierFamily, "coordinates_rows", calls)
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
     _count_calls(monkeypatch, GridDistribution, "__init__", calls)
+    _count_calls(monkeypatch, solver, "_sample_half", calls)
     _count_calls(monkeypatch, solver, "_fourier_analysis_real", calls)
     _count_calls(monkeypatch, solver, "_fourier_synthesis_real", calls)
     solve_pde(spec, d)
-    assert calls == {"sample": 1, "_fourier_analysis_real": 2, "_fourier_synthesis_real": 2}
+    # nothing samples the whole index grid
+    assert calls == {"_sample_half": 1, "_fourier_analysis_real": 2, "_fourier_synthesis_real": 1}
 
 
 def _traced_peak(datum):
@@ -306,9 +440,10 @@ def test_solve_pde_traced_peak_stays_below_seven_arrays():
 
     It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
     copies and ``GridDistribution`` copied its input twice; it is 6.6 now.
-    The peak is the analysis inside ``A(u)``: the datum, the symbol samples,
-    the quotient and the solution stay alive beside the FFT output, its
-    signed half-roll and the half-size ``±1`` table.
+    The peak is the analysis of ``u``: the datum, the symbol samples, the
+    datum's coefficients and the solution stay alive beside the FFT output,
+    its signed half-roll and the half-size ``±1`` table.  The quotient is
+    not: it is made again from the coefficients after the residual.
     """
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
     peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x))
@@ -316,10 +451,11 @@ def test_solve_pde_traced_peak_stays_below_seven_arrays():
 
 
 def test_real_path_traced_peak_stays_below_five_arrays():
-    """The peak of a real datum at 2^16 nodes, 4.6 arrays when pinned: the
-    datum and the symbol samples (full size), the real solution and the half
-    spectra of the quotient and of ``A(u)``, then the full quotient and the
-    complex solution made one after the other."""
+    """The peak of a real datum at 2^16 nodes, 4.6 arrays when pinned while
+    the symbol was sampled on the whole grid and ``A(u)`` synthesised; 3.9
+    now.  The datum, the real solution and the half spectra of the symbol,
+    the datum's coefficients, the quotient and ``a * coordinates(u)``, then
+    the full quotient and the complex solution made one after the other."""
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
     peak = _traced_peak(np.sin(3.0 * x))
     assert peak < 5, f"peak {peak:.2f} arrays"
@@ -425,8 +561,10 @@ def test_batched_dense_oracle_is_bitwise_the_column_loop(name):
 
 
 def test_cli_solve_samples_the_symbol_once(monkeypatch, tmp_path):
+    # a real datum and a real, even symbol: the half spectrum only
     calls = collections.Counter()
     _count_calls(monkeypatch, SymbolFunction, "sample", calls)
+    _count_calls(monkeypatch, solver, "_sample_half", calls)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "grid": {"dim": 1, "counts": [64], "half_extents": [10.0]},
@@ -435,7 +573,7 @@ def test_cli_solve_samples_the_symbol_once(monkeypatch, tmp_path):
         "output": {"directory": str(tmp_path / "out")},
     }))
     assert main(["solve", "--config", str(cfg)]) == 0
-    assert calls == {"sample": 1}
+    assert calls == {"_sample_half": 1}
 
 
 def test_green_family_refuses_a_left_inverse_off_the_space_grid():
