@@ -270,8 +270,11 @@ def _solve(
             except NotDivisible:
                 pass
             else:
+                # the full-size results are made one after the other, into
+                # the room the half spectra leave
+                del a_half
                 quotient = GridDistribution._trusted(index, _from_half(q, space.counts))
-                del q  # the full-size results are made one after the other
+                del q
                 solution = GridDistribution._trusted(space, u.astype(np.complex128))
                 return SolveResult(solution, quotient, resid), eps
     q, u, resid, eps = _solve_core(
