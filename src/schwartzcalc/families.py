@@ -227,7 +227,8 @@ def _half_l2(coeffs: np.ndarray, index: Grid) -> float:
     negated = _negated_lead(coeffs.shape)
     for plane in (coeffs[..., 0], coeffs[..., -1]):
         plane[...] = (plane + plane[negated].conj()) / 2
-    return _l2(coeffs, index, half=True)
+    own = _l2(coeffs[..., [0, -1]], index)
+    return math.hypot(own, math.sqrt(2.0) * _l2(coeffs[..., 1:-1], index))
 
 
 def _fourier_analysis_real(space: Grid, x: np.ndarray) -> np.ndarray:

@@ -303,15 +303,13 @@ def l2_norm(u: GridDistribution) -> float:
     return _l2(u.samples, u.grid)
 
 
-def _l2(samples: np.ndarray, grid: Grid, half: bool = False) -> float:
+def _l2(samples: np.ndarray, grid: Grid) -> float:
     """:func:`l2_norm` of a flat sample array on ``grid``.
 
     When ``max|u|`` lies outside ``[1e-150, 1e150]`` the squares would
     overflow or underflow, so ``|u|`` is divided by it first and the norm
     multiplied back (the scaling of LAPACK's ``dnrm2``).  Inside that range
-    the sum is the plain ``sum |u|^2``.  With ``half``, ``samples`` is a
-    half spectrum on ``grid`` (see :func:`schwartzcalc.families._half_l2`):
-    each square off the last axis's first and last planes counts twice.
+    the sum is the plain ``sum |u|^2``.
     """
     mag = np.abs(samples)
     peak = float(np.max(mag))
@@ -319,8 +317,6 @@ def _l2(samples: np.ndarray, grid: Grid, half: bool = False) -> float:
     if scale != 1.0:
         mag /= scale
     np.square(mag, out=mag)
-    if half:
-        mag[..., 1:-1] *= 2.0
     return float(np.sqrt(np.sum(mag) * grid.cell_volume)) * scale
 
 
