@@ -18,7 +18,6 @@ periodic box the returned solution is the periodic one.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Mapping
 
@@ -264,8 +263,8 @@ def _solve(
             try:
                 q, u, resid, eps = _solve_core(
                     v, a_half, d.samples.real, policy, half=True,
-                    analyse=functools.partial(_fourier_analysis_real, space),
-                    synthesise=functools.partial(_fourier_synthesis_real, space, index),
+                    analyse=lambda x: _fourier_analysis_real(space, x),
+                    synthesise=lambda c: _fourier_synthesis_real(space, index, c),
                 )
             except NotDivisible:
                 pass
