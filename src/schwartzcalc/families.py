@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import itertools
 import math
 import threading
 
@@ -103,48 +102,40 @@ def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
     return _sign_table(counts, [n // 2 for n in counts])
 
 
-def _signed_half_roll(src: np.ndarray, signs: np.ndarray, signs_at_src: bool) -> np.ndarray:
-    """``fftshift(src) * signs`` (``signs_at_src=False``) or ``fftshift(src * signs)``
-    (``True``) over every axis after the batch axis, in one pass into a new array.
+def _signed_rows(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Each row, shaped like ``signs``, times ``signs``, in one new complex
+    array (real rows are multiplied as real)."""
+    out = np.empty((rows.shape[0],) + signs.shape, dtype=np.complex128)
+    np.multiply(rows.reshape(out.shape), signs, out=out)
+    return out
 
-    The counts are even, so ``fftshift`` and ``ifftshift`` are the same
-    half-roll: each of the ``2^dim`` half blocks of the result is one product
-    of the opposite block of ``src`` with its block of ``signs``, the same
-    operands in the same order as a shift followed by (or following) one
-    multiply.
-    """
-    dst = np.empty(src.shape, dtype=np.complex128)
-    halves = [(slice(None, n // 2), slice(n // 2, None)) for n in signs.shape]
-    for picks in itertools.product((0, 1), repeat=signs.ndim):
-        to = tuple(axis[k] for axis, k in zip(halves, picks))
-        frm = tuple(axis[1 - k] for axis, k in zip(halves, picks))
-        np.multiply(src[(slice(None),) + frm], signs[frm if signs_at_src else to],
-                    out=dst[(slice(None),) + to])
-    return dst
+
+# The counts are even, so by the shift theorem the half-roll of a spectrum is
+# the transform of the samples times ``(-1)^k``.  Each transform signs its
+# input into the one buffer it owns, runs the FFT there in place, then the
+# other signs and the scales; the second table is made after the FFT.
 
 
 def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the analysis transform to each row of ``rows`` (batched)."""
     counts = space.counts
     dim = space.dim
-    batch = rows.shape[0]
-    raw = np.fft.ifftn(rows.reshape((batch,) + counts), axes=tuple(range(1, dim + 1)))
-    raw *= space.size
-    out = _signed_half_roll(raw, _centered_signs(counts), signs_at_src=False)
-    del raw  # frees the FFT output before the scaling pass
-    out *= space.cell_volume / (2.0 * math.pi) ** dim
-    return out.reshape(batch, -1)
+    buf = _signed_rows(rows, _sign_table(counts, [0] * dim))
+    np.fft.ifftn(buf, axes=tuple(range(1, dim + 1)), out=buf)
+    buf *= space.size
+    buf *= _centered_signs(counts)
+    buf *= space.cell_volume / (2.0 * math.pi) ** dim
+    return buf.reshape(rows.shape[0], -1)
 
 
 def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the synthesis transform to each row of coefficient ``rows``."""
     counts = space.counts
-    batch = rows.shape[0]
-    buf = _signed_half_roll(rows.reshape((batch,) + counts), _centered_signs(counts),
-                            signs_at_src=True)
+    buf = _signed_rows(rows, _centered_signs(counts))
     np.fft.fftn(buf, axes=tuple(range(1, space.dim + 1)), out=buf)
+    buf *= _sign_table(counts, [0] * space.dim)
     buf *= index.cell_volume
-    return buf.reshape(batch, -1)
+    return buf.reshape(rows.shape[0], -1)
 
 
 # Real samples have Hermitian coefficients, c(-p) = conj(c(p)), so half of the

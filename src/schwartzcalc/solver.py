@@ -298,10 +298,6 @@ def _solve_core(v, a_values, x, policy, half, analyse, synthesise):
     d_v = analyse(x)
     q, eps = _quotient(d_v, a_values, policy, v.index_grid)
     u = synthesise(q)
-    if not half:
-        # beside d_v, a full-size quotient would be one array too many at the
-        # analysis of u; it is made again from d_v below, the same bits
-        q = None
     coords = analyse(u)
     np.multiply(a_values, coords, out=coords)
     if v._parseval is None:
@@ -314,8 +310,6 @@ def _solve_core(v, a_values, x, policy, half, analyse, synthesise):
     del coords
     denom = _l2(x, v.space_grid)
     resid = norm / denom if denom > 0.0 else 0.0
-    if q is None:
-        q, _ = _quotient(d_v, a_values, policy, v.index_grid)
     return q, u, float(resid), eps
 
 

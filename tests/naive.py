@@ -23,7 +23,6 @@ from schwartzcalc import (
     superpose,
 )
 from schwartzcalc.families import (
-    _centered_signs,
     _fourier_analysis_real,
     _fourier_synthesis_real,
     _to_half,
@@ -235,6 +234,14 @@ def dense_from_diagonal_columns(v, a):
     return matrix
 
 
+def centered_signs(counts):
+    """``(-1)^(k - N//2)``, multiplied over the axes, at every node ``k`` of a
+    grid with these ``counts``; the phase between the box transforms and
+    plain DFTs, from its definition."""
+    k = np.indices(counts)
+    return (-1.0) ** sum(k[axis] - n // 2 for axis, n in enumerate(counts))
+
+
 def fourier_analysis_rows(space, rows):
     """The Fourier analysis as first written: ``ifftn``, times the node count,
     an ``fftshift`` copy, the centred signs, then the ``(2 pi)^-n dx^n`` scale."""
@@ -246,7 +253,7 @@ def fourier_analysis_rows(space, rows):
     raw = np.fft.ifftn(arr, axes=axes)
     raw *= space.size
     raw = np.fft.fftshift(raw, axes=axes)
-    raw *= _centered_signs(counts)
+    raw *= centered_signs(counts)
     raw *= space.cell_volume / (2.0 * np.pi) ** dim
     return raw.reshape(batch, -1)
 
@@ -257,7 +264,7 @@ def fourier_synthesis_rows(space, index, rows):
     counts = space.counts
     dim = space.dim
     batch = rows.shape[0]
-    arr = rows.reshape((batch,) + counts) * _centered_signs(counts)
+    arr = rows.reshape((batch,) + counts) * centered_signs(counts)
     axes = tuple(range(1, dim + 1))
     arr = np.fft.ifftshift(arr, axes=axes)
     out = np.fft.fftn(arr, axes=axes)

@@ -12,6 +12,7 @@ now exactly 0.0).  Every solve ``report.json`` that reports a residual was
 refreshed once more, when the residual moved from the samples to the
 coefficients by the discrete Parseval identity: only its ``residual`` value
 moved, by the rounding of the synthesis it saves; every CSV kept its bytes.
+The table ``verify all`` prints for seed 42 is pinned the same way.
 """
 
 import hashlib
@@ -263,3 +264,16 @@ def test_samples_datum_outputs_match_golden_hashes(tmp_path, monkeypatch):
         for path in sorted((tmp_path / "out").iterdir())
     }
     assert digests == SAMPLES_EXPECTED
+
+
+# ``SCHWARTZ_SEED=42 python -m schwartzcalc verify all``: the whole table of
+# 27 passing checks, down to every printed error and tolerance
+VERIFY_ALL_EXPECTED = "fbf0683a1a9d2a3bef222954f7966713bac8817be2ffd4292e467cbd635ca371"
+
+
+def test_verify_all_table_matches_golden_hash(monkeypatch, capsys):
+    monkeypatch.setenv("SCHWARTZ_SEED", "42")
+    assert main(["verify", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("summary: 27 passed, 0 failed\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_EXPECTED

@@ -458,9 +458,10 @@ def test_solve_pde_traced_peak_stays_below_seven_arrays():
     It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
     copies and ``GridDistribution`` copied its input twice; it is 6.6 now.
     The peak is the analysis of ``u``: the datum, the symbol samples, the
-    datum's coefficients and the solution stay alive beside the FFT output,
-    its signed half-roll and the half-size ``±1`` table.  The quotient is
-    not: it is made again from the coefficients after the residual.
+    datum's coefficients, the quotient and the solution stay alive beside
+    the one buffer the analysis owns and its half-size ``±1`` table.  The
+    quotient is made once and held; beside the half-rolled analysis, which
+    needed a second buffer, holding it made 7.6 arrays.
     """
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
     peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x))
