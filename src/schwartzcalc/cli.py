@@ -38,7 +38,9 @@ import csv
 import itertools
 import json
 import os
+import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,8 +195,9 @@ def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
     return pt
 
 
-def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
-    """Read the last two fields of each row as ``re, im``.
+def _samples_by_csv_module(path: str) -> np.ndarray:
+    """The literal reader, which defines the samples format: the last two
+    fields of each ``csv.reader`` row as ``re, im``.
 
     Rows whose last two fields do not parse as floats (headers, comments,
     blank or one-field lines) are skipped.  Only the two parsed columns are
@@ -214,13 +217,94 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
         raise ConfigError(f"cannot read samples file {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"samples file {path} is not a readable CSV: {exc}") from exc
-    if len(re_col) != grid.size:
-        raise ConfigError(
-            f"samples file {path} has {len(re_col)} data rows, grid has {grid.size} nodes"
-        )
-    samples = np.empty(grid.size, dtype=np.complex128)
+    samples = np.empty(len(re_col), dtype=np.complex128)
     samples.real = np.frombuffer(re_col, dtype=np.float64)
     samples.imag = np.frombuffer(im_col, dtype=np.float64)
+    return samples
+
+
+#: NUL, which ``csv.reader`` refuses before Python 3.11, and the separators
+#: 0x1c-0x1f, which numpy's float parser strips as whitespace and ``float()`` refuses
+_UNVOUCHED_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _vouched(path: str) -> bool:
+    """Whether the C pass may read ``path``.
+
+    ``np.loadtxt`` opens a path through numpy's ``DataSource``, which picks
+    a decompressor by suffix and fetches URLs, so ``path`` must be absolute
+    and end in ``.csv``.  The file is read three times, so it must be a
+    regular file, not a pipe.  It must hold none of ``_UNVOUCHED_BYTES`` and
+    no field longer than ``csv.field_size_limit()``, which ``csv.reader``
+    refuses.  Such a field lies in a run without a line end that covers a
+    whole block of half the limit, unless a quoted field spans lines; a file
+    with a quote character is vouched for only when it is no longer than the
+    limit.
+    """
+    if not (os.path.isabs(path) and path.endswith(".csv")):
+        return False
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return False
+    limit = csv.field_size_limit()
+    step = max(limit // 2, 1)
+    size, quoted, unbroken = 0, False, False
+    with open(path, "rb") as raw:
+        while block := raw.read(step):
+            if any(b in block for b in _UNVOUCHED_BYTES):
+                return False
+            size += len(block)
+            quoted = quoted or b'"' in block
+            if len(block) == step and b"\n" not in block and b"\r" not in block:
+                unbroken = True
+    return size <= limit or not (quoted or unbroken)
+
+
+def _samples_by_loadtxt(path: str) -> np.ndarray:
+    """The samples of ``path`` in one C pass of ``np.loadtxt``; raises when
+    ``_vouched`` refuses the file or the file may read differently by
+    ``_samples_by_csv_module``.
+
+    The first line is skipped when it is not data by the literal rule, and
+    every later row must then be data: any other row, a value ``float()``
+    takes but the C parser refuses (``1_0``) or a file with no data raises.
+    """
+    path = os.path.abspath(path)
+    if not _vouched(path):
+        raise ValueError(f"samples file {path} is left to the csv module")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        first = next(rows, [])
+        if rows.line_num > 1:
+            raise ValueError("the first row spans lines")
+        try:
+            float(first[-2]), float(first[-1])
+            header = 0
+        except (IndexError, ValueError):
+            header = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data"
+        table = np.loadtxt(
+            path, delimiter=",", comments=None, usecols=(-2, -1), quotechar='"',
+            ndmin=2, skiprows=header, encoding="utf-8",
+        )
+    return table.view(np.complex128).reshape(-1)
+
+
+def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
+    """Read the last two fields of each row as ``re, im``.
+
+    One C pass (``_samples_by_loadtxt``) reads the file when it can vouch
+    for it; otherwise the literal reader ``_samples_by_csv_module`` does.
+    Both give the same values bit for bit.
+    """
+    try:
+        samples = _samples_by_loadtxt(path)
+    except Exception:  # whatever the C pass cannot vouch for, the literal reader decides
+        samples = _samples_by_csv_module(path)
+    if samples.size != grid.size:
+        raise ConfigError(
+            f"samples file {path} has {samples.size} data rows, grid has {grid.size} nodes"
+        )
     finite = np.isfinite(samples)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -359,27 +443,23 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
     """One row ``x0[,x1...],re,im`` per node, row-major, every value ``repr``
     of a Python float.
 
-    Each axis is formatted once, the leading coordinates once per slab along
-    the last axis, and the rows are written in blocks of at most
-    ``_CSV_BLOCK_ROWS``.
+    Each axis is formatted once.  The rows are written one slab along the
+    last axis at a time, in blocks of at most ``_CSV_BLOCK_ROWS``, with the
+    slab's leading coordinates formatted once.
     """
     grid = dist.grid
     axes = [list(map(repr, grid.axis_points(i).tolist())) for i in range(grid.dim)]
     last = axes.pop()
-    # the coordinate part of each row, one slab at a time
-    coords = (
-        prefix + x
-        for prefix in ("".join(c + "," for c in lead) for lead in itertools.product(*axes))
-        for x in last
-    )
-    samples = dist.samples
+    slabs = dist.samples.reshape(-1, len(last))
     with _open_output(path) as fh:
         fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
-        for start in range(0, grid.size, _CSV_BLOCK_ROWS):
-            block = samples[start : start + _CSV_BLOCK_ROWS]
-            # coords last: zip stops at the block's end without taking one more
-            rows = zip(map(repr, block.real.tolist()), map(repr, block.imag.tolist()), coords)
-            fh.write("".join(f"{c},{re},{im}\n" for re, im, c in rows))
+        for lead, slab in zip(itertools.product(*axes), slabs):
+            prefix = "".join(c + "," for c in lead)
+            for start in range(0, len(last), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                re_part, im_part = slab.real[start:stop].tolist(), slab.imag[start:stop].tolist()
+                rows = zip(last[start:stop], re_part, im_part)
+                fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for x, re, im in rows]))
 
 
 def _write_report(path: Path, report: dict) -> None:
