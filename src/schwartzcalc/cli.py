@@ -232,18 +232,16 @@ def _vouched(path: str) -> bool:
     """Whether the C pass may read ``path``.
 
     ``np.loadtxt`` opens a path through numpy's ``DataSource``, which picks
-    a decompressor by suffix and fetches URLs, so ``path`` must be absolute
-    and end in ``.csv``.  The file is read three times, so it must be a
-    regular file, not a pipe.  It must hold none of ``_UNVOUCHED_BYTES`` and
+    a decompressor by suffix and fetches URLs, so ``path``, absolute, must
+    end in ``.csv``.  The file is read three times, so it must be a regular
+    file, not a pipe.  It must hold none of ``_UNVOUCHED_BYTES`` and
     no field longer than ``csv.field_size_limit()``, which ``csv.reader``
     refuses.  Such a field lies in a run without a line end that covers a
     whole block of half the limit, unless a quoted field spans lines; a file
     with a quote character is vouched for only when it is no longer than the
     limit.
     """
-    if not (os.path.isabs(path) and path.endswith(".csv")):
-        return False
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    if not (path.endswith(".csv") and stat.S_ISREG(os.stat(path).st_mode)):
         return False
     limit = csv.field_size_limit()
     step = max(limit // 2, 1)
@@ -299,7 +297,8 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
     """
     try:
         samples = _samples_by_loadtxt(path)
-    except Exception:  # whatever the C pass cannot vouch for, the literal reader decides
+    except (OSError, ValueError, csv.Error, Warning):
+        # the literal reader decides every file the C pass cannot vouch for
         samples = _samples_by_csv_module(path)
     if samples.size != grid.size:
         raise ConfigError(

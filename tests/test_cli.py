@@ -455,6 +455,8 @@ def _error_cases(tmp_path):
     (taken / "solution.csv").mkdir(parents=True)  # a directory cannot be opened for writing
     (tmp_path / "latin1.json").write_bytes('{"grid": "\u00e9"}'.encode("latin-1"))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "header_only.csv").write_text("x0,x1,re,im\n")
+    (tmp_path / "empty.csv").write_text("")
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
         "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
@@ -470,6 +472,11 @@ def _error_cases(tmp_path):
         "directory-not-a-string": dict(base, output={"directory": 5}),
         "path-a-list": dict(base, datum={"kind": "samples", "path": [4.0]}),
         "path-an-int": dict(base, datum={"kind": "samples", "path": 7}),  # a file descriptor
+        # numpy's loader warns "input contained no data" on these
+        "samples-header-only": dict(
+            base, datum={"kind": "samples", "path": str(tmp_path / "header_only.csv")}
+        ),
+        "samples-empty": dict(base, datum={"kind": "samples", "path": str(tmp_path / "empty.csv")}),
         "policy-a-string": dict(base, policy="x"),
         "policy-a-list": dict(base, policy=[True]),
         "grid-2^40-nodes": dict(base, grid={"dim": 1, "counts": [2**40], "half_extents": [1.0]}),
@@ -492,7 +499,7 @@ ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
     "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
     "sigma-negative", "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
-    "path-a-list", "path-an-int", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
+    "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
     "config-nested-too-deep", "seed-not-an-integer", "seed-negative",
     "unknown-suite",

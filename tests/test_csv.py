@@ -2,13 +2,19 @@
 
 ``naive.write_distribution_csv`` formats one row at a time from
 ``grid.points()`` and ``naive.read_samples_csv`` holds every row of the file;
-the CLI's versions must write the same bytes and read the same values.
+the CLI's versions must write the same bytes and read the same values.  The
+CLI reads a samples file in one C pass (``np.loadtxt``) when it can vouch for
+it and by its ``csv.reader`` loop otherwise; both must agree bit for bit.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +70,19 @@ def test_writer_is_byte_identical_to_the_row_by_row_writer(tmp_path, counts, hal
     assert b"-0.0" in fast and b"5e-324" in fast and b"1e+300" in fast
 
 
+def test_writer_memory_stays_within_a_block(tmp_path):
+    # whole-column lists of the 65,536 values would peak near 4 MiB
+    grid = make_grid(2, [256, 256], [20.0, 20.0])
+    dist = special_distribution(grid, seed=256)
+    tracemalloc.start()
+    try:
+        cli.write_distribution_csv(tmp_path / "solution.csv", dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def read_both(tmp_path, text, counts=(4,)):
     path = tmp_path / "datum.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -106,14 +125,95 @@ def test_reader_reports_undecodable_bytes_as_a_config_error(tmp_path):
         cli._read_samples_csv(str(path), make_grid(1, [4], [1.0]))
 
 
-# -- property test: generated samples files, CLI contract and oracle agreement
+def refuse(path):
+    raise AssertionError("the literal reader is switched off")
+
+
+def cannot_vouch(path):
+    raise ValueError("the C pass is switched off")
+
+
+def outcome(path):
+    """The samples ``cli._read_samples_csv`` reads from ``path`` for a
+    4-node grid, as bytes, or the text of its ``ConfigError``."""
+    grid = make_grid(1, [4], [1.0])
+    try:
+        return cli._read_samples_csv(str(path), grid).samples.tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+def literal_outcome(path):
+    """``outcome`` with the C pass switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_samples_by_loadtxt", cannot_vouch)
+        return outcome(path)
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("datum.csv", "x0,re,im\n-1.0,1_0,0.5\n-0.5,1,2\n0.0,3,4\n0.5,5,6\n"),
+        ("datum.csv", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n \n0.0,5,6\n0.5,7,8\n"),
+        ("datum.csv", '"x\n0",re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
+        ("datum.csv", '"x\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
+        ("datum.csv", "x0,re,im\n"),
+        ("datum.csv", ""),
+        ("datum.csv", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\x1c\n0.5,7,8\n"),
+        ("datum.csv", "x0,re,im\na\x00,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
+        ("datum.csv", "x0,re,im\n" + "7" * (LIMIT + 1) + ",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
+        ("datum.csv", 'x0,re,im\n"' + "7" * LIMIT + '",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
+        ("datum.txt", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
+    ],
+    ids=["underscore", "whitespace-line", "header-spans-lines", "quote-never-closes",
+         "header-only", "empty", "file-separator", "nul", "field-over-the-limit",
+         "quoted-file-over-the-limit", "not-a-csv-suffix"],
+)
+def test_c_pass_leaves_files_it_cannot_vouch_for_to_the_literal_reader(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises((OSError, ValueError, csv.Error, Warning)):  # what the reader falls back on
+        cli._samples_by_loadtxt(str(path))
+    assert outcome(path) == literal_outcome(path)
+
+
+def test_c_pass_leaves_files_that_are_not_regular_to_the_literal_reader(tmp_path):
+    # a pipe could be read only once; a device reads without blocking
+    os.symlink(os.devnull, tmp_path / "datum.csv")
+    assert not cli._vouched(str(tmp_path / "datum.csv"))
+
+
+@pytest.mark.parametrize(
+    "counts, half_extents",
+    [
+        ([2 * BLOCK + 10], [7.3]),  # longer than the csv module's field limit
+        ([12, 10], [math.pi, 2.5]),
+        ([4, 6, 10], [1.0, 2.0 / 3.0, 1e5]),
+    ],
+)
+def test_c_pass_reads_the_writers_own_output(tmp_path, monkeypatch, counts, half_extents):
+    monkeypatch.setattr(cli, "_samples_by_csv_module", refuse)
+    grid = make_grid(len(counts), counts, half_extents)
+    dist = special_distribution(grid, seed=len(counts))
+    cli.write_distribution_csv(tmp_path / "solution.csv", dist)
+    assert same_bits(cli._read_samples_csv(str(tmp_path / "solution.csv"), grid).samples,
+                     dist.samples)
+
+
+# -- property tests: generated samples files, CLI contract and oracle agreement
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 VALUE = st.tuples(st.sampled_from(["{}", '"{}"', " {} "]), FINITE).map(lambda t: t[0].format(t[1]))
-LEAD = st.lists(st.sampled_from(["-1.0", "7", "id", '"a, b"', '""']), max_size=2)
+LEAD = st.lists(
+    st.sampled_from(["-1.0", "7", "id", '"a, b"', '""', '"a,1,2\n3,4"', '"x\r\n"']), max_size=3
+)
 DATA_ROW = st.tuples(LEAD, VALUE, VALUE).map(lambda t: ",".join(t[0] + [t[1], t[2]]))
 OTHER_LINE = st.one_of(
     st.sampled_from(["x0,re,im", '"x0","re","im"', "# comment", "# a, b, re, im", "", "#"]),
+    st.sampled_from([" ", "\t", " \t ", "0.0,1_0,0.5", '"x\n0",re,im']),
     FINITE,  # one field
     st.sampled_from(["nan", "inf", "-inf", "1e400"]).map(lambda v: f"0.0,{v},0.5"),
     st.text(alphabet=',"# ab1.e-\r', max_size=12),
@@ -122,11 +222,24 @@ OTHER_LINE = st.one_of(
 
 @st.composite
 def samples_files(draw):
-    lines = [draw(DATA_ROW) for _ in range(draw(st.integers(3, 5)))]
+    lines = [draw(DATA_ROW) for _ in range(draw(st.sampled_from([0, 1, 3, 4, 4, 4, 5])))]
     for _ in range(draw(st.integers(0, 5))):
         lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINE))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(text=samples_files())
+def test_c_pass_and_literal_reader_agree(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "datum.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        got = outcome(path)
+        assert got == literal_outcome(path)
+        if isinstance(got, bytes):
+            assert got == naive.read_samples_csv(path).tobytes()
 
 
 @settings(
