@@ -477,6 +477,10 @@ def _error_cases(tmp_path):
             base, datum={"kind": "samples", "path": str(tmp_path / "header_only.csv")}
         ),
         "samples-empty": dict(base, datum={"kind": "samples", "path": str(tmp_path / "empty.csv")}),
+        "samples-missing": dict(base, datum={"kind": "samples", "path": str(tmp_path / "no.csv")}),
+        "samples-a-directory": dict(
+            base, datum={"kind": "samples", "path": str(taken / "solution.csv")}
+        ),
         "policy-a-string": dict(base, policy="x"),
         "policy-a-list": dict(base, policy=[True]),
         "grid-2^40-nodes": dict(base, grid={"dim": 1, "counts": [2**40], "half_extents": [1.0]}),
@@ -499,7 +503,8 @@ ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
     "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
     "sigma-negative", "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
-    "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
+    "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "samples-missing",
+    "samples-a-directory", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
     "config-nested-too-deep", "seed-not-an-integer", "seed-negative",
     "unknown-suite",
