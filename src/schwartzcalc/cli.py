@@ -35,6 +35,7 @@ import argparse
 import array
 import contextlib
 import csv
+import gc
 import itertools
 import json
 import os
@@ -71,7 +72,6 @@ from .solver import (
     _solve,
 )
 from .green import green_family, green_family_divided, left_inverse_family
-from .verify import SUITE_NAMES, format_report, run_suites
 
 DEFAULT_SEED = 42
 #: rows of a distribution CSV formatted and written per write call
@@ -442,22 +442,31 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
     """One row ``x0[,x1...],re,im`` per node, row-major, every value ``repr``
     of a Python float.
 
-    Each axis is formatted once.  The rows are written one slab along the
-    last axis at a time, in blocks of at most ``_CSV_BLOCK_ROWS``, with the
-    slab's leading coordinates formatted once.
+    The rows are written one slab along the last axis at a time, in blocks
+    of at most ``_CSV_BLOCK_ROWS``, with the slab's leading coordinates
+    formatted once.  On a grid of several slabs each axis is formatted once;
+    on a 1-d grid, one slab, each block formats its own coordinates, so the
+    memory of a write stays within a block.
     """
     grid = dist.grid
-    axes = [list(map(repr, grid.axis_points(i).tolist())) for i in range(grid.dim)]
-    last = axes.pop()
-    slabs = dist.samples.reshape(-1, len(last))
+    n, L, dx = grid.counts[-1], grid.half_extents[-1], grid.spacings[-1]
+    axes = [list(map(repr, grid.axis_points(i).tolist())) for i in range(grid.dim - 1)]
+    # several slabs share the strings of the last axis; the one slab of a
+    # 1-d grid uses each string once, so there each block formats its own
+    last = list(map(repr, grid.axis_points(grid.dim - 1).tolist())) if axes else None
+    slabs = dist.samples.reshape(-1, n)
     with _open_output(path) as fh:
         fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
         for lead, slab in zip(itertools.product(*axes), slabs):
             prefix = "".join(c + "," for c in lead)
-            for start in range(0, len(last), _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
+            for start in range(0, n, _CSV_BLOCK_ROWS):
+                stop = min(start + _CSV_BLOCK_ROWS, n)
+                if last is None:  # the values of ``grid.axis_points``, bit for bit
+                    xs = map(repr, (-L + dx * np.arange(start, stop)).tolist())
+                else:
+                    xs = last[start:stop]
                 re_part, im_part = slab.real[start:stop].tolist(), slab.imag[start:stop].tolist()
-                rows = zip(last[start:stop], re_part, im_part)
+                rows = zip(xs, re_part, im_part)
                 fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for x, re, im in rows]))
 
 
@@ -617,6 +626,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: no other command needs the suites
+    from .verify import SUITE_NAMES, format_report, run_suites
+
     suite = args.suite
     if suite != "all" and suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
@@ -712,5 +724,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry point (``python -m schwartzcalc`` and the installed
+    ``schwartzcalc`` command): ``sys.exit(main())``.
+
+    What is tracked once the modules are imported (numpy, this package)
+    lives until the process exits.  ``gc.freeze()`` moves it to the
+    permanent generation, which no collection traverses, the full ones at
+    interpreter exit included.  In-process callers use ``main``.
+    """
+    gc.freeze()
+    sys.exit(main())
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -331,10 +331,10 @@ def test_verify_suite_exit_codes():
 
 def test_verify_failure_exit_code_and_report_file(monkeypatch, tmp_path, capsys):
     import schwartzcalc.cli as cli
-    from schwartzcalc.verify import Check
+    import schwartzcalc.verify as verify
 
     monkeypatch.setattr(
-        cli, "run_suites", lambda names, seed: [Check("s", "bad", 2.0, 1.0)]
+        verify, "run_suites", lambda names, seed: [verify.Check("s", "bad", 2.0, 1.0)]
     )
     path = tmp_path / "report.txt"
     assert cli.main(["verify", "identity", "--report", str(path)]) == 3
@@ -349,6 +349,36 @@ def child_env(**extra):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_child_code(code):
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+
+
+def test_importing_the_cli_leaves_the_verify_suites_unimported():
+    run = run_child_code(
+        "import sys, schwartzcalc.cli; print('schwartzcalc.verify' in sys.modules)"
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_run_freezes_the_heap_before_the_command_and_exits_with_its_code():
+    # ``main`` replaced in the child: it reports the freeze count it sees
+    run = run_child_code(
+        "import gc, schwartzcalc.cli as cli\n"
+        "print(gc.get_freeze_count())\n"
+        "def main(argv=None):\n"
+        "    print(gc.get_freeze_count())\n"
+        "    return 3\n"
+        "cli.main = main\n"
+        "cli.run()\n"
+    )
+    assert run.returncode == 3, run.stderr
+    before, during = map(int, run.stdout.split())
+    assert before == 0 and during > 0
 
 
 def test_verify_all_subprocess_deterministic():

@@ -71,16 +71,18 @@ def test_writer_is_byte_identical_to_the_row_by_row_writer(tmp_path, counts, hal
 
 
 def test_writer_memory_stays_within_a_block(tmp_path):
-    # whole-column lists of the 65,536 values would peak near 4 MiB
-    grid = make_grid(2, [256, 256], [20.0, 20.0])
-    dist = special_distribution(grid, seed=256)
-    tracemalloc.start()
-    try:
-        cli.write_distribution_csv(tmp_path / "solution.csv", dist)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # whole-column lists of the 65,536 values would peak near 4 MiB; on the
+    # one slab of a 1-d grid, coordinates formatted whole would peak near 6.5 MiB
+    for counts in ([256, 256], [1 << 16]):
+        grid = make_grid(len(counts), counts, [20.0] * len(counts))
+        dist = special_distribution(grid, seed=256)
+        tracemalloc.start()
+        try:
+            cli.write_distribution_csv(tmp_path / "solution.csv", dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, counts
 
 
 def read_both(tmp_path, text, counts=(4,)):
