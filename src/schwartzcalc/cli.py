@@ -20,8 +20,8 @@ Subcommands
     table.
 
 Exit codes: 0 success; 1 configuration problem, including a command-line
-usage error; 2 the equation/operator is not divisible/invertible under the
-policy; 3 a verification check failed.
+usage error; 2 the datum or a left-inverse member is not divisible by the
+symbol under the policy; 3 a verification check failed.
 
 The probe generator seed is taken from the ``SCHWARTZ_SEED`` environment
 variable (default 42).  The JSON config schema is documented in the README.
@@ -48,10 +48,8 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DivisionError,
     IndexOffGrid,
     NotDivisible,
-    NotInvertible,
     SchwartzCalcError,
 )
 from .grid import (
@@ -71,7 +69,7 @@ from .solver import (
     _fourier_pair,
     _solve,
 )
-from .green import green_family, green_family_divided, left_inverse_family
+from .green import green_family_divided, left_inverse_family
 
 DEFAULT_SEED = 42
 #: rows of a distribution CSV formatted and written per write call
@@ -548,18 +546,12 @@ def _cmd_green(args) -> int:
         "policy": _policy_json(policy),
         "indices": [list(p) for p in points],
     }
-    mu = left_inverse_family(family)
     try:
-        try:
-            result = green_family(family, symbol, mu, policy)
-            route = "reciprocal"
-        except NotInvertible:
-            result = green_family_divided(family, symbol, mu, policy)
-            route = "divided"
-    except DivisionError as exc:
+        result = green_family_divided(family, symbol, left_inverse_family(family), policy)
+    except NotDivisible as exc:
         report.update(
             {
-                "status": "not_invertible" if isinstance(exc, NotInvertible) else "not_divisible",
+                "status": "not_divisible",
                 "worst_index": [float(c) for c in exc.worst_point],
                 "worst_flat_index": exc.worst_index,
                 "magnitude": exc.magnitude,
@@ -578,7 +570,7 @@ def _cmd_green(args) -> int:
     report.update(
         {
             "status": "ok",
-            "route": route,
+            "route": result.route,
             "outputs": outputs,
             "weak_residuals": residuals,
             "max_weak_residual_all_indices": result.max_weak_residual(),
@@ -590,7 +582,7 @@ def _cmd_green(args) -> int:
     )
     _write_report(out_dir / "report.json", report)
     print(
-        f"green family built ({route}); max weak residual "
+        f"green family built ({result.route}); max weak residual "
         f"{result.max_weak_residual():.4e}; outputs in {out_dir}"
     )
     return 0

@@ -162,20 +162,15 @@ def _mirror_index(counts: tuple[int, ...]) -> tuple:
     return np.ix_(*_mirror_nodes(counts)[:-1]) + (slice(counts[-1] // 2, None, -1),)
 
 
-def _to_half(values: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Flat samples on the index grid, gathered onto the half spectrum."""
-    return values.reshape(counts)[_mirror_index(counts)]
-
-
 def _sample_half(a: SymbolFunction, index: Grid) -> np.ndarray:
     """A real, even polynomial symbol on the half spectrum of ``index``, as
     ``float64``, with no complex array and no other node.
 
     It is evaluated at the nodes :func:`_mirror_nodes` gathers, not at
     ``-m dp``: the lattice ``-L + k dp`` is not exactly symmetric, so only
-    the gathered nodes give the values of ``_to_half(a.sample(index).real)``
-    bit for bit.  Overflow is left for the caller to find as a non-finite
-    value.
+    the gathered nodes give the values of the reference gather
+    ``tests/naive.py:to_half`` bit for bit.  Overflow is left for the caller
+    to find as a non-finite value.
     """
     nodes = []
     for axis, k in enumerate(_mirror_nodes(index.counts)):

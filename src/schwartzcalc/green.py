@@ -3,9 +3,11 @@
 Given an operator diagonal in a family ``lam`` with eigenvalue system ``l``,
 and a left inverse family ``mu`` (one whose product with ``lam`` is the
 Dirac family), the Green member at ``p`` is the synthesis of ``mu_p / l``.
-Two routes are provided: plain reciprocal scaling when ``l`` is bounded away
-from zero on the index grid, and thresholded division under a policy when it
-is not but every ``mu_p`` stays off the zero set.
+The division is the solver's rule: with the canonical left inverse a member
+is what ``solve`` gives for ``delta_p``.  The route is ``"reciprocal"`` when
+``l`` has no zero node under the policy, else ``"divided"``: every ``mu_p``
+must then be free of mass on the zero set, where its quotient is 0; only
+``green_family_divided`` takes that route.
 
 Both the left inverse and the Green family are lazy (``LazyFamily``): a
 member is computed from its point mass when asked for, by the same per-row
@@ -31,7 +33,8 @@ import numpy as np
 from .errors import GridMismatch, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
 from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily
-from .solver import DivisionPolicy
+from .solver import DivisionPolicy, _masked_quotient, _mass_on_zero_set, _zero_set
+from .spectral import _apply_rows
 
 __all__ = [
     "GreenFamilyResult",
@@ -77,12 +80,15 @@ class GreenFamilyResult:
     """A Green kernel family with its per-index weak residuals.
 
     ``weak_residuals[k]`` is the worst probe-pairing error of the member at
-    the k-th index node: ``max_phi |<L G_p, phi> - phi(p)|``.
+    the k-th index node: ``max_phi |<L G_p, phi> - phi(p)|``.  ``route`` is
+    ``"reciprocal"`` when the symbol has no zero node under the policy, and
+    ``"divided"`` when the quotients were set to 0 on its zero set.
     """
 
     family: LazyFamily
     weak_residuals: np.ndarray
     probe_centers: tuple
+    route: str
     probe_width_cells: float = PROBE_WIDTH_CELLS
 
     def max_weak_residual(self) -> float:
@@ -101,16 +107,6 @@ def left_inverse_family(lam: SchwartzFamily) -> SchwartzFamily:
     if isinstance(lam, DiracFamily):
         return DiracFamily(lam.space_grid)
     return LazyFamily(lam.space_grid, lam.index_grid, lam.coordinates_rows)
-
-
-def _image_rows(lam: SchwartzFamily, l_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``L`` applied to each row: analyse, scale by ``l``, resynthesize.
-
-    This is ``spectral._apply_rows`` with the product taken as ``coords * l``:
-    numpy's complex product is not bitwise commutative, and the weak
-    residuals in ``report.json`` are pinned to this order.
-    """
-    return lam.superpose_rows(lam.coordinates_rows(rows) * l_values)
 
 
 def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
@@ -134,7 +130,7 @@ def _translate_pairings(
     cross-correlation of ``phi`` with ``h``.
     """
     space = lam.space_grid
-    h = _image_rows(lam, l_values, green._member_rows(0, 1))[0].reshape(space.counts)
+    h = _apply_rows(lam, l_values, green._member_rows(0, 1))[0].reshape(space.counts)
     axes = tuple(range(1, space.dim + 1))
     phis = weighted_probes.T.reshape((-1,) + space.counts)
     spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
@@ -151,7 +147,7 @@ def _weak_residuals(
         pair_matrix = _translate_pairings(lam, l_values, green, weighted)
     else:
         # L G_p for every p at once from the dense table
-        pair_matrix = _image_rows(lam, l_values, green.matrix()) @ weighted
+        pair_matrix = _apply_rows(lam, l_values, green.matrix()) @ weighted
     # the index grid is the space grid, so the targets phi(p) are the probe samples
     return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
@@ -166,9 +162,7 @@ def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: Division
     block = max(1, CHECK_BLOCK_ENTRIES // mu.space_grid.size)
     for start in range(0, index.size, block):
         stop = min(start + block, index.size)
-        mass = np.abs(mu._member_rows(start, stop))
-        allowed = policy.residual_threshold * np.max(mass, axis=1, initial=0.0)
-        bad = zero_mask[np.newaxis, :] & (mass > allowed[:, np.newaxis])
+        mass, bad = _mass_on_zero_set(mu._member_rows(start, stop), zero_mask, policy, axis=1)
         bad_rows = np.nonzero(np.any(bad, axis=1))[0]
         if bad_rows.size:
             row = int(bad_rows[0])
@@ -193,10 +187,9 @@ def _green(
         raise GridMismatch("a left inverse must be indexed by the operator family's space grid")
     policy = policy or DivisionPolicy()
     l_values = l.sample_finite(lam.index_grid)
-    eps = policy.resolve_zero_threshold(l_values)
-    magnitudes = np.abs(l_values)
-    zero_mask = magnitudes <= eps
-    if zero_mask.any():
+    magnitudes, eps, zero_mask = _zero_set(l_values, policy)
+    has_zeros = zero_mask.any()
+    if has_zeros:
         if not divided:
             flat = int(np.argmin(magnitudes))
             point = lam.index_grid.point_at(flat)
@@ -208,25 +201,14 @@ def _green(
                 magnitude=float(magnitudes[flat]),
             )
         _check_divisible(mu, zero_mask, policy)
-    if divided:
-        safe = np.where(zero_mask, 1.0, l_values)
-
-        def quotient(rows):
-            return np.where(zero_mask[np.newaxis, :], 0.0 + 0.0j, rows / safe)
-    else:
-        reciprocal = (1.0 / l_values)[np.newaxis, :]
-
-        def quotient(rows):
-            return rows * reciprocal
 
     def rows_map(rows):
-        return lam.superpose_rows(quotient(mu.superpose_rows(rows)))
+        return lam.superpose_rows(_masked_quotient(mu.superpose_rows(rows), l_values, zero_mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
     residuals, centers = _weak_residuals(lam, l_values, family, mu)
-    return GreenFamilyResult(
-        family=family, weak_residuals=residuals, probe_centers=tuple(centers)
-    )
+    route = "divided" if has_zeros else "reciprocal"
+    return GreenFamilyResult(family, residuals, tuple(centers), route)
 
 
 def green_family(
@@ -235,7 +217,8 @@ def green_family(
     mu: SchwartzFamily,
     policy: DivisionPolicy | None = None,
 ) -> GreenFamilyResult:
-    """Green family ``G_p = superpose(mu_p / l, lam)`` for invertible ``l``.
+    """Green family ``G_p = superpose(mu_p / l, lam)`` for invertible ``l``,
+    on the route ``"reciprocal"``.
 
     Requires ``|l|`` to stay above the policy's zero threshold on the whole
     index grid (``NotInvertible`` otherwise, ``NonFiniteSymbol`` when ``l`` is
@@ -257,8 +240,9 @@ def green_family_divided(
     Works when ``l`` has zeros, provided no member of ``mu`` carries
     coefficient mass on the zero set (``NotDivisible`` names the first index
     whose member does).  Zero-set quotient values are set to 0; the result
-    equals the product family of the quotients with ``lam``.  When ``l`` has
-    no zeros this agrees with :func:`green_family`.  A non-finite ``l``
-    raises ``NonFiniteSymbol``.
+    equals the product family of the quotients with ``lam``, and its route
+    is ``"divided"``.  When ``l`` has no zeros the route is ``"reciprocal"``
+    and the result is bitwise that of :func:`green_family`.  A non-finite
+    ``l`` raises ``NonFiniteSymbol``.
     """
     return _green(lam, l, mu, policy, divided=True)

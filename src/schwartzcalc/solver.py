@@ -184,26 +184,47 @@ def _quotient(
     """Core of :func:`divide` on arrays: ``a_values`` are the symbol's samples
     on ``grid``, the index grid of the coefficients ``d_v``.  Returns the
     quotient and the zero threshold it applied."""
+    _, eps, zero_mask = _zero_set(a_values, policy)
+    if zero_mask.any():
+        mass, bad = _mass_on_zero_set(d_v, zero_mask, policy)
+        if bad.any():
+            worst = int(np.argmax(np.where(bad, mass, -1.0)))
+            raise NotDivisible(
+                f"datum has coefficient mass {mass.flat[worst]:.6e} at index node "
+                f"{grid.point_at(worst)} where the symbol magnitude is below "
+                f"{eps:.6e}",
+                worst_index=worst,
+                worst_point=grid.point_at(worst),
+                magnitude=float(mass.flat[worst]),
+                zero_threshold=eps,
+            )
+    return _masked_quotient(d_v, a_values, zero_mask), eps
+
+
+def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[np.ndarray, float, np.ndarray]:
+    """``|a|``, the policy's zero threshold and the mask of nodes at or below
+    it: the first part of the division rule :func:`divide`, :func:`solve` and
+    the Green families share."""
     magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
-    zero_mask = magnitudes <= eps
+    return magnitudes, eps, magnitudes <= eps
+
+
+def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = None):
+    """``|x|`` and the mask of zero-set nodes where it exceeds the policy's
+    tolerance: ``residual_threshold`` times the largest ``|x|`` over ``axis``
+    (the whole array by default; ``axis=1`` judges each row on its own)."""
+    mass = np.abs(x)
+    allowed = policy.residual_threshold * np.max(mass, axis=axis, keepdims=True, initial=0.0)
+    return mass, zero_mask & (mass > allowed)
+
+
+def _masked_quotient(x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray) -> np.ndarray:
+    """``x / a`` off the zero set and 0 on it; plain ``x / a`` when the set is
+    empty.  ``a_values`` and ``zero_mask`` broadcast against ``x``."""
     if not zero_mask.any():
-        return d_v / a_values, eps
-    mass = np.abs(d_v)
-    allowed = policy.residual_threshold * (float(np.max(mass)) if mass.size else 0.0)
-    bad = zero_mask & (mass > allowed)
-    if np.any(bad):
-        worst = int(np.argmax(np.where(bad, mass, -1.0)))
-        raise NotDivisible(
-            f"datum has coefficient mass {mass.flat[worst]:.6e} at index node "
-            f"{grid.point_at(worst)} where the symbol magnitude is below "
-            f"{eps:.6e}",
-            worst_index=worst,
-            worst_point=grid.point_at(worst),
-            magnitude=float(mass.flat[worst]),
-            zero_threshold=eps,
-        )
-    return np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_values)), eps
+        return x / a_values
+    return np.where(zero_mask, 0.0 + 0.0j, x / np.where(zero_mask, 1.0, a_values))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,8 +246,9 @@ def solve(
     """Solve ``A(u) = d`` for the operator diagonal in ``v`` with symbol ``a``.
 
     ``u = superpose(divide(coordinates(d, v), a), v)``.  Raises
-    ``NotDivisible`` when no quotient exists under the policy and
-    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.  The
+    ``NotDivisible`` when no quotient exists under the policy,
+    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid and
+    ``ArityMismatch`` when its arity is not the index dimension.  The
     reported residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
 
     The symbol is sampled once, and three transforms run on arrays: analyse
@@ -246,6 +268,7 @@ def solve(
     composition to rounding, not bit for bit.
     """
     v._check_space(d)
+    v._check_symbol(a)
     return _solve(v, a, d, policy or DivisionPolicy())[0]
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, GridMismatch, NotABasis
+from .errors import ArityMismatch, GridMismatch, IndexOffGrid, NotABasis
 from .grid import (
     Grid,
     GridDistribution,
@@ -443,13 +443,16 @@ def is_eigenfamily(
     The residual at ``p`` is ``sup|A(v_p) - a(p) v_p| / max(1, sup|v_p|)``.
     ``indices`` restricts the sweep to the given index points (useful to
     probe only the resolved band of an approximate operator); the default is
-    every node of the index grid.
+    every node of the index grid.  An empty ``indices`` has no worst index
+    and raises ``IndexOffGrid``.
     """
     v._check_symbol(a)
     if indices is None:
         pts = [v.index_grid.point_at(k) for k in range(v.index_grid.size)]
     else:
         pts = [tuple(np.atleast_1d(np.asarray(p, dtype=float))) for p in indices]
+        if not pts:
+            raise IndexOffGrid("is_eigenfamily needs at least one index point; indices is empty")
     worst = -1.0
     worst_point = pts[0]
     for p in pts:

@@ -25,7 +25,7 @@ from schwartzcalc import (
 from schwartzcalc.families import (
     _fourier_analysis_real,
     _fourier_synthesis_real,
-    _to_half,
+    _mirror_index,
     point_mass_rows,
 )
 
@@ -84,6 +84,12 @@ def literal_solve(v, a, d, policy=None):
     return u, q, residual
 
 
+def to_half(values, counts):
+    """Flat samples on the index grid, gathered onto the half spectrum by the
+    library's mirror map: the reference for the half-spectrum sampler."""
+    return values.reshape(counts)[_mirror_index(counts)]
+
+
 def literal_solve_half(fam, a, d, policy=None):
     """:func:`literal_solve` on half spectra, for a real datum ``d`` on the
     Fourier family ``fam`` and a real, even symbol ``a``: the half-spectrum
@@ -94,7 +100,7 @@ def literal_solve_half(fam, a, d, policy=None):
     """
     policy = policy or DivisionPolicy()
     space, index = fam.space_grid, fam.index_grid
-    a_half = _to_half(a.sample(index).real, space.counts)
+    a_half = to_half(a.sample(index).real, space.counts)
     d_v = _fourier_analysis_real(space, d.samples.real)
     zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
     q = np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_half))
@@ -109,9 +115,10 @@ def dense_green(lam, l, policy=None, divided=False, mu_rows=None):
 
     The left-inverse table is the analysis of ``eye / cell_volume`` in
     ``lam`` (unless ``mu_rows`` is given); each row is divided by the symbol
-    (``* (1/l)``, or ``/ l`` with zero-set entries set to 0 when
-    ``divided``); the quotients are synthesised in one batch; and every
-    ``L G_p`` is paired with the probes by one dense product.  Returns the
+    (``mu_p / l``, with zero-set entries set to 0 when ``divided``); the
+    quotients are synthesised in one batch; every ``L G_p`` is the
+    synthesis of ``l * coordinates(G_p)``; and each is paired with the
+    probes by one dense product.  Returns the
     table (row k = member at the k-th index node) and the residuals
     ``max_phi |<L G_p, phi> - phi(p)|``, raising the library's
     ``NotInvertible``/``NotDivisible`` for the same failures.
@@ -145,9 +152,9 @@ def dense_green(lam, l, policy=None, divided=False, mu_rows=None):
                 "dense oracle", worst_index=k,
                 worst_point=lam.index_grid.point_at(k), magnitude=float(magnitudes[k]),
             )
-        quotient = mu_rows * (1.0 / l_values)[np.newaxis, :]
+        quotient = mu_rows / l_values[np.newaxis, :]
     table = lam.superpose_rows(quotient)
-    image = lam.superpose_rows(lam.coordinates_rows(table) * l_values[np.newaxis, :])
+    image = lam.superpose_rows(l_values[np.newaxis, :] * lam.coordinates_rows(table))
     probes, _ = gaussian_probes(space)
     pairs = image @ (probes * space.cell_volume)
     # the index grid is the space grid, so phi(p) are the probe samples

@@ -209,6 +209,46 @@ def test_green_derivative_operator_exits_2(tmp_path):
     assert report["status"] in ("not_divisible", "not_invertible")
 
 
+@pytest.mark.parametrize(
+    "operator, policy, code, route",
+    [
+        (DDX, None, 2, None),
+        (
+            {"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"2": 1.0}}},
+            {"residual_threshold": 1.0},
+            0,
+            "divided",
+        ),
+    ],
+    ids=["not-divisible", "divided"],
+)
+def test_green_on_a_zero_set_symbol_samples_it_once(monkeypatch, tmp_path, operator, policy, code, route):
+    from schwartzcalc.grid import SymbolFunction
+
+    calls = []
+    original = SymbolFunction.sample_finite
+
+    def counting(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(SymbolFunction, "sample_finite", counting)
+    sections = {"policy": policy} if policy else {}
+    cfg = write_config(
+        tmp_path / "run.json",
+        grid={"dim": 1, "counts": [32], "half_extents": [5.0]},
+        operator=operator,
+        output={"directory": str(tmp_path / "out")},
+        **sections,
+    )
+    assert main(["green", "--config", cfg, "--index", "0.0", "--index", "-1.25"]) == code
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report.get("route") == route
+    if route is None:
+        assert report["status"] == "not_divisible"
+
+
 def test_green_off_grid_index_exits_1(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",
@@ -225,7 +265,7 @@ def test_green_off_grid_index_exits_1_before_building(monkeypatch, tmp_path):
     def never(*args, **kwargs):
         raise AssertionError("Green family built for an off-grid index")
 
-    for name in ("left_inverse_family", "green_family", "green_family_divided"):
+    for name in ("left_inverse_family", "green_family_divided"):
         monkeypatch.setattr(cli, name, never)
     cfg = write_config(
         tmp_path / "run.json",

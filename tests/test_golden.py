@@ -12,7 +12,11 @@ now exactly 0.0).  Every solve ``report.json`` that reports a residual was
 refreshed once more, when the residual moved from the samples to the
 coefficients by the discrete Parseval identity: only its ``residual`` value
 moved, by the rounding of the synthesis it saves; every CSV kept its bytes.
-The table ``verify all`` prints for seed 42 is pinned the same way.
+The table ``verify all`` prints for seed 42 is pinned the same way.  The
+``green-1d-dirac-divided`` and ``green-1d-dirac-not-divisible`` digests were
+recorded before the Green division moved into the solver's rule and held
+across it; ``green-1d-complex-symbol`` was recorded after it (a complex
+symbol's members moved then, by at most a rounding).
 """
 
 import hashlib
@@ -31,6 +35,13 @@ HELMHOLTZ_2D = {
 GRID_1D = {"dim": 1, "counts": [64], "half_extents": [10.0]}
 GRID_1D_PI = {"dim": 1, "counts": [64], "half_extents": [math.pi]}
 GRID_2D = {"dim": 2, "counts": [16, 16], "half_extents": [4.0, 4.0]}
+DIRAC_X2 = {
+    "grid": {"dim": 1, "counts": [32], "half_extents": [5.0]},
+    "operator": {
+        "type": "multiplication",
+        "symbol": {"name": "polynomial", "terms": {"2": 1.0}},
+    },
+}
 
 # name -> (argv after the subcommand's --config, config sections, exit code)
 CASES = {
@@ -121,6 +132,33 @@ CASES = {
         },
         0,
     ),
+    # x^2 vanishes at the node 0, where the point mass of the member at 0
+    # sits: divisible only under the loose policy, with that member 0
+    "green-1d-dirac-divided": (
+        ["green", "--index", "-1.25", "--index", "0"],
+        dict(DIRAC_X2, policy={"residual_threshold": 1.0}),
+        0,
+    ),
+    "green-1d-dirac-not-divisible": (
+        ["green", "--index", "-1.25", "--index", "0"],
+        DIRAC_X2,
+        2,
+    ),
+    "green-1d-complex-symbol": (
+        ["green", "--index", "-2.5", "--index", "0"],
+        {
+            "grid": GRID_1D,
+            "operator": {
+                "type": "diagonal",
+                "family": "fourier",
+                "symbol": {
+                    "name": "polynomial",
+                    "terms": {"0": 2.0, "1": [0.0, 0.5], "2": [1.0, -0.25]},
+                },
+            },
+        },
+        0,
+    ),
     "green-2d": (
         ["green", "--index", "-1.5,0.5", "--index", "0,0"],
         {"grid": GRID_2D, "operator": HELMHOLTZ_2D},
@@ -169,6 +207,19 @@ EXPECTED = {
     "green-1d-dirac": {
         "green_000.csv": "623bcfec673c06a5b5907b7c4b97b64b9710349f6914f4c453b3ebd9432706d7",
         "report.json": "fc1052c31aab1cff31021d628c2bdd7601ff3455e2448aff497dd4c96d0eabce",
+    },
+    "green-1d-complex-symbol": {
+        "green_000.csv": "1000c525b7756a39b4fcec1205f502a36dc3f94ce2890276c02df7c6fce446fd",
+        "green_001.csv": "56df05d9b14978b541058969ac233cc34c357751d3feac9993fb837f66d668a1",
+        "report.json": "273be6af99b0ee6b55c8eed733a4936597d97d538e49658badbe9172a6ab44d2",
+    },
+    "green-1d-dirac-divided": {
+        "green_000.csv": "db864c63a5363c2f37f92679921e0c3fca575b66bcfe2fb0af269ae8909ae96d",
+        "green_001.csv": "92ba8505c610ca60d7caa9e41b2609febd0b57f844882ba178ac211a6a61d138",
+        "report.json": "b08759e645d98d291472ae940f8f5f47913a41b5caf0b3b0d847234fe73fd003",
+    },
+    "green-1d-dirac-not-divisible": {
+        "report.json": "1e40baffacc573befdb414fbe9a401579c5bb65b9df4dfab8159384a489253a9",
     },
     "green-2d": {
         "green_000.csv": "b26e73aa2c832838b5dc9262d7bce8cc56a66686a8444a8c435848b065393c15",

@@ -145,6 +145,67 @@ def test_green_family_divided_agrees_without_zeros():
     assert gap <= 1e-12 * np.max(np.abs(plain.family.kernel))
 
 
+# ---------------------------------------------------------------------------
+# one division rule: the Green routes divide as the solver does
+
+COMPLEX_HELMHOLTZ = SymbolFunction(1, lambda p: 2.0 + 0.5j * p + (1.0 - 0.25j) * p**2, "complex")
+SQUARE = SymbolFunction(1, lambda x: x**2, "x^2")
+
+
+def _same_words(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(
+        x.view(np.uint64), y.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("family", [FourierFamily, DiracFamily])
+@pytest.mark.parametrize("l", [HELMHOLTZ, COMPLEX_HELMHOLTZ], ids=["real", "complex"])
+def test_divided_without_zeros_is_bitwise_the_reciprocal_route(family, l):
+    lam = family(make_grid(1, [64], [4.0]))
+    mu = left_inverse_family(lam)
+    plain = green_family(lam, l, mu)
+    divided = green_family_divided(lam, l, mu)
+    assert plain.route == divided.route == "reciprocal"
+    assert _same_words(divided.family.matrix(), plain.family.matrix())
+    assert _same_words(divided.weak_residuals, plain.weak_residuals)
+
+
+def test_divided_route_is_named_when_the_symbol_has_a_zero_node():
+    g = make_grid(1, [32], [5.0])
+    lam = DiracFamily(g)
+    result = green_family_divided(
+        lam, SQUARE, left_inverse_family(lam), DivisionPolicy(residual_threshold=1.0)
+    )
+    assert result.route == "divided"
+    # the quotient is 0 on the zero set, so the member at the zero node is 0
+    assert not member(result.family, (0.0,)).samples.any()
+    assert member(result.family, (-1.25,)).samples.any()
+
+
+@pytest.mark.parametrize(
+    "family, l, policy",
+    [
+        (FourierFamily, COMPLEX_HELMHOLTZ, None),
+        (DiracFamily, COMPLEX_HELMHOLTZ, None),
+        (DiracFamily, SQUARE, DivisionPolicy(residual_threshold=1.0)),
+    ],
+    ids=["fourier-complex", "dirac-complex", "dirac-divided"],
+)
+def test_green_members_are_bitwise_the_solve_of_a_point_mass(family, l, policy):
+    # G_p is the solution of L G_p = delta_p: the same analysis, quotient
+    # and synthesis, on the complex path (the symbols are not real and even)
+    g = make_grid(1, [32], [5.0])
+    lam = family(g)
+    builds = (green_family_divided,) if policy else (green_family, green_family_divided)
+    for build in builds:
+        green = build(lam, l, left_inverse_family(lam), policy).family
+        for k in (3, 16, 29):
+            p = g.point_at(k)
+            direct = solve(lam, l, delta_distribution(g, p), policy).solution
+            assert _same_words(member(green, p).samples, direct.samples), (build, k)
+
+
 def test_green_family_divided_mean_removed_antiderivative():
     # d/dx with the constant mode removed from the left inverse: division
     # succeeds and L G_p pairs like delta_p minus the box mean
@@ -349,7 +410,8 @@ def test_translate_pairings_equal_dense_pairings():
     # the public route always pairs L G_p ~ delta_p, which is symmetric; an
     # operator other than the one the family inverts gives an asymmetric
     # generating row, which pins the direction of the cross-correlation
-    from schwartzcalc.green import _image_rows, _translate_pairings, gaussian_probes
+    from schwartzcalc.green import _translate_pairings, gaussian_probes
+    from schwartzcalc.spectral import _apply_rows
 
     g = make_grid(2, [16, 8], [3.0, 2.0])
     lam = FourierFamily(g)
@@ -358,7 +420,7 @@ def test_translate_pairings_equal_dense_pairings():
     green = green_family(lam, l, left_inverse_family(lam)).family
     weighted = gaussian_probes(g)[0] * g.cell_volume
     other_values = other.sample(lam.index_grid)
-    dense = _image_rows(lam, other_values, green.matrix()) @ weighted
+    dense = _apply_rows(lam, other_values, green.matrix()) @ weighted
     fast = _translate_pairings(lam, other_values, green, weighted)
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
 

@@ -60,6 +60,7 @@ from naive import (
     differential_evaluator,
     literal_solve,
     literal_solve_half,
+    to_half,
 )
 
 HELMHOLTZ_1D = DifferentialOperatorSpec({(0,): 1.0, (2,): -1.0})
@@ -333,7 +334,7 @@ def test_half_sampler_is_the_gathered_real_part(name):
     a = differential_symbol(DifferentialOperatorSpec(HALF_SAMPLER_TERMS[g.dim]), index)
     assert a._real_even
     half = families._sample_half(a, index)
-    expected = families._to_half(a.sample_finite(index).real, g.counts)
+    expected = to_half(a.sample_finite(index).real, g.counts)
     assert half.dtype == np.float64
     assert half.shape == tuple(counts[:-1]) + (counts[-1] // 2 + 1,)
     assert np.array_equal(half, expected)
@@ -608,8 +609,9 @@ def test_green_family_refuses_a_left_inverse_off_the_space_grid():
 
 
 def test_dense_green_residuals_of_a_complex_symbol_keep_their_bits():
-    # the Green image scales as coords * l, the apply core as a * coords; a
-    # complex product is not bitwise commutative, so the order shows here
+    # the Green members divide as mu_p / l and their images scale as
+    # l * coords, the apply core's order; for a complex symbol neither
+    # x / l against x * (1/l) nor l * x against x * l is bitwise the same
     g = make_grid(1, [32], [5.0])
     lam = DiracFamily(g)
     l = SymbolFunction(1, lambda p: 2.0 + 0.5j * p + (1.0 - 0.3j) * p**2, "complex")

@@ -76,6 +76,28 @@ def test_differential_symbol_arity_mismatch():
         differential_symbol(DifferentialOperatorSpec({(1,): 1.0}), dual_grid(g))
 
 
+@pytest.mark.parametrize("datum", ["real", "complex"])
+@pytest.mark.parametrize(
+    "family_dim, terms",
+    [
+        (1, {(0, 0): 1.0, (2, 0): -1.0}),
+        (2, {(0,): 1.0, (2,): -1.0}),
+        (1, {(0, 0): 1.0, (0, 2): -1.0}),
+    ],
+    ids=["2d-(2,0)-on-1d", "1d-on-2d", "2d-(0,2)-on-1d"],
+)
+def test_solve_checks_the_symbol_arity_on_both_paths(family_dim, terms, datum):
+    # the symbols are real and even, so a real datum would take the half path
+    grids = {1: make_grid(1, [16], [4.0]), 2: make_grid(2, [8, 8], [3.0, 3.0])}
+    fam = FourierFamily(grids[family_dim])
+    spec = DifferentialOperatorSpec(terms)
+    a = differential_symbol(spec, dual_grid(grids[spec.arity]))
+    scale = 1.0 if datum == "real" else 1.0 + 0.5j
+    d = sample_function(fam.space_grid, lambda *x: scale * np.exp(-sum(t * t for t in x)))
+    with pytest.raises(ArityMismatch):
+        solve(fam, a, d)
+
+
 def test_spec_validation():
     with pytest.raises(ArityMismatch):
         DifferentialOperatorSpec({(1,): 1.0, (0, 2): 1.0})

@@ -12,6 +12,7 @@ from schwartzcalc import (
     GridDistribution,
     GridMismatch,
     IdentityOperator,
+    IndexOffGrid,
     KernelFamily,
     MultiplicationOperator,
     NotABasis,
@@ -67,6 +68,11 @@ def test_is_eigenfamily_identity_exact(fourier_256):
         indices=[(p,) for p in p_axis[::32]],
     )
     assert report.passed and report.max_residual == 0.0
+
+
+def test_is_eigenfamily_refuses_an_empty_sweep(fourier_256):
+    with pytest.raises(IndexOffGrid, match="at least one index point"):
+        is_eigenfamily(IdentityOperator(), fourier_256, unit_symbol(1), tol=1e-12, indices=[])
 
 
 def test_is_eigenfamily_rejects_multiplication_on_fourier(fourier_256):
