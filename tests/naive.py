@@ -110,6 +110,62 @@ def literal_solve_half(fam, a, d, policy=None):
     return u, q, residual
 
 
+def half_signs(shape):
+    """``(-1)^(k_0 + k_1 + ...)`` at entry ``k`` of an array of this shape."""
+    return (-1.0) ** np.indices(shape).sum(axis=0)
+
+
+def half_analysis(space, x):
+    """The analysis of the real samples ``x`` on the half spectrum, from its
+    definition: ``rfftn`` of the samples, then ``(-1)^k`` (the half-roll of
+    a centred spectrum) times the ``(2 pi)^-n dx^n`` scale, in one product."""
+    out = np.fft.rfftn(np.asarray(x).reshape(space.counts))
+    out *= space.cell_volume / (2.0 * np.pi) ** space.dim * half_signs(out.shape)
+    return out
+
+
+def half_synthesis(space, index, half):
+    """The synthesis of a half spectrum to real samples (flat): ``(-1)^m``,
+    an unnormalised ``irfftn`` (the other half is the conjugate mirror),
+    then the ``dp^n`` scale."""
+    signed = half * half_signs(half.shape)
+    out = np.fft.irfftn(signed, s=space.counts, norm="forward").reshape(-1)
+    out *= index.cell_volume
+    return out
+
+
+def literal_apply_half(fam, a, u):
+    """``superpose(a * coordinates(u))`` on half spectra, step by step, for a
+    real ``u`` on the Fourier family ``fam`` and a real, even symbol ``a``:
+    the symbol sampled on the whole index grid, its real part gathered onto
+    the half.  Returns the real image (flat ``float64``)."""
+    space, index = fam.space_grid, fam.index_grid
+    a_half = to_half(a.sample(index).real, space.counts)
+    return half_synthesis(space, index, a_half * half_analysis(space, u.samples.real))
+
+
+def dense_green_half(lam, l, policy=None):
+    """The Green table of :func:`dense_green` on half spectra, one member at
+    a time, for a real, even ``l`` on the Fourier family ``lam``.
+
+    Member ``k`` is the half analysis of the point mass at the k-th node,
+    divided by the symbol gathered onto the half (the quotient is 0 where
+    ``|l|`` is at or below the policy's zero threshold), and synthesised to
+    real samples.  Returns the real table (row k = member at the k-th node);
+    it checks neither invertibility nor divisibility.
+    """
+    policy = policy or DivisionPolicy()
+    space, index = lam.space_grid, lam.index_grid
+    a_half = to_half(l.sample(index).real, space.counts)
+    zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
+    table = np.empty((space.size, space.size))
+    for k in range(space.size):
+        mu = half_analysis(space, point_mass_rows(space, k, k + 1)[0].real)
+        q = np.where(zero_mask, 0.0 + 0.0j, mu / np.where(zero_mask, 1.0, a_half))
+        table[k] = half_synthesis(space, index, q)
+    return table
+
+
 def dense_green(lam, l, policy=None, divided=False, mu_rows=None):
     """Green table and weak residuals built densely, step by step.
 

@@ -1,0 +1,258 @@
+"""Generated problems: the fast paths against the literal definitions.
+
+Hypothesis draws grids (1-, 2- and 3-d, even counts from 4 to 32 per axis,
+``N/2`` odd included), polynomial symbols (real and even, or complex with
+any degrees) and data (real, complex, point masses).  Each property compares
+a library path with the O(N^2) sums of ``naive.py`` within ``eps`` times a
+stated scale:
+
+* ``spectral_apply`` and the ``expand`` command: ``max|a| * sum|u|``, the
+  bound of the image the sums make term by term;
+* ``solve`` and ``solve_pde``: ``sum|d| / min|a|`` off the zero set (the same
+  bound for the quotient), or the same typed error;
+* Green members: ``1 / (dx^n min|l|)``, the bound of a member.
+
+The factor in front, ``TOL_ULPS * N``, covers the literal sums themselves:
+their phases ``p.x`` reach ``pi N / 2``, where ``exp`` is accurate to
+about ``N`` ulps.  The strategies are derandomized and keep every grid at
+``MAX_NODES`` nodes or fewer, so the suite takes a few seconds.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import naive
+from schwartzcalc import (
+    DifferentialOperatorSpec,
+    DivisionPolicy,
+    FourierFamily,
+    GridDistribution,
+    NotDivisible,
+    NotInvertible,
+    delta_distribution,
+    differential_symbol,
+    green_family,
+    green_family_divided,
+    left_inverse_family,
+    make_grid,
+    solve,
+    solve_pde,
+    spectral_apply,
+)
+from schwartzcalc.cli import main
+
+EPS = np.finfo(float).eps
+#: the literal sums cost N^2 per row
+MAX_NODES = 512
+#: ulps per node allowed between a fast path and the literal sums
+TOL_ULPS = 1.0
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def grids(draw, max_nodes=MAX_NODES):
+    """Even counts from 4 to 32 per axis, at most ``max_nodes`` in all."""
+    dim = draw(st.integers(1, 3))
+    counts = []
+    for axis in range(dim):
+        room = max_nodes // math.prod(counts) // 4 ** (dim - axis - 1)
+        counts.append(draw(st.sampled_from([n for n in range(4, 33, 2) if n <= room])))
+    extents = [draw(st.floats(0.25, 8.0)) for _ in counts]
+    return make_grid(dim, counts, extents)
+
+
+#: coefficients of either sign, 1/8 to 2 in magnitude
+COEFFICIENT = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.125, 2.0)).map(
+    lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def poly_terms(draw, dim, real_even):
+    """``{multi-index: coefficient}`` of a polynomial: real coefficients on
+    degrees 0 or 2 per axis when ``real_even``, else degrees 0 to 3 and
+    complex coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        if real_even:
+            idx = tuple(draw(st.sampled_from([0, 2])) for _ in range(dim))
+            terms[idx] = complex(draw(COEFFICIENT))
+        else:
+            idx = tuple(draw(st.integers(0, 3)) for _ in range(dim))
+            terms[idx] = complex(draw(COEFFICIENT), draw(COEFFICIENT))
+    return terms
+
+
+def operator_symbol(fam, terms, constant=None):
+    """The symbol of the differential operator with these terms, made
+    ``(constant + 0i) + ...`` when ``constant`` is given; with real, even
+    terms the symbol ``sum c (-i)^|j| p^j`` is real and even.  ``constant=0``
+    drops the constant term, so that the symbol vanishes at ``p = 0``."""
+    terms = dict(terms)
+    unit = (0,) * fam.space_grid.dim
+    if constant == 0:
+        terms.pop(unit, None)
+        terms.setdefault((2,) + unit[1:], -1.0 + 0j)
+    elif constant is not None:
+        terms[unit] = complex(constant)
+    spec = DifferentialOperatorSpec(terms)
+    return spec, differential_symbol(spec, fam.index_grid)
+
+
+def draw_datum(draw, grid, kind):
+    if kind == "delta":
+        return delta_distribution(grid, grid.point_at(draw(st.integers(0, grid.size - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(grid.size)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(grid.size)
+    return GridDistribution(grid, x)
+
+
+def literal_symbol(terms, index):
+    """``sum c p^j`` over the index nodes, monomial by monomial."""
+    pts = index.points()
+    total = np.zeros(index.size, dtype=np.complex128)
+    for idx, c in terms.items():
+        total += c * np.prod([pts[:, axis] ** k for axis, k in enumerate(idx)], axis=0)
+    return total
+
+
+def literal_apply(fam, a_values, u):
+    coords = naive.naive_fourier_coordinates(u, fam)
+    scaled = GridDistribution(fam.index_grid, a_values * coords.samples)
+    return naive.naive_superpose(scaled, fam).samples, scaled.samples
+
+
+def within(got, want, scale, nodes):
+    err = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+    return err <= TOL_ULPS * nodes * EPS * scale, (err, scale)
+
+
+@SETTINGS
+@given(grid=grids(), real_even=st.booleans(),
+       kind=st.sampled_from(["real", "complex", "delta"]), data=st.data())
+def test_spectral_apply_is_the_literal_sum(grid, real_even, kind, data):
+    fam = FourierFamily(grid)
+    _, a = operator_symbol(fam, data.draw(poly_terms(grid.dim, real_even)))
+    assert a._real_even == real_even
+    u = draw_datum(data.draw, grid, kind)
+    a_values = a.sample(fam.index_grid)
+    want, _ = literal_apply(fam, a_values, u)
+    scale = float(np.max(np.abs(a_values)) * np.sum(np.abs(u.samples)))
+    ok, detail = within(spectral_apply(a, fam, u).samples, want, scale, grid.size)
+    assert ok, detail
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(grid=grids(max_nodes=256), real_even=st.booleans(),
+       kind=st.sampled_from(["real", "complex", "delta"]), data=st.data())
+def test_expand_writes_the_literal_sums(grid, real_even, kind, data):
+    """A ``diagonal`` Fourier ``polynomial`` symbol ``sum c p^j`` on a
+    ``samples`` datum written exactly (``repr`` of every float)."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, real_even))
+    u = draw_datum(data.draw, grid, kind)
+    cfg = {
+        "grid": {"dim": grid.dim, "counts": list(grid.counts),
+                 "half_extents": list(grid.half_extents)},
+        "operator": {"type": "diagonal", "family": "fourier", "symbol": {
+            "name": "polynomial",
+            "terms": {",".join(map(str, j)): [c.real, c.imag] for j, c in terms.items()},
+        }},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        naive.write_distribution_csv(os.path.join(tmp, "datum.csv"), u)
+        cfg["datum"] = {"kind": "samples", "path": os.path.join(tmp, "datum.csv")}
+        cfg["output"] = {"directory": os.path.join(tmp, "out")}
+        with open(os.path.join(tmp, "run.json"), "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["expand", "--config", os.path.join(tmp, "run.json")]) == 0
+        image = naive.read_samples_csv(os.path.join(tmp, "out", "expansion.csv"))
+        integrand = naive.read_samples_csv(os.path.join(tmp, "out", "integrand.csv"))
+    a_values = literal_symbol(terms, fam.index_grid)
+    want_image, want_integrand = literal_apply(fam, a_values, u)
+    scale = float(np.max(np.abs(a_values)) * np.sum(np.abs(u.samples)))
+    for got, want in ((image, want_image), (integrand, want_integrand)):
+        ok, detail = within(got, want, scale, grid.size)
+        assert ok, detail
+
+
+def literal_divisible(fam, a_values, d, policy):
+    """Whether ``d``'s literal coordinates carry no mass above the policy's
+    tolerance where ``|a|`` is at or below its zero threshold."""
+    mass = np.abs(naive.naive_fourier_coordinates(d, fam).samples)
+    zero_mask = np.abs(a_values) <= policy.resolve_zero_threshold(a_values)
+    return not np.any(zero_mask & (mass > policy.residual_threshold * np.max(mass)))
+
+
+@SETTINGS
+@given(grid=grids(), real_even=st.booleans(), with_zero=st.booleans(),
+       kind=st.sampled_from(["real", "complex", "delta", "projected"]), data=st.data())
+def test_solve_is_the_literal_solve_or_the_same_error(grid, real_even, with_zero, kind, data):
+    """``with_zero`` drops the constant term, so the symbol vanishes at
+    ``p = 0``; a ``projected`` datum has that coefficient taken out.  The
+    literal coordinates decide which data are divisible."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, real_even))
+    spec, a = operator_symbol(fam, terms, 0 if with_zero else 8.0)
+    d = draw_datum(data.draw, grid, "real" if kind == "projected" else kind)
+    if kind == "projected":
+        d = GridDistribution(grid, d.samples - np.mean(d.samples))
+    policy = DivisionPolicy()
+    a_values = a.sample(fam.index_grid)
+    if not literal_divisible(fam, a_values, d, policy):
+        for run in (lambda: solve_pde(spec, d), lambda: solve(fam, a, d)):
+            with pytest.raises(NotDivisible):
+                run()
+        return
+    u_lit, _, _ = naive.literal_solve(fam, a, d, policy)
+    magnitudes = np.abs(a_values)
+    live = magnitudes[magnitudes > policy.resolve_zero_threshold(a_values)]
+    scale = float(np.sum(np.abs(d.samples)) / np.min(live))
+    for result in (solve_pde(spec, d), solve(fam, a, d)):
+        ok, detail = within(result.solution.samples, u_lit.samples, scale, grid.size)
+        assert ok, detail
+        # the residual, relative to |d|, within the symbol's condition
+        assert result.residual <= TOL_ULPS * grid.size * EPS * np.max(live) / np.min(live)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(grid=grids(max_nodes=256), real_even=st.booleans(), divided=st.booleans(),
+       data=st.data())
+def test_green_members_are_the_dense_green_table(grid, real_even, divided, data):
+    """Reciprocal route: the constant term 8 keeps the symbol off 0 (the
+    same ``NotInvertible`` where it does not).  Divided route: the symbol
+    vanishes at ``p = 0`` and the loose policy lets every member divide,
+    with the quotient 0 there."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, real_even))
+    _, l = operator_symbol(fam, terms, 0 if divided else 8.0)
+    policy = DivisionPolicy(residual_threshold=1.0) if divided else DivisionPolicy()
+    build = green_family_divided if divided else green_family
+    try:
+        table, _ = naive.dense_green(fam, l, policy, divided=divided)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            build(fam, l, left_inverse_family(fam), policy)
+        return
+    result = build(fam, l, left_inverse_family(fam), policy)
+    magnitudes = np.abs(l.sample(fam.index_grid))
+    zero_mask = magnitudes <= policy.resolve_zero_threshold(magnitudes)
+    assert result.route == ("divided" if zero_mask.any() else "reciprocal")
+    scale = 1.0 / (grid.cell_volume * float(np.min(magnitudes[~zero_mask])))
+    ok, detail = within(result.family.matrix(), table, scale, grid.size)
+    assert ok, detail
+    k = data.draw(st.integers(0, grid.size - 1))
+    ok, detail = within(result.family.member(grid.point_at(k)).samples, table[k], scale, grid.size)
+    assert ok, detail

@@ -19,6 +19,7 @@ from schwartzcalc import (
     DiracFamily,
     DivisionPolicy,
     FourierFamily,
+    GridDistribution,
     IndexOffGrid,
     KernelFamily,
     LazyFamily,
@@ -101,8 +102,15 @@ def test_green_members_are_bitwise_the_first_versions(name, operator, divided):
     g = _grid(name)
     lam = FourierFamily(g) if operator == "fourier" else DiracFamily(g)
     build = green_family_divided if divided else green_family
-    result = build(lam, _symbol(g.dim, 0.25j), left_inverse_family(lam))
+    l = _symbol(g.dim, 0.25j)
+    result = build(lam, l, left_inverse_family(lam))
     _assert_members_match(result.family, naive.lazy_member, naive.lazy_matrix)
+    # the row map is the family's own: the dense table built step by step is
+    # the reference that does not go through it
+    table, _ = naive.dense_green(lam, l, divided=divided)
+    _assert_members_match(
+        result.family, lambda fam, p: GridDistribution(g, table[g.index_of(p)]), lambda fam: table
+    )
 
 
 def test_off_grid_members_raise_index_off_grid():
