@@ -62,7 +62,7 @@ from .grid import (
     sample_function,
     unit_symbol,
 )
-from .families import MAX_DENSE_POINTS, DiracFamily, FourierFamily, SchwartzFamily
+from .families import MAX_DENSE_POINTS, DiracFamily, FourierFamily, SchwartzFamily, _transform_pair
 from .solver import (
     DifferentialOperatorSpec,
     DivisionPolicy,
@@ -594,11 +594,12 @@ def _cmd_expand(args) -> int:
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     out_dir = _output_dir(cfg)
-    # the steps of spectral_apply, keeping the integrand a * c it forms
-    a_values = symbol.sample_finite(family.index_grid)
-    coords = family.coordinates(datum)
-    integrand = GridDistribution._trusted(family.index_grid, a_values * coords.samples)
-    image = family.superpose(integrand)
+    # the apply core's integrand a * c, spread over the whole index grid
+    rows = datum.samples[np.newaxis]
+    pair = _transform_pair(family, symbol, rows)
+    images, integrands = pair.apply(rows)
+    integrand = GridDistribution._trusted(family.index_grid, pair.to_full(integrands[0]))
+    image = GridDistribution._trusted(grid, images[0])
     write_distribution_csv(out_dir / "expansion.csv", image)
     write_distribution_csv(out_dir / "integrand.csv", integrand)
     report = {

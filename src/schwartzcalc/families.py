@@ -32,6 +32,7 @@ Everything here is a pure function of immutable values; the one cache,
 from __future__ import annotations
 
 import abc
+import collections
 import functools
 import math
 import threading
@@ -217,24 +218,60 @@ def _half_l2(coeffs: np.ndarray, index: Grid) -> float:
     return math.hypot(own, math.sqrt(2.0) * _l2(coeffs[..., 1:-1], index))
 
 
-def _fourier_analysis_real(space: Grid, x: np.ndarray) -> np.ndarray:
-    """The analysis transform of one array of real samples, on the half
-    spectrum: ``rfftn`` and one pass by the signed scale."""
-    out = np.fft.rfftn(x.reshape(space.counts))
+def _fourier_analysis_real(space: Grid, rows: np.ndarray) -> np.ndarray:
+    """The analysis transform of each row of real samples, on half spectra:
+    ``rfftn`` and one pass by the signed scale."""
+    axes = tuple(range(1, space.dim + 1))
+    out = np.fft.rfftn(rows.reshape((-1,) + space.counts), axes=axes)
     scale = space.cell_volume / (2.0 * math.pi) ** space.dim
-    out *= _sign_table(out.shape, [0] * space.dim, scale)
+    out *= _sign_table(out.shape[1:], [0] * space.dim, scale)
     return out
 
 
-def _fourier_synthesis_real(space: Grid, index: Grid, half: np.ndarray) -> np.ndarray:
-    """The synthesis transform of a half spectrum to real samples (flat): the
-    signs into a new array, ``irfftn`` unnormalised (it takes the other half
-    as the conjugate mirror), then the scale, as the complex synthesis does."""
-    signed = half * _sign_table(half.shape, [0] * space.dim)
-    axes = tuple(range(space.dim))
-    out = np.fft.irfftn(signed, s=space.counts, axes=axes, norm="forward").reshape(-1)
+def _fourier_synthesis_real(space: Grid, index: Grid, rows: np.ndarray) -> np.ndarray:
+    """The synthesis transform of each row of half spectra to real samples:
+    the signs into a new array, ``irfftn`` unnormalised (it takes the other
+    half as the conjugate mirror), then the scale, as the complex one does."""
+    signed = rows * _sign_table(rows.shape[1:], [0] * space.dim)
+    axes = tuple(range(1, space.dim + 1))
+    out = np.fft.irfftn(signed, s=space.counts, axes=axes, norm="forward").reshape(len(rows), -1)
     out *= index.cell_volume
     return out
+
+
+class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_full")):
+    """A transform pair: ``analyse`` takes rows of samples to rows of
+    coefficients and ``synthesise`` back; ``a_values`` is the symbol on the
+    coefficients' nodes; ``l2`` is the index grid's quadrature norm of one
+    coefficient array and ``to_full`` spreads one over the whole index grid."""
+
+    __slots__ = ()
+
+    def apply(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal operator on each row: analyse, scale by the symbol (in
+        place, the symbol first: numpy's complex product is not bitwise
+        commutative), resynthesise.  Returns the images and the integrands."""
+        coords = self.analyse(rows)
+        np.multiply(self.a_values, coords, out=coords)
+        return self.synthesise(coords), coords
+
+
+def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, rows: np.ndarray | None) -> _Pair:
+    """The transform pair of the operator diagonal in ``v`` with symbol ``a``
+    on the sample ``rows`` (``None``: not known to be real).  The half pair
+    (``rfftn``/``irfftn``, the symbol sampled on the half only) when ``v`` is
+    a Fourier family, ``a`` is known to be real and even and every imaginary
+    part of ``rows`` is 0; otherwise, or when that sample is not finite, the
+    complex pair: ``v``'s row transforms and the symbol on the whole index
+    grid, where ``NonFiniteSymbol`` names the first non-finite node."""
+    space, index = v.space_grid, v.index_grid
+    if a._real_even and isinstance(v, FourierFamily) and rows is not None and not rows.imag.any():
+        a_half = _sample_half(a, index)
+        if np.isfinite(a_half).all():
+            return _Pair(lambda x: _fourier_analysis_real(space, x.real),
+                         lambda c: _fourier_synthesis_real(space, index, c),
+                         a_half, _half_l2, lambda c: _from_half(c, space.counts))
+    return _Pair(v.coordinates_rows, v.superpose_rows, a.sample_finite(index), _l2, lambda c: c)
 
 
 class SchwartzFamily(abc.ABC):
@@ -551,7 +588,7 @@ def superpose(c: CoordinateDistribution, v: SchwartzFamily) -> GridDistribution:
 def scale_family(a: SymbolFunction, v: SchwartzFamily) -> KernelFamily:
     """Family with members ``a(p) * v_p``; materialized as a kernel table."""
     v._check_symbol(a)
-    values = a.sample(v.index_grid)
+    values = a.sample_finite(v.index_grid)
     return KernelFamily(v.index_grid, v.space_grid, values[:, np.newaxis] * v.matrix())
 
 

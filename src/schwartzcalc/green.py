@@ -32,9 +32,8 @@ import numpy as np
 
 from .errors import GridMismatch, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
-from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily
+from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily, _transform_pair
 from .solver import DivisionPolicy, _masked_quotient, _mass_on_zero_set, _zero_set
-from .spectral import _apply_rows
 
 __all__ = [
     "GreenFamilyResult",
@@ -121,7 +120,7 @@ def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
 
 
 def _translate_pairings(
-    lam: FourierFamily, l_values: np.ndarray, green: LazyFamily, weighted_probes: np.ndarray
+    lam: FourierFamily, l: SymbolFunction, green: LazyFamily, weighted_probes: np.ndarray
 ) -> np.ndarray:
     """Probe pairings of every ``L G_p`` from the one at the first index node.
 
@@ -130,7 +129,8 @@ def _translate_pairings(
     cross-correlation of ``phi`` with ``h``.
     """
     space = lam.space_grid
-    h = _apply_rows(lam, l_values, green._member_rows(0, 1))[0].reshape(space.counts)
+    row = green._member_rows(0, 1)
+    h = _transform_pair(lam, l, row).apply(row)[0].reshape(space.counts)
     axes = tuple(range(1, space.dim + 1))
     phis = weighted_probes.T.reshape((-1,) + space.counts)
     spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
@@ -138,16 +138,16 @@ def _translate_pairings(
 
 
 def _weak_residuals(
-    lam: SchwartzFamily, l_values: np.ndarray, green: LazyFamily, mu: SchwartzFamily
+    lam: SchwartzFamily, l: SymbolFunction, full, green: LazyFamily, mu: SchwartzFamily
 ) -> tuple[np.ndarray, list]:
     space = lam.space_grid
     probes, centers = gaussian_probes(space)
     weighted = probes * space.cell_volume
     if _is_translation_family(lam, mu):
-        pair_matrix = _translate_pairings(lam, l_values, green, weighted)
+        pair_matrix = _translate_pairings(lam, l, green, weighted)
     else:
-        # L G_p for every p at once from the dense table
-        pair_matrix = _apply_rows(lam, l_values, green.matrix()) @ weighted
+        # L G_p for every p at once from the dense table, on the complex pair
+        pair_matrix = full.apply(green.matrix())[0] @ weighted
     # the index grid is the space grid, so the targets phi(p) are the probe samples
     return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
@@ -186,8 +186,8 @@ def _green(
     if mu.index_grid != lam.space_grid:
         raise GridMismatch("a left inverse must be indexed by the operator family's space grid")
     policy = policy or DivisionPolicy()
-    l_values = l.sample_finite(lam.index_grid)
-    magnitudes, eps, zero_mask = _zero_set(l_values, policy)
+    full = _transform_pair(lam, l, None)
+    magnitudes, eps, zero_mask = _zero_set(full.a_values, policy)
     has_zeros = zero_mask.any()
     if has_zeros:
         if not divided:
@@ -202,11 +202,18 @@ def _green(
             )
         _check_divisible(mu, zero_mask, policy)
 
+    translation = _is_translation_family(lam, mu)
+
     def rows_map(rows):
-        return lam.superpose_rows(_masked_quotient(mu.superpose_rows(rows), l_values, zero_mask))
+        # on the canonical Fourier left inverse, whose superposition is lam's
+        # analysis, the rows pick their pair as solve(delta_p) does
+        pair = _transform_pair(lam, l, rows) if translation else full
+        coeffs = pair.analyse(rows) if translation else mu.superpose_rows(rows)
+        mask = _zero_set(pair.a_values, policy)[2]
+        return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
-    residuals, centers = _weak_residuals(lam, l_values, family, mu)
+    residuals, centers = _weak_residuals(lam, l, full, family, mu)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)
 

@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import ArityMismatch, UnsupportedOrder
 from .grid import Grid, SymbolFunction
-from .families import MAX_DENSE_POINTS, SchwartzFamily, _check_dense
+from .families import MAX_DENSE_POINTS, SchwartzFamily, _check_dense, _transform_pair
 from .solver import DifferentialOperatorSpec
-from .spectral import DenseOperator, _apply_rows
+from .spectral import DenseOperator
 
 __all__ = ["DenseOperator", "dense_from_diagonal", "finite_difference", "MAX_DENSE_POINTS"]
 
@@ -28,7 +28,7 @@ def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
     grid = v.space_grid
     _check_dense(grid.size, grid.size)
     units = np.eye(grid.size, dtype=np.complex128)
-    return DenseOperator(grid, _apply_rows(v, a.sample_finite(v.index_grid), units).T)
+    return DenseOperator(grid, _transform_pair(v, a, units).apply(units)[0].T)
 
 
 # periodic central-difference stencils: {accuracy order: {offset: coefficient}}

@@ -25,16 +25,7 @@ import numpy as np
 
 from .errors import ArityMismatch, NotDivisible
 from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol
-from .families import (
-    CoordinateDistribution,
-    FourierFamily,
-    SchwartzFamily,
-    _fourier_analysis_real,
-    _fourier_synthesis_real,
-    _from_half,
-    _half_l2,
-    _sample_half,
-)
+from .families import CoordinateDistribution, FourierFamily, SchwartzFamily, _transform_pair
 from .spectral import SLinearOperator, spectral_apply
 
 __all__ = [
@@ -261,11 +252,9 @@ def solve(
     It agrees with the spatial residual to the rounding of the synthesis it
     saves.  A family with no such constant synthesises ``A(u)`` instead.
 
-    A real datum on the Fourier family with a polynomial symbol known to be
-    real and even runs on half spectra (``rfftn``/``irfftn``), with the
-    symbol sampled on the half only.  The quotient is then Hermitian; the
-    solution is real (imaginary part ``+0.0``) and agrees with the
-    composition to rounding, not bit for bit.
+    A real datum under a real, even Fourier symbol runs on half spectra
+    (``families._transform_pair``): the solution is then real (imaginary
+    parts ``+0.0``), equal to the composition to rounding, not bit for bit.
     """
     v._check_space(d)
     v._check_symbol(a)
@@ -276,64 +265,39 @@ def _solve(
     v: SchwartzFamily, a: SymbolFunction, d: GridDistribution, policy: DivisionPolicy
 ) -> tuple[SolveResult, float]:
     """Core of :func:`solve` for a datum on ``v``'s space grid: the result and
-    the zero threshold its division applied."""
-    space, index = v.space_grid, v.index_grid
-    if a._real_even and isinstance(v, FourierFamily) and not d.samples.imag.any():
-        a_half = _sample_half(a, index)
-        # a non-finite value, like a NotDivisible datum, is named by the
-        # complex path on the whole grid
-        if np.isfinite(a_half).all():
-            try:
-                q, u, resid, eps = _solve_core(
-                    v, a_half, d.samples.real, policy, half=True,
-                    analyse=lambda x: _fourier_analysis_real(space, x),
-                    synthesise=lambda c: _fourier_synthesis_real(space, index, c),
-                )
-            except NotDivisible:
-                pass
-            else:
-                # the full-size results are made one after the other, into
-                # the room the half spectra leave
-                del a_half
-                quotient = GridDistribution._trusted(index, _from_half(q, space.counts))
-                del q
-                solution = GridDistribution._trusted(space, u.astype(np.complex128))
-                return SolveResult(solution, quotient, resid), eps
-    q, u, resid, eps = _solve_core(
-        v, a.sample_finite(index), d.samples, policy, half=False,
-        analyse=lambda x: v.coordinates_rows(x[np.newaxis])[0],
-        synthesise=lambda c: v.superpose_rows(c[np.newaxis])[0],
-    )
-    result = SolveResult(
-        solution=GridDistribution._trusted(space, u),
-        quotient=GridDistribution._trusted(index, q),
-        residual=resid,
-    )
-    return result, eps
-
-
-def _solve_core(v, a_values, x, policy, half, analyse, synthesise):
-    """The solve on arrays, for one transform pair: ``analyse`` takes samples
-    on the space grid to coefficients, ``synthesise`` back; ``a_values`` are
-    the symbol on the coefficients' nodes and ``x`` the datum's samples.
-    ``half`` marks the pair of half spectra.  Returns the quotient, the
-    solution, the residual and the zero threshold."""
-    d_v = analyse(x)
-    q, eps = _quotient(d_v, a_values, policy, v.index_grid)
-    u = synthesise(q)
-    coords = analyse(u)
-    np.multiply(a_values, coords, out=coords)
+    the zero threshold its division applied, on arrays, on the pair
+    :func:`_transform_pair` picks.  A datum that does not divide on half
+    spectra is divided again on the complex pair, which names the node."""
+    x = d.samples
+    pair = _transform_pair(v, a, x[np.newaxis])
+    d_v = pair.analyse(x[np.newaxis])[0]
+    try:
+        q, eps = _quotient(d_v, pair.a_values, policy, v.index_grid)
+    except NotDivisible:
+        if pair.l2 is _l2:
+            raise
+        pair = _transform_pair(v, a, None)
+        d_v = pair.analyse(x[np.newaxis])[0]
+        q, eps = _quotient(d_v, pair.a_values, policy, v.index_grid)
+    u = pair.synthesise(q[np.newaxis])[0]
+    coords = pair.analyse(u[np.newaxis])[0]
+    np.multiply(pair.a_values, coords, out=coords)
     if v._parseval is None:
-        image = synthesise(coords)
+        image = pair.synthesise(coords[np.newaxis])[0]
         np.subtract(image, x, out=image)
         norm = _l2(image, v.space_grid)
     else:
         np.subtract(coords, d_v, out=coords)
-        norm = v._parseval * (_half_l2 if half else _l2)(coords, v.index_grid)
-    del coords
+        norm = v._parseval * pair.l2(coords, v.index_grid)
+    del coords, d_v
     denom = _l2(x, v.space_grid)
-    resid = norm / denom if denom > 0.0 else 0.0
-    return q, u, float(resid), eps
+    resid = float(norm / denom) if denom > 0.0 else 0.0
+    # the full-size results, one after the other, into the room the half spectra leave
+    to_full = pair.to_full
+    del pair
+    quotient = GridDistribution._trusted(v.index_grid, to_full(q))
+    del q
+    return SolveResult(GridDistribution._trusted(v.space_grid, u), quotient, resid), eps
 
 
 def solve_pde(

@@ -29,7 +29,7 @@ from .grid import (
     sup_norm,
     unit_symbol,
 )
-from .families import CoordinateDistribution, SchwartzFamily, coordinates, superpose
+from .families import CoordinateDistribution, SchwartzFamily, _transform_pair, coordinates, superpose
 
 __all__ = [
     "SLinearOperator",
@@ -65,22 +65,13 @@ def spectral_apply(a: SymbolFunction, v: SchwartzFamily, u: GridDistribution) ->
 
     Computes ``superpose(a * coordinates(u, v), v)``.  With ``a == 1`` this
     is the resolution of identity and returns ``u`` up to rounding.  Raises
-    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.
+    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid.  Real
+    data under a real, even Fourier symbol give a real image (half spectra).
     """
     v._check_space(u)
-    image = _apply_rows(v, a.sample_finite(v.index_grid), u.samples[np.newaxis])[0]
-    return GridDistribution._trusted(v.space_grid, image)
-
-
-def _apply_rows(v: SchwartzFamily, a_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Core of :func:`spectral_apply` on arrays, one image per row of ``rows``:
-    analyse in ``v``, scale by ``a_values`` (the symbol's samples on the index
-    grid), resynthesize.  The scaling runs in place in the fresh coefficient
-    array, with ``a_values`` as the first operand: numpy's complex product is
-    not bitwise commutative."""
-    coords = v.coordinates_rows(rows)
-    np.multiply(a_values, coords, out=coords)
-    return v.superpose_rows(coords)
+    rows = u.samples[np.newaxis]
+    images = _transform_pair(v, a, rows).apply(rows)[0]
+    return GridDistribution._trusted(v.space_grid, images[0])
 
 
 class SLinearOperator(abc.ABC):
@@ -158,7 +149,7 @@ class MultiplicationOperator(SLinearOperator):
         self.symbol = symbol
 
     def apply(self, u):
-        return GridDistribution(u.grid, self.symbol.sample(u.grid) * u.samples)
+        return GridDistribution(u.grid, self.symbol.sample_finite(u.grid) * u.samples)
 
     def __repr__(self):
         return f"MultiplicationOperator({self.symbol.descriptor!r})"
@@ -339,7 +330,7 @@ class _ProductOperator(SLinearOperator):
                 "spectral product operator must land on the family's index grid"
             )
         return superpose(
-            GridDistribution(fam.index_grid, self.f.sample(fam.index_grid) * mid.samples),
+            GridDistribution(fam.index_grid, self.f.sample_finite(fam.index_grid) * mid.samples),
             fam,
         )
 
@@ -391,7 +382,7 @@ class EigenspectrumMeasure(GeneralizedMeasure):
         composed = f.compose(self.symbol)
         return GridDistribution(
             self.family.index_grid,
-            composed.sample(self.family.index_grid) * self._coords.samples,
+            composed.sample_finite(self.family.index_grid) * self._coords.samples,
         )
 
     def _unit(self):

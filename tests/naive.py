@@ -22,12 +22,7 @@ from schwartzcalc import (
     spectral_apply,
     superpose,
 )
-from schwartzcalc.families import (
-    _fourier_analysis_real,
-    _fourier_synthesis_real,
-    _mirror_index,
-    point_mass_rows,
-)
+from schwartzcalc.families import _mirror_index, point_mass_rows
 
 
 def naive_superpose(c, family):
@@ -90,26 +85,6 @@ def to_half(values, counts):
     return values.reshape(counts)[_mirror_index(counts)]
 
 
-def literal_solve_half(fam, a, d, policy=None):
-    """:func:`literal_solve` on half spectra, for a real datum ``d`` on the
-    Fourier family ``fam`` and a real, even symbol ``a``: the half-spectrum
-    solve as first written, with ``A(u)`` synthesised and compared with
-    ``d`` on the samples.  The symbol is sampled on the whole index grid and
-    its real part gathered onto the half.  Returns ``(u, q, residual)``,
-    ``u`` real and ``q`` the half spectrum of the quotient.
-    """
-    policy = policy or DivisionPolicy()
-    space, index = fam.space_grid, fam.index_grid
-    a_half = to_half(a.sample(index).real, space.counts)
-    d_v = _fourier_analysis_real(space, d.samples.real)
-    zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
-    q = np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_half))
-    u = _fourier_synthesis_real(space, index, q)
-    image = _fourier_synthesis_real(space, index, a_half * _fourier_analysis_real(space, u))
-    residual = l2_norm(GridDistribution(space, image - d.samples.real)) / l2_norm(d)
-    return u, q, residual
-
-
 def half_signs(shape):
     """``(-1)^(k_0 + k_1 + ...)`` at entry ``k`` of an array of this shape."""
     return (-1.0) ** np.indices(shape).sum(axis=0)
@@ -129,9 +104,30 @@ def half_synthesis(space, index, half):
     an unnormalised ``irfftn`` (the other half is the conjugate mirror),
     then the ``dp^n`` scale."""
     signed = half * half_signs(half.shape)
-    out = np.fft.irfftn(signed, s=space.counts, norm="forward").reshape(-1)
+    axes = tuple(range(space.dim))
+    out = np.fft.irfftn(signed, s=space.counts, axes=axes, norm="forward").reshape(-1)
     out *= index.cell_volume
     return out
+
+
+def literal_solve_half(fam, a, d, policy=None):
+    """:func:`literal_solve` on half spectra, for a real datum ``d`` on the
+    Fourier family ``fam`` and a real, even symbol ``a``: the half-spectrum
+    solve as first written, with ``A(u)`` synthesised and compared with
+    ``d`` on the samples.  The symbol is sampled on the whole index grid and
+    its real part gathered onto the half.  Returns ``(u, q, residual)``,
+    ``u`` real and ``q`` the half spectrum of the quotient.
+    """
+    policy = policy or DivisionPolicy()
+    space, index = fam.space_grid, fam.index_grid
+    a_half = to_half(a.sample(index).real, space.counts)
+    d_v = half_analysis(space, d.samples.real)
+    zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
+    q = np.where(zero_mask, 0.0 + 0.0j, d_v / np.where(zero_mask, 1.0, a_half))
+    u = half_synthesis(space, index, q)
+    image = half_synthesis(space, index, a_half * half_analysis(space, u))
+    residual = l2_norm(GridDistribution(space, image - d.samples.real)) / l2_norm(d)
+    return u, q, residual
 
 
 def literal_apply_half(fam, a, u):

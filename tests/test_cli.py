@@ -615,13 +615,16 @@ def test_unwritable_report_is_a_config_error(tmp_path, capsys):
 
 
 def test_expand_analyses_once_and_samples_once(monkeypatch, tmp_path):
-    from schwartzcalc import FourierFamily, SymbolFunction
+    from schwartzcalc import FourierFamily, SymbolFunction, families
 
     calls = collections.Counter()
     for owner, name in (
         (SymbolFunction, "sample"),
         (FourierFamily, "coordinates_rows"),
         (FourierFamily, "superpose_rows"),
+        (families, "_sample_half"),
+        (families, "_fourier_analysis_real"),
+        (families, "_fourier_synthesis_real"),
     ):
         def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -636,8 +639,9 @@ def test_expand_analyses_once_and_samples_once(monkeypatch, tmp_path):
         output={"directory": str(tmp_path / "out")},
     )
     assert main(["expand", "--config", cfg]) == 0
-    # one analysis, one synthesis of the integrand, one symbol sample
-    assert calls == {"sample": 1, "coordinates_rows": 1, "superpose_rows": 1}
+    # one analysis, one synthesis of the integrand, one symbol sample, all on
+    # half spectra: the datum is real and the symbol real and even
+    assert calls == {"_sample_half": 1, "_fourier_analysis_real": 1, "_fourier_synthesis_real": 1}
 
 
 def _contract_cases():

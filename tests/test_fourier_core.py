@@ -245,14 +245,14 @@ def test_real_transforms_are_the_complex_ones_on_half_spectra(name):
     fam = FourierFamily(g)
     x = np.random.default_rng(5).standard_normal(g.size)
     full = fam.coordinates_rows(x[np.newaxis].astype(np.complex128))[0]
-    half = families._fourier_analysis_real(g, x)
+    half = families._fourier_analysis_real(g, x[np.newaxis])[0]
     # the half, spread by the mirror map and the conjugates, is the analysis
     spread = families._from_half(half, g.counts)
     assert np.max(np.abs(spread - full)) <= 1e-14 * np.max(np.abs(full))
     # the mirror map is its own inverse: the gather takes the half back out
     assert np.array_equal(naive.to_half(spread, g.counts), half)
     # the synthesis of the half is the real part of the complex synthesis
-    back = families._fourier_synthesis_real(g, fam.index_grid, half)
+    back = families._fourier_synthesis_real(g, fam.index_grid, half[np.newaxis])[0]
     assert back.dtype == np.float64
     assert np.max(np.abs(back - x)) <= 1e-14 * np.max(np.abs(x))
     want = fam.superpose_rows(spread[np.newaxis])[0]

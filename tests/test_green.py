@@ -34,7 +34,7 @@ from schwartzcalc import (
 )
 from schwartzcalc.cli import main, write_distribution_csv
 
-from naive import dense_green
+from naive import dense_green, dense_green_half
 
 HELMHOLTZ = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
 DERIVATIVE = SymbolFunction(1, lambda p: -1j * p, "-ip")
@@ -306,6 +306,8 @@ def oracle_case(request):
         "mu_rows": mu_rows,
         False: dense_green(lam, l, mu_rows=mu_rows),
         True: dense_green(lam, l, divided=True, mu_rows=mu_rows),
+        # the members of the real, even symbol are real: the half spectra
+        "half": dense_green_half(lam, l),
     }
 
 
@@ -318,13 +320,16 @@ def test_lazy_green_matches_dense_oracle(oracle_case, divided):
     result = build(lam, l, mu)
     assert isinstance(result.family, LazyFamily)
     table, residuals = oracle_case[divided]
+    half = oracle_case["half"]
     mu_rows = oracle_case["mu_rows"]
     for k in range(g.size):
         p = g.point_at(k)
         assert np.array_equal(member(mu, p).samples, mu_rows[k]), k
-        assert np.array_equal(member(result.family, p).samples, table[k]), k
-    assert np.array_equal(result.family.matrix(), table)
+        assert np.array_equal(member(result.family, p).samples, half[k]), k
+    assert np.array_equal(result.family.matrix(), half)
     assert np.array_equal(mu.matrix(), mu_rows)
+    # the half-spectrum table is the complex one to rounding
+    assert np.max(np.abs(half - table)) <= 1e-14 * np.max(np.abs(table))
     np.testing.assert_allclose(result.weak_residuals, residuals, rtol=0.0, atol=1e-14)
 
 
@@ -347,7 +352,7 @@ def test_green_errors_match_dense_oracle(oracle_case):
 
 def test_cli_green_csvs_equal_oracle_rows(oracle_case, tmp_path):
     g = oracle_case["grid"]
-    table = oracle_case[False][0]
+    table = oracle_case["half"]
     flats = [0, g.size // 3, g.size - 1]
     points = [g.point_at(k) for k in flats]
     cfg = tmp_path / "run.json"
@@ -410,8 +415,8 @@ def test_translate_pairings_equal_dense_pairings():
     # the public route always pairs L G_p ~ delta_p, which is symmetric; an
     # operator other than the one the family inverts gives an asymmetric
     # generating row, which pins the direction of the cross-correlation
+    from schwartzcalc.families import _transform_pair
     from schwartzcalc.green import _translate_pairings, gaussian_probes
-    from schwartzcalc.spectral import _apply_rows
 
     g = make_grid(2, [16, 8], [3.0, 2.0])
     lam = FourierFamily(g)
@@ -419,9 +424,9 @@ def test_translate_pairings_equal_dense_pairings():
     other = SymbolFunction(2, lambda p, q: 1.0 + p + 2j * q + p * q**2, "asymmetric")
     green = green_family(lam, l, left_inverse_family(lam)).family
     weighted = gaussian_probes(g)[0] * g.cell_volume
-    other_values = other.sample(lam.index_grid)
-    dense = _apply_rows(lam, other_values, green.matrix()) @ weighted
-    fast = _translate_pairings(lam, other_values, green, weighted)
+    table = green.matrix()
+    dense = _transform_pair(lam, other, table).apply(table)[0] @ weighted
+    fast = _translate_pairings(lam, other, green, weighted)
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
 
 

@@ -295,7 +295,7 @@ def test_coefficient_residual_agrees_with_the_spatial_one(monkeypatch, grid_name
     agree with each other only to that, not to 1e-6."""
     spec, d, half = _residual_case(grid_name, case)
     calls = collections.Counter()
-    _count_calls(monkeypatch, solver, "_sample_half", calls)
+    _count_calls(monkeypatch, families, "_sample_half", calls)
     result = solve_pde(spec, d)
     assert calls["_sample_half"] == (1 if half else 0)
     fam = FourierFamily(d.grid)
@@ -430,9 +430,9 @@ def test_real_path_samples_the_half_once_and_makes_three_half_transforms(monkeyp
     _count_calls(monkeypatch, FourierFamily, "coordinates_rows", calls)
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
     _count_calls(monkeypatch, GridDistribution, "__init__", calls)
-    _count_calls(monkeypatch, solver, "_sample_half", calls)
-    _count_calls(monkeypatch, solver, "_fourier_analysis_real", calls)
-    _count_calls(monkeypatch, solver, "_fourier_synthesis_real", calls)
+    _count_calls(monkeypatch, families, "_sample_half", calls)
+    _count_calls(monkeypatch, families, "_fourier_analysis_real", calls)
+    _count_calls(monkeypatch, families, "_fourier_synthesis_real", calls)
     solve_pde(spec, d)
     # nothing samples the whole index grid
     assert calls == {"_sample_half": 1, "_fourier_analysis_real": 2, "_fourier_synthesis_real": 1}
@@ -583,7 +583,7 @@ def test_cli_solve_samples_the_symbol_once(monkeypatch, tmp_path):
     # a real datum and a real, even symbol: the half spectrum only
     calls = collections.Counter()
     _count_calls(monkeypatch, SymbolFunction, "sample", calls)
-    _count_calls(monkeypatch, solver, "_sample_half", calls)
+    _count_calls(monkeypatch, families, "_sample_half", calls)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "grid": {"dim": 1, "counts": [64], "half_extents": [10.0]},
