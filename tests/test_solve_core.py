@@ -50,7 +50,7 @@ from schwartzcalc import (
     superpose,
 )
 
-from schwartzcalc import families, solver
+from schwartzcalc import families
 from schwartzcalc.cli import _parse_symbol, main
 
 from naive import (
