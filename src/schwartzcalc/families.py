@@ -239,11 +239,11 @@ def _fourier_synthesis_real(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
     return out
 
 
-class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_full")):
-    """A transform pair: ``analyse`` takes rows of samples to rows of
-    coefficients and ``synthesise`` back; ``a_values`` is the symbol on the
-    coefficients' nodes; ``l2`` is the index grid's quadrature norm of one
-    coefficient array and ``to_full`` spreads one over the whole index grid."""
+class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_full half")):
+    """A transform pair, ``half`` or complex: ``analyse`` takes rows of
+    samples to rows of coefficients and ``synthesise`` back; ``a_values`` is
+    the symbol on the coefficients' nodes; ``l2`` is the index grid's quadrature
+    norm of one coefficient array and ``to_full`` spreads one over the index grid."""
 
     __slots__ = ()
 
@@ -258,20 +258,22 @@ class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_f
 
 def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, rows: np.ndarray | None) -> _Pair:
     """The transform pair of the operator diagonal in ``v`` with symbol ``a``
-    on the sample ``rows`` (``None``: not known to be real).  The half pair
+    (``ArityMismatch`` if ``a`` does not fit ``v``) on the sample ``rows``
+    (``None``: not known to be real).  The half pair
     (``rfftn``/``irfftn``, the symbol sampled on the half only) when ``v`` is
     a Fourier family, ``a`` is known to be real and even and every imaginary
     part of ``rows`` is 0; otherwise, or when that sample is not finite, the
     complex pair: ``v``'s row transforms and the symbol on the whole index
     grid, where ``NonFiniteSymbol`` names the first non-finite node."""
+    v._check_symbol(a)
     space, index = v.space_grid, v.index_grid
     if a._real_even and isinstance(v, FourierFamily) and rows is not None and not rows.imag.any():
         a_half = _sample_half(a, index)
         if np.isfinite(a_half).all():
             return _Pair(lambda x: _fourier_analysis_real(space, x.real),
                          lambda c: _fourier_synthesis_real(space, index, c),
-                         a_half, _half_l2, lambda c: _from_half(c, space.counts))
-    return _Pair(v.coordinates_rows, v.superpose_rows, a.sample_finite(index), _l2, lambda c: c)
+                         a_half, _half_l2, lambda c: _from_half(c, space.counts), True)
+    return _Pair(v.coordinates_rows, v.superpose_rows, a.sample_finite(index), _l2, lambda c: c, False)
 
 
 class SchwartzFamily(abc.ABC):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GridMismatch, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
-from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily, _transform_pair
+from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily, _Pair, _transform_pair
 from .solver import DivisionPolicy, _masked_quotient, _mass_on_zero_set, _zero_set
 
 __all__ = [
@@ -120,7 +120,7 @@ def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
 
 
 def _translate_pairings(
-    lam: FourierFamily, l: SymbolFunction, green: LazyFamily, weighted_probes: np.ndarray
+    lam: FourierFamily, pair: _Pair, green: LazyFamily, weighted_probes: np.ndarray
 ) -> np.ndarray:
     """Probe pairings of every ``L G_p`` from the one at the first index node.
 
@@ -130,7 +130,7 @@ def _translate_pairings(
     """
     space = lam.space_grid
     row = green._member_rows(0, 1)
-    h = _transform_pair(lam, l, row).apply(row)[0].reshape(space.counts)
+    h = pair.apply(row)[0].reshape(space.counts)
     axes = tuple(range(1, space.dim + 1))
     phis = weighted_probes.T.reshape((-1,) + space.counts)
     spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
@@ -138,16 +138,16 @@ def _translate_pairings(
 
 
 def _weak_residuals(
-    lam: SchwartzFamily, l: SymbolFunction, full, green: LazyFamily, mu: SchwartzFamily
+    lam: SchwartzFamily, pair: _Pair, green: LazyFamily, mu: SchwartzFamily
 ) -> tuple[np.ndarray, list]:
     space = lam.space_grid
     probes, centers = gaussian_probes(space)
     weighted = probes * space.cell_volume
     if _is_translation_family(lam, mu):
-        pair_matrix = _translate_pairings(lam, l, green, weighted)
+        pair_matrix = _translate_pairings(lam, pair, green, weighted)
     else:
-        # L G_p for every p at once from the dense table, on the complex pair
-        pair_matrix = full.apply(green.matrix())[0] @ weighted
+        # L G_p for every p at once from the dense table
+        pair_matrix = pair.apply(green.matrix())[0] @ weighted
     # the index grid is the space grid, so the targets phi(p) are the probe samples
     return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
@@ -186,7 +186,10 @@ def _green(
     if mu.index_grid != lam.space_grid:
         raise GridMismatch("a left inverse must be indexed by the operator family's space grid")
     policy = policy or DivisionPolicy()
-    full = _transform_pair(lam, l, None)
+    translation = _is_translation_family(lam, mu)
+    # point masses are real: with the canonical Fourier left inverse they take solve's pair
+    real = _transform_pair(lam, l, np.zeros((1, 1)) if translation else None)
+    full = _transform_pair(lam, l, None) if real.half else real
     magnitudes, eps, zero_mask = _zero_set(full.a_values, policy)
     has_zeros = zero_mask.any()
     if has_zeros:
@@ -201,19 +204,15 @@ def _green(
                 magnitude=float(magnitudes[flat]),
             )
         _check_divisible(mu, zero_mask, policy)
-
-    translation = _is_translation_family(lam, mu)
+    real_mask = _zero_set(real.a_values, policy)[2] if real.half else zero_mask
 
     def rows_map(rows):
-        # on the canonical Fourier left inverse, whose superposition is lam's
-        # analysis, the rows pick their pair as solve(delta_p) does
-        pair = _transform_pair(lam, l, rows) if translation else full
+        pair, mask = (full, zero_mask) if rows.imag.any() else (real, real_mask)
         coeffs = pair.analyse(rows) if translation else mu.superpose_rows(rows)
-        mask = _zero_set(pair.a_values, policy)[2]
         return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
-    residuals, centers = _weak_residuals(lam, l, full, family, mu)
+    residuals, centers = _weak_residuals(lam, real, family, mu)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)
 

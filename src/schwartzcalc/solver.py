@@ -257,7 +257,6 @@ def solve(
     parts ``+0.0``), equal to the composition to rounding, not bit for bit.
     """
     v._check_space(d)
-    v._check_symbol(a)
     return _solve(v, a, d, policy or DivisionPolicy())[0]
 
 
@@ -274,7 +273,7 @@ def _solve(
     try:
         q, eps = _quotient(d_v, pair.a_values, policy, v.index_grid)
     except NotDivisible:
-        if pair.l2 is _l2:
+        if not pair.half:
             raise
         pair = _transform_pair(v, a, None)
         d_v = pair.analyse(x[np.newaxis])[0]

@@ -209,30 +209,47 @@ def test_green_derivative_operator_exits_2(tmp_path):
     assert report["status"] in ("not_divisible", "not_invertible")
 
 
+def _fourier(terms):
+    return {"type": "diagonal", "family": "fourier", "symbol": {"name": "polynomial", "terms": terms}}
+
+
 @pytest.mark.parametrize(
-    "operator, policy, code, route",
+    "operator, policy, code, route, halves",
     [
-        (DDX, None, 2, None),
+        (DDX, None, 2, None, 0),
         (
             {"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"2": 1.0}}},
             {"residual_threshold": 1.0},
             0,
             "divided",
+            0,
         ),
+        (_fourier({"0": 2.0, "1": [0.0, 0.5], "2": [1.0, -0.25]}), None, 0, "reciprocal", 0),
+        (_fourier({"0": 1.0, "2": 1.0}), None, 0, "reciprocal", 1),
     ],
-    ids=["not-divisible", "divided"],
+    ids=["not-divisible", "divided", "fourier-complex", "fourier-real-even"],
 )
-def test_green_on_a_zero_set_symbol_samples_it_once(monkeypatch, tmp_path, operator, policy, code, route):
+def test_green_on_a_zero_set_symbol_samples_it_once(
+    monkeypatch, tmp_path, operator, policy, code, route, halves
+):
+    # once on the whole index grid, and once more on the half spectrum for
+    # the real members of a real, even Fourier symbol, however many are built
+    from schwartzcalc import families
     from schwartzcalc.grid import SymbolFunction
 
-    calls = []
-    original = SymbolFunction.sample_finite
+    calls, half_calls = [], []
+    original, original_half = SymbolFunction.sample_finite, families._sample_half
 
     def counting(self, grid):
         calls.append(grid)
         return original(self, grid)
 
+    def counting_half(a, index):
+        half_calls.append(index)
+        return original_half(a, index)
+
     monkeypatch.setattr(SymbolFunction, "sample_finite", counting)
+    monkeypatch.setattr(families, "_sample_half", counting_half)
     sections = {"policy": policy} if policy else {}
     cfg = write_config(
         tmp_path / "run.json",
@@ -243,6 +260,7 @@ def test_green_on_a_zero_set_symbol_samples_it_once(monkeypatch, tmp_path, opera
     )
     assert main(["green", "--config", cfg, "--index", "0.0", "--index", "-1.25"]) == code
     assert len(calls) == 1
+    assert len(half_calls) == halves
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report.get("route") == route
     if route is None:

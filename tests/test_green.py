@@ -425,8 +425,9 @@ def test_translate_pairings_equal_dense_pairings():
     green = green_family(lam, l, left_inverse_family(lam)).family
     weighted = gaussian_probes(g)[0] * g.cell_volume
     table = green.matrix()
-    dense = _transform_pair(lam, other, table).apply(table)[0] @ weighted
-    fast = _translate_pairings(lam, other, green, weighted)
+    pair = _transform_pair(lam, other, table)
+    dense = pair.apply(table)[0] @ weighted
+    fast = _translate_pairings(lam, pair, green, weighted)
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
 
 

@@ -18,6 +18,7 @@ import pytest
 
 import naive
 from schwartzcalc import (
+    ArityMismatch,
     DifferentialOperatorSpec,
     DiracFamily,
     DivisionPolicy,
@@ -112,9 +113,31 @@ def test_the_pair_is_chosen_from_the_symbol_the_family_and_the_rows():
         (dirac, real_even, real, False),
     ):
         pair = families._transform_pair(v, a, rows)
+        assert pair.half is half
         assert (pair.l2 is families._half_l2) is half
         expected = (g.counts[0], g.counts[1] // 2 + 1) if half else (g.size,)
         assert pair.a_values.shape == expected
+
+
+@pytest.mark.parametrize(
+    "family_dim, terms",
+    [((2,), {(0,): 1.0, (2,): -1.0}), ((1,), {(0, 0): 1.0, (0, 2): -1.0})],
+    ids=["1d-on-2d", "2d-(0,2)-on-1d"],
+)
+def test_apply_and_the_dense_oracle_check_the_symbol_arity(family_dim, terms):
+    # real, even symbols on a real datum: the half pair would be taken
+    grids = {1: make_grid(1, [16], [4.0]), 2: make_grid(2, [8, 8], [3.0, 3.0])}
+    fam = FourierFamily(grids[family_dim[0]])
+    spec = DifferentialOperatorSpec(terms)
+    a = differential_symbol(spec, grids[spec.arity])
+    assert a._real_even
+    for run in (
+        lambda: spectral_apply(a, fam, _real_datum(fam.space_grid)),
+        lambda: dense_from_diagonal(fam, a),
+        lambda: families._transform_pair(fam, a, None),
+    ):
+        with pytest.raises(ArityMismatch):
+            run()
 
 
 def test_a_non_finite_half_symbol_falls_back_to_the_complex_pair():
