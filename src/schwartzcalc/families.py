@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 import collections
-import functools
+import itertools
 import math
 import threading
 
@@ -76,55 +76,36 @@ def _check_dense(rows: int, cols: int) -> None:
         )
 
 
-def _sign_table(shape: tuple[int, ...], parities, scale: float = 1.0) -> np.ndarray:
-    """``scale * prod_i (-1)^(k_i + parities[i])`` at entry ``k``, shaped ``shape``.
-
-    It is one ``±1`` vector per axis, the first one times ``scale``.  In
-    several dimensions the vectors are joined by outer products into one
-    table: a complex times ``±1 + 0i`` product can change the sign of a zero
-    component, so multiplying by the vectors one axis at a time is not the
-    same arithmetic as one product.
-    """
-    vectors = []
-    for n, parity in zip(shape, parities):
-        sign = np.ones(n)
-        sign[(parity + 1) % 2 :: 2] = -1.0
-        vectors.append(sign)
-    vectors[0] *= scale
-    return functools.reduce(np.multiply.outer, vectors)
-
-
-def _centered_signs(counts: tuple[int, ...]) -> np.ndarray:
-    """``prod_i (-1)^{j_i}`` over the centered index ``j = k - N//2``, shaped ``counts``.
-
-    This is the phase relating the box transforms above to plain DFTs: on the
-    nodes ``x_k = -L + k*dx`` one has ``exp(+i p_j x_k) = (-1)^j exp(2i*pi*jk/N)``.
-    """
-    return _sign_table(counts, [n // 2 for n in counts])
-
-
-def _signed_rows(rows: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Each row, shaped like ``signs``, times ``signs``, in one new complex
-    array (real rows are multiplied as real)."""
-    out = np.empty((rows.shape[0],) + signs.shape, dtype=np.complex128)
-    np.multiply(rows.reshape(out.shape), signs, out=out)
-    return out
+def _sign(src: np.ndarray, dst: np.ndarray, parities, scale: float = 1.0) -> np.ndarray:
+    """``dst = src * scale * prod_i (-1)^(k_i + parities[i])`` at entry ``k``
+    of the trailing axes (``dst`` may be ``src``; real ``src`` is multiplied
+    as real).  Each parity class is one product with the scalar ``±scale``,
+    the ``±scale + 0i`` factor a table would hold.  A complex times ``±1 + 0i``
+    product can change the sign of a zero, so one axis at a time would not do."""
+    lead = (slice(None),) * (src.ndim - len(parities))
+    for offsets in itertools.product((0, 1), repeat=len(parities)):
+        block = lead + tuple(slice(k, None, 2) for k in offsets)
+        flips = sum(offsets) + sum(parities)
+        np.multiply(src[block], -scale if flips % 2 else scale, out=dst[block])
+    return dst
 
 
 # The counts are even, so by the shift theorem the half-roll of a spectrum is
-# the transform of the samples times ``(-1)^k``.  Each transform signs its
-# input into the one buffer it owns, runs the FFT there in place, then the
-# other signs and the scales; the second table is made after the FFT.
+# the transform of the samples times ``(-1)^k``; on the nodes ``x_k`` the
+# centered ``j = k - N//2`` has ``exp(+i p_j x_k) = (-1)^j exp(2i*pi*jk/N)``.
+# Each transform signs its input into the one buffer it owns and runs the FFT
+# there in place, then the other signs and the scales.
 
 
 def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the analysis transform to each row of ``rows`` (batched)."""
     counts = space.counts
     dim = space.dim
-    buf = _signed_rows(rows, _sign_table(counts, [0] * dim))
+    buf = np.empty((rows.shape[0],) + counts, dtype=np.complex128)
+    _sign(rows.reshape(buf.shape), buf, [0] * dim)
     np.fft.ifftn(buf, axes=tuple(range(1, dim + 1)), out=buf)
     buf *= space.size
-    buf *= _centered_signs(counts)
+    _sign(buf, buf, [n // 2 for n in counts])
     buf *= space.cell_volume / (2.0 * math.pi) ** dim
     return buf.reshape(rows.shape[0], -1)
 
@@ -132,9 +113,10 @@ def _fourier_analysis_rows(space: Grid, rows: np.ndarray) -> np.ndarray:
 def _fourier_synthesis_rows(space: Grid, index: Grid, rows: np.ndarray) -> np.ndarray:
     """Apply the synthesis transform to each row of coefficient ``rows``."""
     counts = space.counts
-    buf = _signed_rows(rows, _centered_signs(counts))
+    buf = np.empty((rows.shape[0],) + counts, dtype=np.complex128)
+    _sign(rows.reshape(buf.shape), buf, [n // 2 for n in counts])
     np.fft.fftn(buf, axes=tuple(range(1, space.dim + 1)), out=buf)
-    buf *= _sign_table(counts, [0] * space.dim)
+    _sign(buf, buf, [0] * space.dim)
     buf *= index.cell_volume
     return buf.reshape(rows.shape[0], -1)
 
@@ -177,7 +159,7 @@ def _sample_half(a: SymbolFunction, index: Grid) -> np.ndarray:
     for axis, k in enumerate(_mirror_nodes(index.counts)):
         shape = [1] * index.dim
         shape[axis] = k.size
-        nodes.append(index.axis_points(axis)[k].reshape(shape))
+        nodes.append(index._axis_nodes(axis, k).reshape(shape))
     with np.errstate(over="ignore", invalid="ignore"):
         return _polynomial(a._real_terms, nodes, np.float64)
 
@@ -218,21 +200,20 @@ def _half_l2(coeffs: np.ndarray, index: Grid) -> float:
     return math.hypot(own, math.sqrt(2.0) * _l2(coeffs[..., 1:-1], index))
 
 
-def _fourier_analysis_real(space: Grid, rows: np.ndarray) -> np.ndarray:
+def _fourier_analysis_real(space: Grid, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The analysis transform of each row of real samples, on half spectra:
-    ``rfftn`` and one pass by the signed scale."""
+    ``rfftn`` (into ``out`` when given) and one pass by the signed scale."""
     axes = tuple(range(1, space.dim + 1))
-    out = np.fft.rfftn(rows.reshape((-1,) + space.counts), axes=axes)
+    out = np.fft.rfftn(rows.reshape((-1,) + space.counts), axes=axes, out=out)
     scale = space.cell_volume / (2.0 * math.pi) ** space.dim
-    out *= _sign_table(out.shape[1:], [0] * space.dim, scale)
-    return out
+    return _sign(out, out, [0] * space.dim, scale)
 
 
 def _fourier_synthesis_real(space: Grid, index: Grid, rows: np.ndarray) -> np.ndarray:
     """The synthesis transform of each row of half spectra to real samples:
-    the signs into a new array, ``irfftn`` unnormalised (it takes the other
-    half as the conjugate mirror), then the scale, as the complex one does."""
-    signed = rows * _sign_table(rows.shape[1:], [0] * space.dim)
+    the signs in place (``rows`` is overwritten), ``irfftn`` unnormalised (it
+    takes the other half as the conjugate mirror), then the scale."""
+    signed = _sign(rows, rows, [0] * space.dim)
     axes = tuple(range(1, space.dim + 1))
     out = np.fft.irfftn(signed, s=space.counts, axes=axes, norm="forward").reshape(len(rows), -1)
     out *= index.cell_volume
@@ -241,19 +222,24 @@ def _fourier_synthesis_real(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
 
 class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_full half")):
     """A transform pair, ``half`` or complex: ``analyse`` takes rows of
-    samples to rows of coefficients and ``synthesise`` back; ``a_values`` is
-    the symbol on the coefficients' nodes; ``l2`` is the index grid's quadrature
+    samples to rows of coefficients (the half pair into its ``out``) and
+    ``synthesise`` back (the half pair overwrites them); ``a_values`` is the
+    symbol on the coefficients' nodes; ``l2`` is the index grid's quadrature
     norm of one coefficient array and ``to_full`` spreads one over the index grid."""
 
     __slots__ = ()
 
+    def scaled(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The integrands ``a * coordinates`` of each row, scaled in place
+        (the symbol first: numpy's complex product is not bitwise commutative)."""
+        coords = self.analyse(rows, out)
+        return np.multiply(self.a_values, coords, out=coords)
+
     def apply(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The diagonal operator on each row: analyse, scale by the symbol (in
-        place, the symbol first: numpy's complex product is not bitwise
-        commutative), resynthesise.  Returns the images and the integrands."""
-        coords = self.analyse(rows)
-        np.multiply(self.a_values, coords, out=coords)
-        return self.synthesise(coords), coords
+        """The diagonal operator on each row: analyse, scale by the symbol,
+        resynthesise (a copy, on the half pair); the images and the integrands."""
+        coords = self.scaled(rows)
+        return self.synthesise(coords.copy() if self.half else coords), coords
 
 
 def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, rows: np.ndarray | None) -> _Pair:
@@ -270,10 +256,11 @@ def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, rows: np.ndarray | N
     if a._real_even and isinstance(v, FourierFamily) and rows is not None and not rows.imag.any():
         a_half = _sample_half(a, index)
         if np.isfinite(a_half).all():
-            return _Pair(lambda x: _fourier_analysis_real(space, x.real),
+            return _Pair(lambda x, out=None: _fourier_analysis_real(space, x.real, out),
                          lambda c: _fourier_synthesis_real(space, index, c),
                          a_half, _half_l2, lambda c: _from_half(c, space.counts), True)
-    return _Pair(v.coordinates_rows, v.superpose_rows, a.sample_finite(index), _l2, lambda c: c, False)
+    return _Pair(lambda x, out=None: v.coordinates_rows(x), v.superpose_rows,
+                 a.sample_finite(index), _l2, lambda c: c, False)
 
 
 class SchwartzFamily(abc.ABC):

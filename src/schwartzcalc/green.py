@@ -191,7 +191,7 @@ def _green(
     real = _transform_pair(lam, l, np.zeros((1, 1)) if translation else None)
     full = _transform_pair(lam, l, None) if real.half else real
     magnitudes, eps, zero_mask = _zero_set(full.a_values, policy)
-    has_zeros = zero_mask.any()
+    has_zeros = zero_mask is not None
     if has_zeros:
         if not divided:
             flat = int(np.argmin(magnitudes))

@@ -100,10 +100,12 @@ class Grid:
 
     def axis_points(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis, ``-L + k*dx`` for k = 0..N-1."""
-        n = self.counts[axis]
+        return self._axis_nodes(axis, np.arange(self.counts[axis]))
+
+    def _axis_nodes(self, axis: int, k: np.ndarray) -> np.ndarray:
+        """:meth:`axis_points` at the node numbers ``k`` only."""
         L = self.half_extents[axis]
-        dx = 2.0 * L / n
-        return -L + dx * np.arange(n)
+        return -L + 2.0 * L / self.counts[axis] * k
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of shape ``counts``, one per axis (ij indexing)."""
@@ -187,26 +189,27 @@ class GridDistribution:
     __slots__ = ("grid", "samples")
 
     def __init__(self, grid: Grid, samples):
-        self._freeze(grid, np.array(samples, dtype=np.complex128, order="C").reshape(-1))
+        values = np.asarray(samples)  # a real input is scanned before its complex copy
+        self._freeze(grid, values if values.dtype.kind == "f" else np.array(values, np.complex128, order="C"))
 
     @classmethod
     def _trusted(cls, grid: Grid, samples: np.ndarray) -> "GridDistribution":
         """Wrap an array the library has just allocated, skipping only the copy.
 
         The caller hands ``samples`` over and keeps no other reference to it;
-        the size check and the finiteness scan still run.
+        the size check and the finiteness scan (before a complex copy) still run.
         """
         dist = cls.__new__(cls)
-        dist._freeze(grid, np.ascontiguousarray(samples, dtype=np.complex128).reshape(-1))
+        dist._freeze(grid, samples)
         return dist
 
-    def _freeze(self, grid: Grid, arr: np.ndarray):
-        if arr.size != grid.size:
+    def _freeze(self, grid: Grid, values: np.ndarray):
+        if values.size != grid.size:
             raise GridMismatch(
-                f"expected {grid.size} samples for the grid, got {arr.size}"
+                f"expected {grid.size} samples for the grid, got {values.size}"
             )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise NonFiniteSamples("distribution samples must all be finite")
+        _check_finite(values)
+        arr = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", arr)
@@ -239,6 +242,14 @@ class GridDistribution:
 
     def __neg__(self):
         return GridDistribution._trusted(self.grid, -self.samples)
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ``NonFiniteSamples`` unless every part of every value is finite."""
+    if values.dtype == np.complex128 and values.flags.c_contiguous:
+        values = values.view(np.float64)  # the parts as floats scan faster
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteSamples("distribution samples must all be finite")
 
 
 def sample_function(grid: Grid, fn: Callable) -> GridDistribution:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ArityMismatch, NotDivisible
-from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol
+from .grid import Grid, GridDistribution, SymbolFunction, _check_finite, _l2, _polynomial_symbol
 from .families import CoordinateDistribution, FourierFamily, SchwartzFamily, _transform_pair
 from .spectral import SLinearOperator, spectral_apply
 
@@ -165,18 +166,19 @@ def divide(
     raised when ``a`` is not finite on the grid.
     """
     policy = policy or DivisionPolicy()
-    q, _ = _quotient(d_v.samples, a.sample_finite(d_v.grid), policy, d_v.grid)
+    a_values = a.sample_finite(d_v.grid)
+    q = _masked_quotient(d_v.samples, a_values, _division(d_v.samples, a_values, policy, d_v.grid)[0])
     return GridDistribution._trusted(d_v.grid, q)
 
 
-def _quotient(
+def _division(
     d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid
-) -> tuple[np.ndarray, float]:
-    """Core of :func:`divide` on arrays: ``a_values`` are the symbol's samples
-    on ``grid``, the index grid of the coefficients ``d_v``.  Returns the
-    quotient and the zero threshold it applied."""
+) -> tuple[np.ndarray | None, float]:
+    """The checks of :func:`divide` on arrays: ``a_values`` are the symbol's
+    samples on ``grid``, the index grid of the coefficients ``d_v``.  Returns
+    the zero set (``None`` when empty) and the zero threshold it applied."""
     _, eps, zero_mask = _zero_set(a_values, policy)
-    if zero_mask.any():
+    if zero_mask is not None:
         mass, bad = _mass_on_zero_set(d_v, zero_mask, policy)
         if bad.any():
             worst = int(np.argmax(np.where(bad, mass, -1.0)))
@@ -189,16 +191,16 @@ def _quotient(
                 magnitude=float(mass.flat[worst]),
                 zero_threshold=eps,
             )
-    return _masked_quotient(d_v, a_values, zero_mask), eps
+    return zero_mask, eps
 
 
-def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[np.ndarray, float, np.ndarray]:
+def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[np.ndarray, float, np.ndarray | None]:
     """``|a|``, the policy's zero threshold and the mask of nodes at or below
-    it: the first part of the division rule :func:`divide`, :func:`solve` and
-    the Green families share."""
+    it, ``None`` when ``min|a|`` is above it: the first part of the division
+    rule :func:`divide`, :func:`solve` and the Green families share."""
     magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
-    return magnitudes, eps, magnitudes <= eps
+    return magnitudes, eps, (magnitudes <= eps if np.min(magnitudes) <= eps else None)
 
 
 def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = None):
@@ -210,22 +212,38 @@ def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = N
     return mass, zero_mask & (mass > allowed)
 
 
-def _masked_quotient(x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray) -> np.ndarray:
-    """``x / a`` off the zero set and 0 on it; plain ``x / a`` when the set is
-    empty.  ``a_values`` and ``zero_mask`` broadcast against ``x``."""
-    if not zero_mask.any():
+def _masked_quotient(x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray | None) -> np.ndarray:
+    """``x / a`` off the zero set and 0 on it, in a new array; plain ``x / a``
+    when the set is empty (``None``).  ``a_values`` and ``zero_mask``
+    broadcast against ``x``."""
+    if zero_mask is None:
         return x / a_values
     return np.where(zero_mask, 0.0 + 0.0j, x / np.where(zero_mask, 1.0, a_values))
 
 
-@dataclasses.dataclass(frozen=True)
 class SolveResult:
-    """Solution of ``A(u) = d`` together with its quotient and residual."""
+    """Solution of ``A(u) = d`` with its quotient and ``residual``, the
+    relative L2 residual ``|A(u) - d| / |d|``.  The quotient :func:`solve`
+    finds is built when first read, from the datum's coefficients the result
+    holds until then; every later read returns the same distribution."""
 
-    solution: GridDistribution
-    quotient: CoordinateDistribution
-    #: relative L2 residual ``|A(u) - d| / |d|`` of the solution
-    residual: float
+    __slots__ = ("solution", "_quotient", "residual", "_lock")
+
+    def __init__(self, solution: GridDistribution, quotient: CoordinateDistribution, residual: float):
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "_quotient", quotient)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "_lock", threading.Lock())
+
+    @property
+    def quotient(self) -> CoordinateDistribution:
+        with self._lock:  # one build, whichever thread reads first; it drops what built it
+            if callable(self._quotient):
+                object.__setattr__(self, "_quotient", self._quotient())
+        return self._quotient
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SolveResult is immutable")
 
 
 def solve(
@@ -238,7 +256,8 @@ def solve(
 
     ``u = superpose(divide(coordinates(d, v), a), v)``.  Raises
     ``NotDivisible`` when no quotient exists under the policy,
-    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid and
+    ``NonFiniteSymbol`` when ``a`` is not finite on the index grid,
+    ``NonFiniteSamples`` when the quotient or ``u`` is not finite and
     ``ArityMismatch`` when its arity is not the index dimension.  The
     reported residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
 
@@ -266,21 +285,24 @@ def _solve(
     """Core of :func:`solve` for a datum on ``v``'s space grid: the result and
     the zero threshold its division applied, on arrays, on the pair
     :func:`_transform_pair` picks.  A datum that does not divide on half
-    spectra is divided again on the complex pair, which names the node."""
+    spectra is divided again on the complex pair, which names the node.  The
+    half pair signs the quotient in place to synthesise ``u``, then analyses
+    ``u`` into the same array; the result divides again when it is read."""
     x = d.samples
     pair = _transform_pair(v, a, x[np.newaxis])
     d_v = pair.analyse(x[np.newaxis])[0]
     try:
-        q, eps = _quotient(d_v, pair.a_values, policy, v.index_grid)
+        zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
     except NotDivisible:
         if not pair.half:
             raise
         pair = _transform_pair(v, a, None)
         d_v = pair.analyse(x[np.newaxis])[0]
-        q, eps = _quotient(d_v, pair.a_values, policy, v.index_grid)
-    u = pair.synthesise(q[np.newaxis])[0]
-    coords = pair.analyse(u[np.newaxis])[0]
-    np.multiply(pair.a_values, coords, out=coords)
+        zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
+    buf = _masked_quotient(d_v, pair.a_values, zero_mask)[np.newaxis]
+    _check_finite(buf)
+    u = pair.synthesise(buf)
+    coords = pair.scaled(u, buf)[0]
     if v._parseval is None:
         image = pair.synthesise(coords[np.newaxis])[0]
         np.subtract(image, x, out=image)
@@ -288,15 +310,15 @@ def _solve(
     else:
         np.subtract(coords, d_v, out=coords)
         norm = v._parseval * pair.l2(coords, v.index_grid)
-    del coords, d_v
-    denom = _l2(x, v.space_grid)
+    del buf, coords  # before the solution's complex copy
+    denom = _l2(x.real if pair.half else x, v.space_grid)  # |x + 0i| is |x|
     resid = float(norm / denom) if denom > 0.0 else 0.0
-    # the full-size results, one after the other, into the room the half spectra leave
-    to_full = pair.to_full
-    del pair
-    quotient = GridDistribution._trusted(v.index_grid, to_full(q))
-    del q
-    return SolveResult(GridDistribution._trusted(v.space_grid, u), quotient, resid), eps
+
+    def quotient():  # the same division again, spread over the index grid
+        q = _masked_quotient(d_v, pair.a_values, zero_mask)
+        return GridDistribution._trusted(v.index_grid, pair.to_full(q))
+
+    return SolveResult(GridDistribution._trusted(v.space_grid, u[0]), quotient, resid), eps
 
 
 def solve_pde(

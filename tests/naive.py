@@ -12,6 +12,7 @@ import numpy as np
 from schwartzcalc import (
     DivisionPolicy,
     GridDistribution,
+    NonFiniteSymbol,
     NotDivisible,
     NotInvertible,
     coordinates,
@@ -55,11 +56,25 @@ def naive_pairing(u, phi_values):
     return complex(np.sum(u.samples * np.asarray(phi_values)) * u.grid.cell_volume)
 
 
+def sample_symbol(a, index):
+    """The values of the symbol ``a`` on every node of ``index``, raising
+    ``NonFiniteSymbol`` that names the first node, in row-major order, where
+    a value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = a.sample(index)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteSymbol(f"symbol {a.descriptor!r} is not finite at node {index.point_at(bad[0])}")
+    return values
+
+
 def literal_solve(v, a, d, policy=None):
     """``u = superpose(q, v)`` with ``q = d_v / a`` off the zero set, step by step.
 
     Every step goes through public distributions: ``d_v = coordinates(d, v)``;
-    the symbol is sampled for the division and again for ``A(u)``; ``q`` is
+    the symbol is sampled for the division (:func:`sample_symbol`, which
+    raises ``NonFiniteSymbol`` where it is not finite) and again for
+    ``A(u)``; ``q`` is
     the masked quotient (0 on ``|a| <= eps``); the residual is
     ``|superpose(a * coordinates(u, v), v) - d| / |d|``.  Meant for data the
     policy finds divisible (there is no check for mass on the zero set).
@@ -68,7 +83,7 @@ def literal_solve(v, a, d, policy=None):
     policy = policy or DivisionPolicy()
     index = v.index_grid
     d_v = coordinates(d, v)
-    a_values = a.sample(index)
+    a_values = sample_symbol(a, index)
     zero_mask = np.abs(a_values) <= policy.resolve_zero_threshold(a_values)
     q = GridDistribution(
         index, np.where(zero_mask, 0.0 + 0.0j, d_v.samples / np.where(zero_mask, 1.0, a_values))

@@ -12,6 +12,11 @@ stated scale:
   bound for the quotient), or the same typed error;
 * Green members: ``1 / (dx^n min|l|)``, the bound of a member.
 
+Two properties are exact: the half-spectrum sampler is bit for bit the
+real parts of the whole-grid sample, gathered onto the half; and a real,
+even symbol that overflows makes ``solve`` name the node the literal solve
+names.
+
 The factor in front, ``TOL_ULPS * N``, covers the literal sums themselves:
 their phases ``p.x`` reach ``pi N / 2``, where ``exp`` is accurate to
 about ``N`` ulps.  The strategies are derandomized and keep every grid at
@@ -23,7 +28,9 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +43,7 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    NonFiniteSymbol,
     NotDivisible,
     NotInvertible,
     delta_distribution,
@@ -48,6 +56,7 @@ from schwartzcalc import (
     solve_pde,
     spectral_apply,
 )
+from schwartzcalc import families
 from schwartzcalc.cli import main
 
 EPS = np.finfo(float).eps
@@ -60,15 +69,15 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def grids(draw, max_nodes=MAX_NODES):
-    """Even counts from 4 to 32 per axis, at most ``max_nodes`` in all."""
+def grids(draw, max_nodes=MAX_NODES, extents=st.floats(0.25, 8.0)):
+    """Even counts from 4 to 32 per axis, at most ``max_nodes`` in all, and
+    half extents from ``extents``."""
     dim = draw(st.integers(1, 3))
     counts = []
     for axis in range(dim):
         room = max_nodes // math.prod(counts) // 4 ** (dim - axis - 1)
         counts.append(draw(st.sampled_from([n for n in range(4, 33, 2) if n <= room])))
-    extents = [draw(st.floats(0.25, 8.0)) for _ in counts]
-    return make_grid(dim, counts, extents)
+    return make_grid(dim, counts, [draw(extents) for _ in counts])
 
 
 #: coefficients of either sign, 1/8 to 2 in magnitude
@@ -256,3 +265,58 @@ def test_green_members_are_the_dense_green_table(grid, real_even, divided, data)
     k = data.draw(st.integers(0, grid.size - 1))
     ok, detail = within(result.family.member(grid.point_at(k)).samples, table[k], scale, grid.size)
     assert ok, detail
+
+
+def same_words(x, y):
+    """Bitwise equality read as unsigned words, so signed zeros count."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(
+        x.view(np.uint64), y.view(np.uint64))
+
+
+@SETTINGS
+@given(grid=grids(extents=st.floats(1e-3, 1e3)), data=st.data())
+def test_half_sampler_is_the_gathered_real_part(grid, data):
+    """The half sampler computes each node from its node number on the
+    half; the reference samples the whole index grid and gathers the real
+    parts.  Real, even terms of degree up to 6 per axis, at half extents
+    from 1e-3 to 1e3."""
+    fam = FourierFamily(grid)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        idx = tuple(data.draw(st.sampled_from([0, 2, 4, 6])) for _ in range(grid.dim))
+        terms[idx] = complex(data.draw(COEFFICIENT))
+    _, a = operator_symbol(fam, terms)
+    assert a._real_even
+    half = families._sample_half(a, fam.index_grid)
+    assert same_words(half, naive.to_half(a.sample_finite(fam.index_grid).real, grid.counts))
+
+
+@SETTINGS
+@given(grid=grids(extents=st.floats(0.25, 2.0)), sign=st.sampled_from([-1.0, 1.0]),
+       overshoot=st.floats(2.0, 8.0), kind=st.sampled_from(["real", "delta"]),
+       fixed=st.booleans(), data=st.data())
+def test_overflowing_real_even_symbol_is_the_literal_solves_error(
+        grid, sign, overshoot, kind, fixed, data):
+    """A real, even symbol with a term that reaches ``overshoot`` times the
+    largest float at the corner node ``|p_i| = N_i pi / (2 L_i)``: the half
+    pair is refused, and the solve names the node the literal solve names,
+    the first non-finite one.  A fixed zero threshold keeps the infinite
+    values off the zero set."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, True))
+    degree = tuple(data.draw(st.sampled_from([2, 4])) for _ in range(grid.dim))
+    corner = math.prod(p**k for p, k in zip(fam.index_grid.half_extents, degree))
+    terms[degree] = complex(sign * overshoot * (np.finfo(float).max / corner))
+    spec, a = operator_symbol(fam, terms, 1.0)
+    d = draw_datum(data.draw, grid, kind)
+    policy = DivisionPolicy(zero_threshold=1e-3) if fixed else DivisionPolicy()
+    with pytest.raises(NonFiniteSymbol) as literal:
+        naive.literal_solve(fam, a, d, policy)
+    node = re.search(r"at node (\(.*\))$", str(literal.value)).group(1)
+    with mock.patch.object(families, "_fourier_analysis_real") as half_analysis:
+        for run in (lambda: solve_pde(spec, d, policy), lambda: solve(fam, a, d, policy)):
+            with pytest.raises(NonFiniteSymbol) as info:
+                run()
+            assert f"at node {node}:" in str(info.value), (str(info.value), node)
+    assert half_analysis.call_count == 0

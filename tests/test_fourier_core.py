@@ -23,6 +23,7 @@ from schwartzcalc import (
     DifferentialOperatorSpec,
     FourierFamily,
     GridDistribution,
+    NonFiniteSamples,
     SymbolFunction,
     green_family,
     l2_norm,
@@ -154,8 +155,8 @@ def test_lazy_green_row_map_is_bitwise_the_first_transforms(monkeypatch):
 
 def test_analysis_traced_peak_stays_below_two_arrays():
     """One complex analysis at 2^16 nodes, counted in arrays of ``16 N``
-    bytes: the buffer it owns and a half-size ``±1`` table, 1.6 arrays.  It
-    was 2.6 while the FFT output was half-rolled into a second array."""
+    bytes: the buffer it owns, 1.0 arrays.  It was 2.6 while the FFT output
+    was half-rolled into a second array, and 1.6 beside a ``±1`` table."""
     g = make_grid(1, [1 << 16], [40.0])
     rows = _rows(g.size, 0)[:1]
     families._fourier_analysis_rows(g, rows)  # warm-up
@@ -236,6 +237,24 @@ def test_distribution_copies_once_to_the_first_bits(samples):
     assert same_words(dist.samples, naive.distribution_samples(samples))
     assert dist.samples.flags.c_contiguous and not dist.samples.flags.writeable
     assert not np.shares_memory(dist.samples, np.asarray(samples))
+
+
+def test_real_samples_are_scanned_before_their_complex_copy():
+    # a non-finite real input is refused while the traced peak is still the
+    # scan's mask of N bytes, before any copy of 16 N bytes; the solve hands
+    # its real solution over the same way
+    g = make_grid(1, [1 << 16], [40.0])
+    x = np.ones(g.size)
+    x[-1] = np.inf
+    for make in (GridDistribution, GridDistribution._trusted):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteSamples):
+                make(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * g.size, f"peak {peak / g.size:.2f} N bytes"
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))

@@ -16,8 +16,11 @@ pinned the same way against literal copies of the code they replaced.
 """
 
 import collections
+import gc
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,8 +34,10 @@ from schwartzcalc import (
     GridDistribution,
     GridMismatch,
     KernelFamily,
+    NonFiniteSamples,
     NonFiniteSymbol,
     NotDivisible,
+    SolveResult,
     SymbolFunction,
     coordinates,
     delta_distribution,
@@ -312,6 +317,116 @@ def test_coefficient_residual_agrees_with_the_spatial_one(monkeypatch, grid_name
     assert residual_agrees(result.residual, residual_lit), (result.residual, residual_lit)
 
 
+def _reachable_arrays(obj):
+    """Every numpy array reachable from ``obj`` through references, types
+    and modules left out."""
+    seen, stack, arrays = set(), [obj], []
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, type(math))):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        else:
+            stack.extend(gc.get_referents(item))
+    return arrays
+
+
+def _quotient_cases():
+    """``(spec, datum, takes the half pair)``: each pair, with and without a
+    zero set."""
+    cases = {}
+    for name in ("1d-helmholtz", "1d-zero-set", "2d-zero-set"):
+        spec, d = _cases()[name]
+        cases[name] = (spec, d, False)
+    cases["1d-1024-real"] = _real_cases()["1d-1024"] + (True,)
+    for grid_name in ("1d-64", "2d-16x12"):
+        spec, d, _ = _residual_case(grid_name, "real-zero-set")
+        cases[f"{grid_name}-real-zero-set"] = (spec, d, True)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_quotient_cases()))
+def test_quotient_is_built_when_first_read(name):
+    spec, d, half = _quotient_cases()[name]
+    # the literal quotient: literal_solve's, or literal_solve_half's spread
+    fam = FourierFamily(d.grid)
+    a = differential_symbol(spec, fam.index_grid)
+    if half:
+        expected = families._from_half(literal_solve_half(fam, a, d)[1], d.grid.counts)
+    else:
+        expected = literal_solve(fam, a, d)[1].samples
+    result = solve_pde(spec, d)
+    # until read, the result holds the datum's coefficients: on the half
+    # pair a half spectrum, which nothing else in the result has the size of
+    before = [x.size for x in _reachable_arrays(result)]
+    assert any(size != d.grid.size for size in before) is half
+    quotient = result.quotient
+    assert same_bits(quotient.samples, expected)
+    assert result.quotient is quotient
+    # after the first read it holds the two distributions and nothing else
+    after = _reachable_arrays(result)
+    assert len(after) == 2
+    assert {id(x) for x in after} == {id(result.solution.samples), id(quotient.samples)}
+
+
+def test_concurrent_first_reads_build_one_quotient():
+    # more readers than cores and a short switch interval (numpy may release
+    # the interpreter lock in the division): every reader gets one distribution
+    spec, d = _real_cases()["1d-1024"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            result = solve_pde(spec, d)
+            start = threading.Barrier(8)
+            seen = []
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(result.quotient)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(q is seen[0] for q in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solve_result_takes_a_quotient_distribution():
+    g = make_grid(1, [16], [2.0])
+    u = sample_function(g, np.cos)
+    q = FourierFamily(g).coordinates(u)
+    for result in (SolveResult(u, q, 0.25), SolveResult(solution=u, quotient=q, residual=0.25)):
+        assert result.solution is u and result.quotient is q and result.residual == 0.25
+        with pytest.raises(AttributeError):
+            result.residual = 0.5
+
+
+@pytest.mark.parametrize("complex_datum", [False, True])
+def test_overflowing_quotient_is_raised_by_the_solve(monkeypatch, complex_datum):
+    # the symbol 1e-300 (1 + p^2) stays above its zero threshold
+    # 1e-12 max|a|, and 1e10 / 1e-300 overflows: the solve raises before it
+    # synthesises, on either pair, not a later read of the quotient
+    g = make_grid(1, [64], [3.0])
+    spec = DifferentialOperatorSpec({(0,): 1e-300, (2,): -1e-300})
+    d = sample_function(g, lambda x: 1e10 * np.exp(-(x**2)))
+    if complex_datum:
+        d = d + GridDistribution(g, np.full(g.size, 1e-300j))
+    calls = collections.Counter()
+    _count_calls(monkeypatch, families, "_sample_half", calls)
+    _count_calls(monkeypatch, families, "_fourier_synthesis_real", calls)
+    _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteSamples):
+        solve_pde(spec, d)
+    assert calls == ({} if complex_datum else {"_sample_half": 1})
+
+
 HALF_SAMPLER_GRIDS = {
     "1d-1024": ([1024], [1.3]),
     "2d-6x10": ([6, 10], [1.0, 2.0]),
@@ -457,27 +572,29 @@ def test_solve_pde_traced_peak_stays_below_seven_arrays():
     """The peak of a complex datum at 2^16 nodes.
 
     It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
-    copies and ``GridDistribution`` copied its input twice; it is 6.6 now.
-    The peak is the analysis of ``u``: the datum, the symbol samples, the
-    datum's coefficients, the quotient and the solution stay alive beside
-    the one buffer the analysis owns and its half-size ``±1`` table.  The
-    quotient is made once and held; beside the half-rolled analysis, which
-    needed a second buffer, holding it made 7.6 arrays.
+    copies and ``GridDistribution`` copied its input twice, and 6.6 while
+    the analysis built a half-size ``±1`` table; it is 6.0 now.  The peak is
+    the analysis of ``u``: the datum, the symbol samples, the datum's
+    coefficients, the quotient and the solution stay alive beside the one
+    buffer the analysis owns.
     """
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
     peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x))
     assert peak < 7, f"peak {peak:.2f} arrays"
 
 
-def test_real_path_traced_peak_stays_below_five_arrays():
-    """The peak of a real datum at 2^16 nodes, 4.6 arrays when pinned while
-    the symbol was sampled on the whole grid and ``A(u)`` synthesised; 3.9
-    now.  The datum, the real solution and the half spectra of the symbol,
-    the datum's coefficients, the quotient and ``a * coordinates(u)``, then
-    the full quotient and the complex solution made one after the other."""
+def test_real_path_traced_peak_stays_below_three_and_a_half_arrays():
+    """The peak of a real datum at 2^16 nodes: 4.6 arrays while the symbol
+    was sampled on the whole grid and ``A(u)`` synthesised, 3.6 while the
+    solve spread the quotient over the whole grid beside ``±1`` tables and
+    a second half spectrum; 3.25 now.  The solve works in one half spectrum
+    beside the datum's coefficients and the real solution; the peak is its
+    end, where the datum, the half spectra of the symbol and of the datum's
+    coefficients (held for the quotient) and the real solution stay alive
+    beside the solution's complex copy."""
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
     peak = _traced_peak(np.sin(3.0 * x))
-    assert peak < 5, f"peak {peak:.2f} arrays"
+    assert peak < 3.5, f"peak {peak:.2f} arrays"
 
 
 # p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
