@@ -508,6 +508,7 @@ def _cmd_solve(args) -> int:
         _write_report(out_dir / "report.json", report)
         print(f"not divisible: {exc}", file=sys.stderr)
         return 2
+    del datum  # freed first, the residual read below stays under the solve's peak
     write_distribution_csv(out_dir / "solution.csv", result.solution)
     report.update(
         {

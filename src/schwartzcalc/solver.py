@@ -24,8 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ArityMismatch, NotDivisible
-from .grid import Grid, GridDistribution, SymbolFunction, _check_finite, _l2, _polynomial_symbol
+from .errors import ArityMismatch, NonFiniteSamples, NotDivisible
+from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial_symbol
 from .families import CoordinateDistribution, FourierFamily, SchwartzFamily, _transform_pair
 from .spectral import SLinearOperator, spectral_apply
 
@@ -184,7 +184,7 @@ def _division(
             worst = int(np.argmax(np.where(bad, mass, -1.0)))
             raise NotDivisible(
                 f"datum has coefficient mass {mass.flat[worst]:.6e} at index node "
-                f"{grid.point_at(worst)} where the symbol magnitude is below "
+                f"{grid.point_at(worst)} where the symbol magnitude is at or below "
                 f"{eps:.6e}",
                 worst_index=worst,
                 worst_point=grid.point_at(worst),
@@ -223,24 +223,27 @@ def _masked_quotient(x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray 
 
 class SolveResult:
     """Solution of ``A(u) = d`` with its quotient and ``residual``, the
-    relative L2 residual ``|A(u) - d| / |d|``.  The quotient :func:`solve`
-    finds is built when first read, from the datum's coefficients the result
-    holds until then; every later read returns the same distribution."""
+    relative L2 residual ``|A(u) - d| / |d|``.  The quotient and the
+    residual :func:`solve` finds are each built when first read, from what
+    the result holds until then (the datum's coefficients, the symbol
+    samples, the zero set); every later read returns the same value."""
 
-    __slots__ = ("solution", "_quotient", "residual", "_lock")
+    __slots__ = ("solution", "_quotient", "_residual", "_lock")
 
     def __init__(self, solution: GridDistribution, quotient: CoordinateDistribution, residual: float):
         object.__setattr__(self, "solution", solution)
         object.__setattr__(self, "_quotient", quotient)
-        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "_residual", residual)
         object.__setattr__(self, "_lock", threading.Lock())
 
-    @property
-    def quotient(self) -> CoordinateDistribution:
+    def _built(self, name: str):
         with self._lock:  # one build, whichever thread reads first; it drops what built it
-            if callable(self._quotient):
-                object.__setattr__(self, "_quotient", self._quotient())
-        return self._quotient
+            if callable(getattr(self, name)):
+                object.__setattr__(self, name, getattr(self, name)())
+        return getattr(self, name)
+
+    quotient = property(lambda self: self._built("_quotient"))
+    residual = property(lambda self: self._built("_residual"))
 
     def __setattr__(self, name, value):
         raise AttributeError("SolveResult is immutable")
@@ -261,9 +264,10 @@ def solve(
     ``ArityMismatch`` when its arity is not the index dimension.  The
     reported residual is ``|A(u) - d| / |d|`` in the quadrature L2 norm.
 
-    The symbol is sampled once, and three transforms run on arrays: analyse
-    ``d``, synthesise ``u``, analyse ``u``.  The solution and quotient are
-    the same bits as the composition above.  The residual is measured on
+    The symbol is sampled once, and two transforms run on arrays: analyse
+    ``d``, synthesise ``u``; the first read of the residual analyses ``u``.
+    The solution and quotient are the same bits as the composition above,
+    and every read of a field the same bits.  The residual is measured on
     coefficients: on the Fourier family ``|f| = (2 pi)^(n/2) |c|`` (the
     discrete Parseval identity, each side in its own grid's norm), so
     ``|A(u) - d| = (2 pi)^(n/2) |a * coordinates(u) - coordinates(d)|`` and
@@ -284,41 +288,59 @@ def _solve(
 ) -> tuple[SolveResult, float]:
     """Core of :func:`solve` for a datum on ``v``'s space grid: the result and
     the zero threshold its division applied, on arrays, on the pair
-    :func:`_transform_pair` picks.  A datum that does not divide on half
-    spectra is divided again on the complex pair, which names the node.  The
-    half pair signs the quotient in place to synthesise ``u``, then analyses
-    ``u`` into the same array; the result divides again when it is read."""
-    x = d.samples
-    pair = _transform_pair(v, a, x[np.newaxis])
-    d_v = pair.analyse(x[np.newaxis])[0]
-    try:
-        zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
-    except NotDivisible:
-        if not pair.half:
-            raise
-        pair = _transform_pair(v, a, None)
+    :func:`_transform_pair` picks.  A datum that does not divide, or whose
+    quotient is not finite, on half spectra is divided again on the complex
+    pair, which names the node.  Two transforms run here: the analysis of
+    ``d`` and the synthesis of ``u`` (the half pair signs the quotient in
+    place for it).  The quotient (divided again) and the residual (the
+    analysis of ``u``) are built when first read."""
+    x, pair = d.samples, _transform_pair(v, a, d.samples[np.newaxis])
+    while True:
         d_v = pair.analyse(x[np.newaxis])[0]
-        zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
-    buf = _masked_quotient(d_v, pair.a_values, zero_mask)[np.newaxis]
-    _check_finite(buf)
-    u = pair.synthesise(buf)
-    coords = pair.scaled(u, buf)[0]
-    if v._parseval is None:
-        image = pair.synthesise(coords[np.newaxis])[0]
-        np.subtract(image, x, out=image)
-        norm = _l2(image, v.space_grid)
-    else:
-        np.subtract(coords, d_v, out=coords)
-        norm = v._parseval * pair.l2(coords, v.index_grid)
-    del buf, coords  # before the solution's complex copy
+        try:
+            zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
+            buf = _finite_quotient(d_v, pair.a_values, zero_mask, v.index_grid)
+            break
+        except (NotDivisible, NonFiniteSamples):
+            if not pair.half:
+                raise
+            pair = _transform_pair(v, a, None)
+    u = pair.synthesise(buf[np.newaxis])[0]
+    del buf  # before the datum's norm and the solution's complex copy
     denom = _l2(x.real if pair.half else x, v.space_grid)  # |x + 0i| is |x|
-    resid = float(norm / denom) if denom > 0.0 else 0.0
+    solution = GridDistribution._trusted(v.space_grid, u)
+    datum = x if v._parseval is None else None  # held only to form A(u) - d
 
     def quotient():  # the same division again, spread over the index grid
         q = _masked_quotient(d_v, pair.a_values, zero_mask)
         return GridDistribution._trusted(v.index_grid, pair.to_full(q))
 
-    return SolveResult(GridDistribution._trusted(v.space_grid, u[0]), quotient, resid), eps
+    def residual():  # analyse u (the half pair takes its real part)
+        coords = pair.scaled(solution.samples[np.newaxis])[0]
+        if datum is not None:
+            image = pair.synthesise(coords[np.newaxis])[0]
+            np.subtract(image, datum, out=image)
+            norm = _l2(image, v.space_grid)
+        else:
+            np.subtract(coords, d_v, out=coords)
+            norm = v._parseval * pair.l2(coords, v.index_grid)
+        return float(norm / denom) if denom > 0.0 else 0.0
+
+    return SolveResult(solution, quotient, residual), eps
+
+
+def _finite_quotient(d_v: np.ndarray, a_values: np.ndarray, zero_mask, index: Grid) -> np.ndarray:
+    """:func:`_masked_quotient` of the coefficients ``d_v``, refused with
+    ``NonFiniteSamples`` at the first node of ``index`` where ``d_v``, or
+    else the quotient, is not finite."""
+    q = _masked_quotient(d_v, a_values, zero_mask)
+    if not np.isfinite(q.view(np.float64)).all():  # the parts as floats scan faster
+        what, bad = ("the datum's coefficient", d_v) if not np.isfinite(d_v).all() else ("the quotient", q)
+        flat = int(np.argmin(np.isfinite(bad)))
+        raise NonFiniteSamples(
+            f"{what} at index node {index.point_at(flat)} is {bad.flat[flat]}; samples must all be finite"
+        )
+    return q
 
 
 def solve_pde(

@@ -795,6 +795,26 @@ def test_overflowing_quotient_in_solve_prints_no_numpy_warning(tmp_path):
     assert "samples must all be finite" in err
 
 
+@pytest.mark.parametrize(
+    "coefficients, datum, what",
+    [
+        ({"0": 1e-320}, {"kind": "gaussian", "sigma": 1.0}, "the quotient"),
+        ({"0": 1e-300, "2": -1e-300}, {"kind": "constant", "c": 1e300}, "the quotient"),
+        ({"0": 1, "2": -1}, {"kind": "constant", "c": [1e308, 1e308]}, "the datum's coefficient"),
+    ],
+)
+def test_overflowing_solve_names_the_array_and_the_node(tmp_path, coefficients, datum, what):
+    err = _one_line_exit_1(
+        tmp_path,
+        ["solve"],
+        grid={"dim": 1, "counts": [64], "half_extents": [3.0]},
+        operator={"type": "differential", "coefficients": coefficients},
+        datum=datum,
+    )
+    assert err.startswith(f"error: {what} at index node (")
+    assert err.rstrip().endswith("samples must all be finite")
+
+
 def test_overflowing_reciprocal_in_green_prints_no_numpy_warning(tmp_path):
     # 1 / 1e-310 overflows to inf, and inf times a zero point-mass entry is nan
     err = _one_line_exit_1(

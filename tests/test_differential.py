@@ -320,3 +320,42 @@ def test_overflowing_real_even_symbol_is_the_literal_solves_error(
                 run()
             assert f"at node {node}:" in str(info.value), (str(info.value), node)
     assert half_analysis.call_count == 0
+
+
+@SETTINGS
+@given(grid=grids(extents=st.floats(0.25, 2.0)), overshoot=st.floats(2.0, 8.0),
+       nan=st.booleans(), kind=st.sampled_from(["real", "complex", "delta"]),
+       fixed=st.booleans(), data=st.data())
+def test_non_finite_complex_symbol_is_the_literal_solves_error(
+        grid, overshoot, nan, kind, fixed, data):
+    """A complex symbol with a term of degree 2 or 3 per axis whose real and
+    imaginary parts reach ``overshoot`` times the largest float at the
+    corner node ``|p_i| = N_i pi / (2 L_i)``.  With ``nan``, a second term
+    two degrees higher on the first axis has the same coefficient, so that
+    its value is the first's times ``-p_0^2``: where both overflow their
+    sum is ``inf - inf``.  The solve names the node the literal solve names,
+    the first non-finite one."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, False))
+    degree = tuple(data.draw(st.integers(2, 3)) for _ in range(grid.dim))
+    corner = math.prod(p**k for p, k in zip(fam.index_grid.half_extents, degree))
+    big = overshoot * (np.finfo(float).max / corner)
+    terms[degree] = complex(*(data.draw(st.sampled_from([-1.0, 1.0])) * big for _ in "ri"))
+    if nan:
+        terms[(degree[0] + 2,) + degree[1:]] = terms[degree]
+    spec, a = operator_symbol(fam, terms)
+    assert not a._real_even
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = a.sample(fam.index_grid)
+    assert not np.isfinite(values).all()
+    if nan:
+        assert np.isnan(values).any()
+    d = draw_datum(data.draw, grid, kind)
+    policy = DivisionPolicy(zero_threshold=1e-3) if fixed else DivisionPolicy()
+    with pytest.raises(NonFiniteSymbol) as literal:
+        naive.literal_solve(fam, a, d, policy)
+    node = re.search(r"at node (\(.*\))$", str(literal.value)).group(1)
+    for run in (lambda: solve_pde(spec, d, policy), lambda: solve(fam, a, d, policy)):
+        with pytest.raises(NonFiniteSymbol) as info:
+            run()
+        assert f"at node {node}:" in str(info.value), (str(info.value), node)

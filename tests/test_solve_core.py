@@ -1,10 +1,11 @@
 """The solve core against the literal definitions, bit for bit, and its cost.
 
-``solve`` samples the symbol once and runs three transforms on arrays:
-analyse ``d``, synthesise ``u``, analyse ``u``.  These tests pin that its
-solution and quotient are the same bits (signed zeros included) as the
-step-by-step composition of the public functions and as
-``naive.literal_solve``, and count what one call does.  The residual is
+``solve`` samples the symbol once and runs two transforms on arrays:
+analyse ``d``, synthesise ``u``; the first read of the residual analyses
+``u``.  These tests pin that its solution and quotient are the same bits
+(signed zeros included) as the step-by-step composition of the public
+functions and as ``naive.literal_solve``, and count what one call and
+each read do.  The residual is
 measured on coefficients by the discrete Parseval identity, so it agrees
 with ``literal_solve``'s spatial residual to the rounding of the synthesis
 it saves; :func:`test_coefficient_residual_agrees_with_the_spatial_one`
@@ -234,6 +235,7 @@ def test_real_path_names_the_node_the_complex_path_names(dim):
         solve_pde(spec, d + GridDistribution(g, np.full(g.size, 1e-300j)))
     assert real.value.worst_point == plain.value.worst_point
     assert real.value.worst_index == plain.value.worst_index
+    assert "where the symbol magnitude is at or below" in str(real.value)
     assert abs(real.value.magnitude - plain.value.magnitude) <= 1e-14 * plain.value.magnitude
 
 
@@ -347,6 +349,13 @@ def _quotient_cases():
     return cases
 
 
+def _datum_coefficients(spec, d):
+    """The datum's coefficients as the solve makes them, on its pair."""
+    fam = FourierFamily(d.grid)
+    pair = families._transform_pair(fam, differential_symbol(spec, fam.index_grid), d.samples[np.newaxis])
+    return pair.analyse(d.samples[np.newaxis])[0]
+
+
 @pytest.mark.parametrize("name", sorted(_quotient_cases()))
 def test_quotient_is_built_when_first_read(name):
     spec, d, half = _quotient_cases()[name]
@@ -357,18 +366,47 @@ def test_quotient_is_built_when_first_read(name):
         expected = families._from_half(literal_solve_half(fam, a, d)[1], d.grid.counts)
     else:
         expected = literal_solve(fam, a, d)[1].samples
-    result = solve_pde(spec, d)
-    # until read, the result holds the datum's coefficients: on the half
-    # pair a half spectrum, which nothing else in the result has the size of
-    before = [x.size for x in _reachable_arrays(result)]
-    assert any(size != d.grid.size for size in before) is half
-    quotient = result.quotient
-    assert same_bits(quotient.samples, expected)
-    assert result.quotient is quotient
-    # after the first read it holds the two distributions and nothing else
-    after = _reachable_arrays(result)
-    assert len(after) == 2
-    assert {id(x) for x in after} == {id(result.solution.samples), id(quotient.samples)}
+    d_v = _datum_coefficients(spec, d)
+    residual = solve_pde(spec, d).residual
+    for first, second in (("quotient", "residual"), ("residual", "quotient")):
+        result = solve_pde(spec, d)
+        # until read, the result holds the datum's coefficients: on the half
+        # pair a half spectrum, which nothing else in the result has the size of
+        before = _reachable_arrays(result)
+        assert any(x.size != d.grid.size for x in before) is half
+        assert any(same_bits(x, d_v) for x in before)
+        # but not the datum: on the Fourier family the residual needs none
+        assert not any(np.shares_memory(x, d.samples) for x in before)
+        value = getattr(result, first)
+        assert getattr(result, first) is value
+        # after one read it still holds them, for the other field
+        assert any(same_bits(x, d_v) for x in _reachable_arrays(result))
+        getattr(result, second)
+        assert same_bits(result.quotient.samples, expected)
+        assert same_bits(result.residual, residual)
+        # after both reads it holds the two distributions and nothing else
+        after = _reachable_arrays(result)
+        assert len(after) == 2
+        assert {id(x) for x in after} == {id(result.solution.samples), id(result.quotient.samples)}
+
+
+def _concurrent_first_reads(result, name):
+    """What eight threads reading ``result``'s field ``name`` at once got."""
+    start = threading.Barrier(8)
+    seen = []
+
+    def read():
+        start.wait(timeout=10)
+        seen.append(getattr(result, name))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    return seen
 
 
 def test_concurrent_first_reads_build_one_quotient():
@@ -379,21 +417,27 @@ def test_concurrent_first_reads_build_one_quotient():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
+            seen = _concurrent_first_reads(solve_pde(spec, d), "quotient")
+            assert all(q is seen[0] for q in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_first_reads_build_one_residual(monkeypatch):
+    # every reader gets the one float, and one analysis of u runs
+    spec, d = _real_cases()["1d-1024"]
+    expected = solve_pde(spec, d).residual
+    calls = collections.Counter()
+    _count_calls(monkeypatch, families, "_fourier_analysis_real", calls)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
             result = solve_pde(spec, d)
-            start = threading.Barrier(8)
-            seen = []
-
-            def read():
-                start.wait(timeout=10)
-                seen.append(result.quotient)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-            assert len(seen) == 8 and all(q is seen[0] for q in seen)
+            calls.clear()
+            seen = _concurrent_first_reads(result, "residual")
+            assert all(r is seen[0] for r in seen) and same_bits(seen[0], expected)
+            assert calls == {"_fourier_analysis_real": 1}
     finally:
         sys.setswitchinterval(interval)
 
@@ -422,9 +466,29 @@ def test_overflowing_quotient_is_raised_by_the_solve(monkeypatch, complex_datum)
     _count_calls(monkeypatch, families, "_sample_half", calls)
     _count_calls(monkeypatch, families, "_fourier_synthesis_real", calls)
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteSamples):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteSamples) as info:
         solve_pde(spec, d)
     assert calls == ({} if complex_datum else {"_sample_half": 1})
+    # named: the quotient, at its first non-finite node on the index grid
+    # (the complex pair's, where the half pair cannot name one)
+    fam = FourierFamily(g)
+    with np.errstate(over="ignore"):
+        q = coordinates(d, fam).samples / differential_symbol(spec, fam.index_grid).sample(fam.index_grid)
+    node = fam.index_grid.point_at(int(np.argmin(np.isfinite(q))))
+    assert str(info.value).startswith(f"the quotient at index node {node} is ")
+    assert str(info.value).endswith("samples must all be finite")
+
+
+@pytest.mark.parametrize("complex_datum", [False, True])
+def test_overflowing_analysis_names_the_datums_coefficient(complex_datum):
+    # the analysis of a constant 1e308 overflows: the quotient is not finite
+    # because the datum's coefficients are not, and the error says which
+    g = make_grid(1, [64], [3.0])
+    d = GridDistribution(g, np.full(g.size, 1e308 + (1e308j if complex_datum else 0j)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteSamples) as info:
+        solve_pde(HELMHOLTZ_1D, d)
+    index = FourierFamily(g).index_grid
+    assert str(info.value).startswith(f"the datum's coefficient at index node {index.point_at(0)} is ")
 
 
 HALF_SAMPLER_GRIDS = {
@@ -524,6 +588,17 @@ def _count_calls(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counting)
 
 
+def _count_reads(result, calls):
+    """The calls the solve made, then those each read added: the first and
+    second read of the residual, and the read of the quotient."""
+    counts = [dict(calls)]
+    for name in ("residual", "residual", "quotient"):
+        calls.clear()
+        getattr(result, name)
+        counts.append(dict(calls))
+    return counts
+
+
 @pytest.mark.parametrize("name", ["1d-helmholtz", "2d-zero-set"])
 def test_solve_pde_samples_once_and_makes_three_transforms(monkeypatch, name):
     spec, d = _cases()[name]
@@ -532,10 +607,11 @@ def test_solve_pde_samples_once_and_makes_three_transforms(monkeypatch, name):
     _count_calls(monkeypatch, FourierFamily, "coordinates_rows", calls)
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
     _count_calls(monkeypatch, GridDistribution, "__init__", calls)
-    solve_pde(spec, d)
-    # two analyses (d and u) and one synthesis (u); no copying constructor
-    # either: the results are handed over, not copied
-    assert calls == {"sample": 1, "coordinates_rows": 2, "superpose_rows": 1}
+    result = solve_pde(spec, d)
+    # the solve analyses d and synthesises u, the first read of the residual
+    # analyses u; no copying constructor either: the results are handed over
+    assert _count_reads(result, calls) == [
+        {"sample": 1, "coordinates_rows": 1, "superpose_rows": 1}, {"coordinates_rows": 1}, {}, {}]
 
 
 def test_real_path_samples_the_half_once_and_makes_three_half_transforms(monkeypatch):
@@ -548,53 +624,63 @@ def test_real_path_samples_the_half_once_and_makes_three_half_transforms(monkeyp
     _count_calls(monkeypatch, families, "_sample_half", calls)
     _count_calls(monkeypatch, families, "_fourier_analysis_real", calls)
     _count_calls(monkeypatch, families, "_fourier_synthesis_real", calls)
-    solve_pde(spec, d)
+    result = solve_pde(spec, d)
     # nothing samples the whole index grid
-    assert calls == {"_sample_half": 1, "_fourier_analysis_real": 2, "_fourier_synthesis_real": 1}
+    assert _count_reads(result, calls) == [
+        {"_sample_half": 1, "_fourier_analysis_real": 1, "_fourier_synthesis_real": 1},
+        {"_fourier_analysis_real": 1}, {}, {}]
 
 
-def _traced_peak(datum):
+def _traced_peak(datum, read_residual=False):
     """``tracemalloc`` peak of one Helmholtz ``solve_pde`` on ``datum`` (1-d,
-    over [-40, 40)), building its ``GridDistribution`` included, counted in
-    complex arrays of ``16 N`` bytes."""
+    over [-40, 40)), building its ``GridDistribution`` included, and then of
+    the first read of its residual if ``read_residual``, counted in complex
+    arrays of ``16 N`` bytes."""
     g = make_grid(1, [datum.size], [40.0])
-    solve_pde(HELMHOLTZ_1D, GridDistribution(g, datum))  # warm-up
+    solve_pde(HELMHOLTZ_1D, GridDistribution(g, datum)).residual  # warm-up
     tracemalloc.start()
     try:
-        solve_pde(HELMHOLTZ_1D, GridDistribution(g, datum))
+        result = solve_pde(HELMHOLTZ_1D, GridDistribution(g, datum))
+        if read_residual:
+            result.residual
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / (16 * datum.size)
 
 
-def test_solve_pde_traced_peak_stays_below_seven_arrays():
-    """The peak of a complex datum at 2^16 nodes.
+def test_solve_pde_traced_peak_stays_below_five_and_a_half_arrays():
+    """The peak of a complex datum at 2^16 nodes, and of the solve and then
+    the first read of its residual.
 
     It was 7.0 arrays (112 MiB at 2^20) while the transforms shifted by
-    copies and ``GridDistribution`` copied its input twice, and 6.6 while
-    the analysis built a half-size ``±1`` table; it is 6.0 now.  The peak is
-    the analysis of ``u``: the datum, the symbol samples, the datum's
-    coefficients, the quotient and the solution stay alive beside the one
-    buffer the analysis owns.
+    copies and ``GridDistribution`` copied its input twice, 6.6 while the
+    analysis built a half-size ``±1`` table and 6.5 while the solve
+    analysed ``u`` itself; it is 5.0 now.  The peak is the synthesis of
+    ``u``: the datum, the symbol samples, the datum's coefficients and the
+    quotient stay alive beside the solution.  The read of the residual
+    holds less: the datum is gone.
     """
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
-    peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x))
-    assert peak < 7, f"peak {peak:.2f} arrays"
+    for read_residual in (False, True):
+        peak = _traced_peak(np.sin(3.0 * x) + 0.5j * np.cos(x), read_residual)
+        assert peak < 5.5, f"peak {peak:.2f} arrays"
 
 
 def test_real_path_traced_peak_stays_below_three_and_a_half_arrays():
-    """The peak of a real datum at 2^16 nodes: 4.6 arrays while the symbol
-    was sampled on the whole grid and ``A(u)`` synthesised, 3.6 while the
-    solve spread the quotient over the whole grid beside ``±1`` tables and
-    a second half spectrum; 3.25 now.  The solve works in one half spectrum
-    beside the datum's coefficients and the real solution; the peak is its
-    end, where the datum, the half spectra of the symbol and of the datum's
-    coefficients (held for the quotient) and the real solution stay alive
-    beside the solution's complex copy."""
+    """The peak of a real datum at 2^16 nodes, and of the solve and then the
+    first read of its residual: 4.6 arrays while the symbol was sampled on
+    the whole grid and ``A(u)`` synthesised, 3.6 while the solve spread the
+    quotient over the whole grid beside ``±1`` tables and a second half
+    spectrum; 3.25 now.  The solve works in one half spectrum beside the
+    datum's coefficients; the peak is its end, where the datum, the half
+    spectra of the symbol and of the datum's coefficients (held for the
+    quotient and the residual) and the real solution stay alive beside the
+    solution's complex copy."""
     x = make_grid(1, [1 << 16], [40.0]).axis_points(0)
-    peak = _traced_peak(np.sin(3.0 * x))
-    assert peak < 3.5, f"peak {peak:.2f} arrays"
+    for read_residual in (False, True):
+        peak = _traced_peak(np.sin(3.0 * x), read_residual)
+        assert peak < 3.5, f"peak {peak:.2f} arrays"
 
 
 # p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
