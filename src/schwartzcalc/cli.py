@@ -595,12 +595,12 @@ def _cmd_expand(args) -> int:
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
     datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
     out_dir = _output_dir(cfg)
-    # the apply core's integrand a * c, spread over the whole index grid
+    # the integrand a * c on the whole index grid, spread before the half synthesis overwrites it
     rows = datum.samples[np.newaxis]
-    pair = _transform_pair(family, symbol, rows)
-    images, integrands = pair.apply(rows)
+    pair = _transform_pair(family, symbol, not rows.imag.any())
+    integrands = pair.scaled(rows)
     integrand = GridDistribution._trusted(family.index_grid, pair.to_full(integrands[0]))
-    image = GridDistribution._trusted(grid, images[0])
+    image = GridDistribution._trusted(grid, pair.synthesise(integrands)[0])
     write_distribution_csv(out_dir / "expansion.csv", image)
     write_distribution_csv(out_dir / "integrand.csv", integrand)
     report = {

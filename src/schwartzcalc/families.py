@@ -200,11 +200,11 @@ def _half_l2(coeffs: np.ndarray, index: Grid) -> float:
     return math.hypot(own, math.sqrt(2.0) * _l2(coeffs[..., 1:-1], index))
 
 
-def _fourier_analysis_real(space: Grid, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _fourier_analysis_real(space: Grid, rows: np.ndarray) -> np.ndarray:
     """The analysis transform of each row of real samples, on half spectra:
-    ``rfftn`` (into ``out`` when given) and one pass by the signed scale."""
+    ``rfftn`` and one pass by the signed scale."""
     axes = tuple(range(1, space.dim + 1))
-    out = np.fft.rfftn(rows.reshape((-1,) + space.counts), axes=axes, out=out)
+    out = np.fft.rfftn(rows.reshape((-1,) + space.counts), axes=axes)
     scale = space.cell_volume / (2.0 * math.pi) ** space.dim
     return _sign(out, out, [0] * space.dim, scale)
 
@@ -222,45 +222,43 @@ def _fourier_synthesis_real(space: Grid, index: Grid, rows: np.ndarray) -> np.nd
 
 class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_full half")):
     """A transform pair, ``half`` or complex: ``analyse`` takes rows of
-    samples to rows of coefficients (the half pair into its ``out``) and
-    ``synthesise`` back (the half pair overwrites them); ``a_values`` is the
-    symbol on the coefficients' nodes; ``l2`` is the index grid's quadrature
-    norm of one coefficient array and ``to_full`` spreads one over the index grid."""
+    samples to new rows of coefficients and ``synthesise`` back (the half
+    pair overwrites them); ``a_values`` is the symbol on the coefficients'
+    nodes; ``l2`` is the index grid's quadrature norm of one coefficient
+    array and ``to_full`` spreads one over the index grid."""
 
     __slots__ = ()
 
-    def scaled(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def scaled(self, rows: np.ndarray) -> np.ndarray:
         """The integrands ``a * coordinates`` of each row, scaled in place
         (the symbol first: numpy's complex product is not bitwise commutative)."""
-        coords = self.analyse(rows, out)
+        coords = self.analyse(rows)
         return np.multiply(self.a_values, coords, out=coords)
 
-    def apply(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(self, rows: np.ndarray) -> np.ndarray:
         """The diagonal operator on each row: analyse, scale by the symbol,
-        resynthesise (a copy, on the half pair); the images and the integrands."""
-        coords = self.scaled(rows)
-        return self.synthesise(coords.copy() if self.half else coords), coords
+        resynthesise; the images."""
+        return self.synthesise(self.scaled(rows))
 
 
-def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, rows: np.ndarray | None) -> _Pair:
+def _transform_pair(v: "SchwartzFamily", a: SymbolFunction, real: bool) -> _Pair:
     """The transform pair of the operator diagonal in ``v`` with symbol ``a``
-    (``ArityMismatch`` if ``a`` does not fit ``v``) on the sample ``rows``
-    (``None``: not known to be real).  The half pair
-    (``rfftn``/``irfftn``, the symbol sampled on the half only) when ``v`` is
-    a Fourier family, ``a`` is known to be real and even and every imaginary
-    part of ``rows`` is 0; otherwise, or when that sample is not finite, the
-    complex pair: ``v``'s row transforms and the symbol on the whole index
-    grid, where ``NonFiniteSymbol`` names the first non-finite node."""
+    (``ArityMismatch`` if ``a`` does not fit ``v``) on rows that are
+    ``real`` (every imaginary part 0) or not known to be.  The half pair
+    (``rfftn``/``irfftn``, the symbol sampled on the half only) for real
+    rows when ``v`` is a Fourier family and ``a`` is known to be real and
+    even; otherwise, or when that sample is not finite, the complex pair:
+    ``v``'s row transforms and the symbol on the whole index grid, where
+    ``NonFiniteSymbol`` names the first non-finite node."""
     v._check_symbol(a)
     space, index = v.space_grid, v.index_grid
-    if a._real_even and isinstance(v, FourierFamily) and rows is not None and not rows.imag.any():
+    if real and a._real_even and isinstance(v, FourierFamily):
         a_half = _sample_half(a, index)
         if np.isfinite(a_half).all():
-            return _Pair(lambda x, out=None: _fourier_analysis_real(space, x.real, out),
+            return _Pair(lambda x: _fourier_analysis_real(space, x.real),
                          lambda c: _fourier_synthesis_real(space, index, c),
                          a_half, _half_l2, lambda c: _from_half(c, space.counts), True)
-    return _Pair(lambda x, out=None: v.coordinates_rows(x), v.superpose_rows,
-                 a.sample_finite(index), _l2, lambda c: c, False)
+    return _Pair(v.coordinates_rows, v.superpose_rows, a.sample_finite(index), _l2, lambda c: c, False)
 
 
 class SchwartzFamily(abc.ABC):
@@ -484,8 +482,11 @@ class KernelFamily(SchwartzFamily):
         """Return a basis-flagged copy after verifying round trips on probes.
 
         Checks ``coordinates(superpose(c)) ~= c`` for random coefficient
-        vectors; raises ``NotABasis`` when the relative error exceeds ``tol``.
+        vectors; raises ``NotABasis`` when the relative error exceeds ``tol``
+        and ``ValueError`` when there is no probe or ``tol`` is NaN.
         """
+        if probes < 1 or math.isnan(tol):
+            raise ValueError(f"as_basis needs probes >= 1 and a tol that is not NaN, got {probes}, {tol}")
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(probes):

@@ -130,7 +130,7 @@ def _translate_pairings(
     """
     space = lam.space_grid
     row = green._member_rows(0, 1)
-    h = pair.apply(row)[0].reshape(space.counts)
+    h = pair.apply(row).reshape(space.counts)
     axes = tuple(range(1, space.dim + 1))
     phis = weighted_probes.T.reshape((-1,) + space.counts)
     spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
@@ -138,16 +138,16 @@ def _translate_pairings(
 
 
 def _weak_residuals(
-    lam: SchwartzFamily, pair: _Pair, green: LazyFamily, mu: SchwartzFamily
+    lam: SchwartzFamily, pair: _Pair, green: LazyFamily, translation: bool
 ) -> tuple[np.ndarray, list]:
     space = lam.space_grid
     probes, centers = gaussian_probes(space)
     weighted = probes * space.cell_volume
-    if _is_translation_family(lam, mu):
+    if translation:
         pair_matrix = _translate_pairings(lam, pair, green, weighted)
     else:
         # L G_p for every p at once from the dense table
-        pair_matrix = pair.apply(green.matrix())[0] @ weighted
+        pair_matrix = pair.apply(green.matrix()) @ weighted
     # the index grid is the space grid, so the targets phi(p) are the probe samples
     return np.max(np.abs(pair_matrix - probes), axis=1), centers
 
@@ -183,13 +183,13 @@ def _green(
     policy: DivisionPolicy | None,
     divided: bool,
 ) -> GreenFamilyResult:
-    if mu.index_grid != lam.space_grid:
-        raise GridMismatch("a left inverse must be indexed by the operator family's space grid")
+    if mu.index_grid != lam.space_grid or mu.space_grid != lam.index_grid:
+        raise GridMismatch("a left inverse must be indexed by lam's space grid and live on its index grid")
     policy = policy or DivisionPolicy()
     translation = _is_translation_family(lam, mu)
     # point masses are real: with the canonical Fourier left inverse they take solve's pair
-    real = _transform_pair(lam, l, np.zeros((1, 1)) if translation else None)
-    full = _transform_pair(lam, l, None) if real.half else real
+    real = _transform_pair(lam, l, translation)
+    full = _transform_pair(lam, l, False) if real.half else real
     magnitudes, eps, zero_mask = _zero_set(full.a_values, policy)
     has_zeros = zero_mask is not None
     if has_zeros:
@@ -208,11 +208,11 @@ def _green(
 
     def rows_map(rows):
         pair, mask = (full, zero_mask) if rows.imag.any() else (real, real_mask)
-        coeffs = pair.analyse(rows) if translation else mu.superpose_rows(rows)
+        coeffs = pair.analyse(rows) if pair.half else mu.superpose_rows(rows)
         return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
-    residuals, centers = _weak_residuals(lam, real, family, mu)
+    residuals, centers = _weak_residuals(lam, real, family, translation)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)
 
@@ -229,8 +229,8 @@ def green_family(
     Requires ``|l|`` to stay above the policy's zero threshold on the whole
     index grid (``NotInvertible`` otherwise, ``NonFiniteSymbol`` when ``l`` is
     not finite there) and ``mu`` to be a left inverse of ``lam`` (weak
-    residuals certify the combination actually used; ``GridMismatch`` when
-    ``mu`` is not indexed by ``lam``'s space grid).
+    residuals certify the combination actually used; ``GridMismatch`` unless
+    ``mu`` is indexed by ``lam``'s space grid and lives on its index grid).
     """
     return _green(lam, l, mu, policy, divided=False)
 

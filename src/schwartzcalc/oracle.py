@@ -28,7 +28,7 @@ def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:
     grid = v.space_grid
     _check_dense(grid.size, grid.size)
     units = np.eye(grid.size, dtype=np.complex128)
-    return DenseOperator(grid, _transform_pair(v, a, units).apply(units)[0].T)
+    return DenseOperator(grid, _transform_pair(v, a, True).apply(units).T)
 
 
 # periodic central-difference stencils: {accuracy order: {offset: coefficient}}

@@ -162,36 +162,46 @@ def divide(
     On nodes with ``|a|`` at or below the zero threshold, ``q`` is set to 0;
     if ``d_v`` exceeds the residual tolerance there, the datum has
     coefficient mass where the symbol vanishes and ``NotDivisible`` is
-    raised, carrying the worst offending node.  ``NonFiniteSymbol`` is
-    raised when ``a`` is not finite on the grid.
+    raised, carrying the worst offending node.  ``NonFiniteSymbol`` names
+    the first node where ``a`` is not finite, ``NonFiniteSamples`` that of ``q``.
     """
     policy = policy or DivisionPolicy()
-    a_values = a.sample_finite(d_v.grid)
-    q = _masked_quotient(d_v.samples, a_values, _division(d_v.samples, a_values, policy, d_v.grid)[0])
+    q = _divide(d_v.samples, a.sample_finite(d_v.grid), policy, d_v.grid)[0]
     return GridDistribution._trusted(d_v.grid, q)
 
 
-def _division(
-    d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, grid: Grid
-) -> tuple[np.ndarray | None, float]:
-    """The checks of :func:`divide` on arrays: ``a_values`` are the symbol's
-    samples on ``grid``, the index grid of the coefficients ``d_v``.  Returns
-    the zero set (``None`` when empty) and the zero threshold it applied."""
-    _, eps, zero_mask = _zero_set(a_values, policy)
+def _divide(
+    d_v: np.ndarray, a_values: np.ndarray, policy: DivisionPolicy, index: Grid
+) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The division rule of :func:`divide` and :func:`solve` on the
+    coefficients ``d_v`` and symbol samples ``a_values`` on ``index``: the
+    masked quotient, the zero set (``None`` when empty) and its threshold.
+    ``NotDivisible`` names the worst node of the zero set, then
+    ``NonFiniteSamples`` the first where ``d_v``, or else the quotient, is
+    not finite."""
+    eps, zero_mask = _zero_set(a_values, policy)[1:]  # frees |a| before the quotient is made
     if zero_mask is not None:
         mass, bad = _mass_on_zero_set(d_v, zero_mask, policy)
         if bad.any():
             worst = int(np.argmax(np.where(bad, mass, -1.0)))
             raise NotDivisible(
                 f"datum has coefficient mass {mass.flat[worst]:.6e} at index node "
-                f"{grid.point_at(worst)} where the symbol magnitude is at or below "
+                f"{index.point_at(worst)} where the symbol magnitude is at or below "
                 f"{eps:.6e}",
                 worst_index=worst,
-                worst_point=grid.point_at(worst),
+                worst_point=index.point_at(worst),
                 magnitude=float(mass.flat[worst]),
                 zero_threshold=eps,
             )
-    return zero_mask, eps
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its node
+        q = _masked_quotient(d_v, a_values, zero_mask)
+    if not np.isfinite(q.view(np.float64)).all():  # the parts as floats scan faster
+        what, bad = ("the datum's coefficient", d_v) if not np.isfinite(d_v).all() else ("the quotient", q)
+        flat = int(np.argmin(np.isfinite(bad)))
+        raise NonFiniteSamples(
+            f"{what} at index node {index.point_at(flat)} is {bad.flat[flat]}; samples must all be finite"
+        )
+    return q, zero_mask, eps
 
 
 def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[np.ndarray, float, np.ndarray | None]:
@@ -294,17 +304,16 @@ def _solve(
     ``d`` and the synthesis of ``u`` (the half pair signs the quotient in
     place for it).  The quotient (divided again) and the residual (the
     analysis of ``u``) are built when first read."""
-    x, pair = d.samples, _transform_pair(v, a, d.samples[np.newaxis])
+    x, pair = d.samples, _transform_pair(v, a, not d.samples.imag.any())
     while True:
         d_v = pair.analyse(x[np.newaxis])[0]
         try:
-            zero_mask, eps = _division(d_v, pair.a_values, policy, v.index_grid)
-            buf = _finite_quotient(d_v, pair.a_values, zero_mask, v.index_grid)
+            buf, zero_mask, eps = _divide(d_v, pair.a_values, policy, v.index_grid)
             break
         except (NotDivisible, NonFiniteSamples):
             if not pair.half:
                 raise
-            pair = _transform_pair(v, a, None)
+            pair = _transform_pair(v, a, False)
     u = pair.synthesise(buf[np.newaxis])[0]
     del buf  # before the datum's norm and the solution's complex copy
     denom = _l2(x.real if pair.half else x, v.space_grid)  # |x + 0i| is |x|
@@ -327,20 +336,6 @@ def _solve(
         return float(norm / denom) if denom > 0.0 else 0.0
 
     return SolveResult(solution, quotient, residual), eps
-
-
-def _finite_quotient(d_v: np.ndarray, a_values: np.ndarray, zero_mask, index: Grid) -> np.ndarray:
-    """:func:`_masked_quotient` of the coefficients ``d_v``, refused with
-    ``NonFiniteSamples`` at the first node of ``index`` where ``d_v``, or
-    else the quotient, is not finite."""
-    q = _masked_quotient(d_v, a_values, zero_mask)
-    if not np.isfinite(q.view(np.float64)).all():  # the parts as floats scan faster
-        what, bad = ("the datum's coefficient", d_v) if not np.isfinite(d_v).all() else ("the quotient", q)
-        flat = int(np.argmin(np.isfinite(bad)))
-        raise NonFiniteSamples(
-            f"{what} at index node {index.point_at(flat)} is {bad.flat[flat]}; samples must all be finite"
-        )
-    return q
 
 
 def solve_pde(

@@ -15,7 +15,11 @@ stated scale:
 Two properties are exact: the half-spectrum sampler is bit for bit the
 real parts of the whole-grid sample, gathered onto the half; and a real,
 even symbol that overflows makes ``solve`` name the node the literal solve
-names.
+names.  So does a symbol that is not finite at drawn nodes other than node
+0, for ``solve``, ``spectral_apply``, ``divide`` and ``green_family``.  A
+real, even symbol equals its mirror within a bound derived from the
+rounding of the nodes, and configs with keys and values swapped keep the
+CLI contract.
 
 The factor in front, ``TOL_ULPS * N``, covers the literal sums themselves:
 their phases ``p.x`` reach ``pi N / 2``, where ``exp`` is accurate to
@@ -34,11 +38,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import naive
+from test_csv import field_paths
 from schwartzcalc import (
+    DiracFamily,
     DifferentialOperatorSpec,
     DivisionPolicy,
     FourierFamily,
@@ -46,8 +52,10 @@ from schwartzcalc import (
     NonFiniteSymbol,
     NotDivisible,
     NotInvertible,
+    SymbolFunction,
     delta_distribution,
     differential_symbol,
+    divide,
     green_family,
     green_family_divided,
     left_inverse_family,
@@ -359,3 +367,164 @@ def test_non_finite_complex_symbol_is_the_literal_solves_error(
         with pytest.raises(NonFiniteSymbol) as info:
             run()
         assert f"at node {node}:" in str(info.value), (str(info.value), node)
+
+
+def marked_symbol(index, nodes, special):
+    """``1 + |p|^2``, but ``special`` at the flat ``nodes`` of ``index``: a
+    symbol that is no polynomial, so no path knows it to be real and even."""
+    marked = index.points()[list(nodes)]
+
+    def evaluator(*p):
+        hit = np.zeros(np.broadcast(*p).shape, dtype=bool)
+        for point in marked:
+            hit |= np.logical_and.reduce([x == c for x, c in zip(p, point)])
+        return np.where(hit, special, 1.0 + sum(x**2 for x in p))
+
+    return SymbolFunction(index.dim, evaluator, "marked")
+
+
+@SETTINGS
+@given(grid=grids(), dirac=st.booleans(),
+       special=st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                complex(1.0, math.nan)]),
+       kind=st.sampled_from(["real", "complex", "delta"]), data=st.data())
+def test_non_finite_symbol_off_node_0_is_the_literal_samplers_error(
+        grid, dirac, special, kind, data):
+    """A symbol that is ``nan`` or infinite at drawn nodes, none of them
+    node 0: ``solve``, ``spectral_apply``, ``divide`` and ``green_family``
+    name the node ``naive.sample_symbol`` names, the first drawn one."""
+    fam = DiracFamily(grid) if dirac else FourierFamily(grid)
+    index = fam.index_grid
+    nodes = data.draw(st.lists(st.integers(1, index.size - 1), min_size=1, max_size=3))
+    a = marked_symbol(index, nodes, special)
+    with pytest.raises(NonFiniteSymbol) as literal:
+        naive.sample_symbol(a, index)
+    node = re.search(r"at node (\(.*\))$", str(literal.value)).group(1)
+    assert node == str(index.point_at(min(nodes)))
+    d = draw_datum(data.draw, grid, kind)
+    for run in (lambda: solve(fam, a, d), lambda: spectral_apply(a, fam, d),
+                lambda: divide(fam.coordinates(d), a),
+                lambda: green_family(fam, a, left_inverse_family(fam))):
+        with pytest.raises(NonFiniteSymbol) as info:
+            run()
+        assert f"at node {node}:" in str(info.value), (str(info.value), node)
+
+
+@SETTINGS
+@given(grid=grids(extents=st.floats(1e-3, 1e3)), data=st.data())
+def test_real_even_symbol_is_its_own_mirror_within_the_node_rounding(grid, data):
+    """Where ``_real_even`` is set, the symbol at node ``k`` equals the one
+    at its mirror ``-k mod N`` (per axis) up to the rounding of the nodes.
+    Not bit for bit: the lattice ``-L + k dp`` is not symmetric in floats.
+
+    The bound, from the node error.  Node ``k`` is
+    ``fl(-L + fl(fl(2L/N) k))``, within ``2.5 eps L`` of ``-L + 2Lk/N``, so
+    the mirror of ``p`` is ``-p + e`` with ``|e_i| <= 5 eps L_i``.  Off the
+    nodes that are their own mirror (exactly equal there)
+    ``|p_i| >= dp_i = 2 L_i / N_i`` to that rounding, so
+    ``|e_i| / |p_i| <= 2.5 eps N_i``, taken as ``3 eps N_i`` to cover the
+    second-order terms.  A monomial ``c p^j``, even in every axis, then
+    moves by at most ``3 eps sum_i j_i N_i |c p^j|``.  Each of the two
+    evaluations rounds ``n`` powers (1 ulp), ``n`` products and ``T``
+    terms' sum by at most ``(3n + T) eps / 2`` of ``sum_j |c_j p^j|``.  So
+    ``|a(p) - a(mirror p)| <= eps sum_j |c_j p^j| (3 sum_i j_i N_i + 3n + T)``.
+    Real terms of degree 0, 2 or 4 per axis, half extents 1e-3 to 1e3."""
+    fam = FourierFamily(grid)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        idx = tuple(data.draw(st.sampled_from([0, 2, 4])) for _ in range(grid.dim))
+        terms[idx] = complex(data.draw(COEFFICIENT))
+    spec, a = operator_symbol(fam, terms)
+    assert a._real_even
+    index = fam.index_grid
+    values = a.sample(index).reshape(index.counts)
+    mirrored = values[np.ix_(*[-np.arange(n) % n for n in index.counts])]
+    pts = np.abs(index.points())
+    sizes = np.zeros(index.size)
+    moved = np.zeros(index.size)
+    for idx, c in spec.coeffs.items():
+        size = abs(c) * np.prod([pts[:, i] ** k for i, k in enumerate(idx)], axis=0)
+        sizes += size
+        moved += 3 * sum(k * n for k, n in zip(idx, index.counts)) * size
+    bound = EPS * (moved + (3 * grid.dim + len(spec.coeffs)) * sizes)
+    gap = np.abs(values - mirrored).ravel()
+    assert np.all(gap <= bound), float(np.max(gap / np.maximum(bound, np.finfo(float).tiny)))
+
+
+# -- generated configs: keys and values swapped, several fields at once
+
+KEYS = ["grid", "dim", "counts", "half_extents", "operator", "type", "family", "symbol",
+        "name", "terms", "coefficients", "datum", "kind", "sigma", "center", "k", "c", "p",
+        "path", "policy", "zero_threshold", "residual_threshold", "output", "directory"]
+#: multi-index keys: good ones for one and two axes, and malformed ones
+TERM_KEYS = ["0", "1", "2", "0,0", "2,0", "0,2", "1,1", "0,0,0", "-1", "1.5", "x", "",
+             " 2", "0,", ",", "1,,2", "9" * 30]
+VALUES = [None, True, 0, -1, 1.5, 1e308, 5e-324, math.inf, math.nan, int("9" * 400),
+          "", "x", "2", [], {}, [1.0, 2.0], [[0.0]], {"0": 1.0}, "fourier", "samples"]
+BASE_CONFIGS = [
+    {"grid": {"dim": 1, "counts": [8], "half_extents": [2.0]},
+     "operator": {"type": "differential", "coefficients": {"0": 1.0, "2": [-1.0, 0.0]}},
+     "datum": {"kind": "samples", "path": "datum.csv"},
+     "policy": {"zero_threshold": None, "residual_threshold": 1e-8}},
+    {"grid": {"dim": 2, "counts": [4, 6], "half_extents": [1.0, 2.0]},
+     "operator": {"type": "diagonal", "family": "fourier",
+                  "symbol": {"name": "polynomial", "terms": {"0,0": 2.0, "2,0": 1.0, "0,2": 1.0}}},
+     "datum": {"kind": "gaussian", "sigma": 0.5, "center": [0.25, 0.0]}},
+    {"grid": {"dim": 2, "counts": [4, 4], "half_extents": [1.0, 1.0]},
+     "operator": {"type": "multiplication",
+                  "symbol": {"name": "polynomial", "terms": {"0,0": 2.0, "1,1": [0.0, 1.0]}}},
+     "datum": {"kind": "delta", "p": [0.0, 0.5]}},
+]
+
+
+@st.composite
+def swapped_configs(draw):
+    """A valid base config with one to four edits: a key renamed (a term's
+    multi-index among them), a value replaced, two fields' values swapped,
+    or a field deleted."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(BASE_CONFIGS))))
+    cfg["output"] = {"directory": "out"}
+    for _ in range(draw(st.integers(1, 4))):
+        paths = list(field_paths(cfg))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = node_at(cfg, path[:-1])
+        edit = draw(st.sampled_from(["key", "value", "swap", "delete"]))
+        if edit == "key" and isinstance(parent, dict):
+            terms = path[-2:-1] in (("terms",), ("coefficients",))
+            parent[draw(st.sampled_from(TERM_KEYS if terms else KEYS))] = parent.pop(path[-1])
+        elif edit == "swap":
+            other = draw(st.sampled_from(paths))
+            if other[:len(path)] != path and path[:len(other)] != other:
+                other_parent = node_at(cfg, other[:-1])
+                parent[path[-1]], other_parent[other[-1]] = (
+                    other_parent[other[-1]], parent[path[-1]])
+        elif edit == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(draw(st.sampled_from(VALUES))))
+    return cfg
+
+
+def node_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=swapped_configs(),
+       command=st.sampled_from([["solve"], ["expand"], ["green", "--index", "0"]]))
+def test_swapped_configs_keep_the_cli_contract(tmp_path, monkeypatch, cfg, command):
+    """Exit 0, 1, 2 or 3, at most one line on stderr, never a traceback."""
+    monkeypatch.chdir(tmp_path)  # relative output directories land here
+    rows = [f"{-2.0 + 0.5 * k!r},{math.sin(k)!r},0.0\n" for k in range(8)]
+    (tmp_path / "datum.csv").write_text("x0,re,im\n" + "".join(rows))
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command[0], "--config", "run.json"] + command[1:])
+    assert code in (0, 1, 2, 3), (code, cfg)
+    assert len(err.getvalue().splitlines()) <= 1, (err.getvalue(), cfg)

@@ -328,6 +328,21 @@ def test_kernel_as_basis_flags_and_rejects():
         bad.as_basis()
 
 
+@pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}, {"tol": math.nan}])
+def test_kernel_as_basis_refuses_to_verify_nothing(kwargs):
+    # no probe would flag a zero kernel as a basis, and a NaN tolerance
+    # passes every probe of a kernel with more members than nodes; with the
+    # defaults both are refused
+    g, big = make_grid(1, [8], [2.0]), make_grid(1, [16], [2.0])
+    zero = KernelFamily(g, g, np.zeros((8, 8)))
+    wide = KernelFamily(big, g, np.random.default_rng(8).standard_normal((16, 8)))
+    for kernel, error in ((zero, IllConditioned), (wide, NotABasis)):
+        with pytest.raises(error):
+            kernel.as_basis()
+        with pytest.raises(ValueError):
+            kernel.as_basis(**kwargs)
+
+
 def test_kernel_shape_validation():
     g = make_grid(1, [16], [2.0])
     with pytest.raises(GridMismatch):

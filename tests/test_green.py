@@ -11,6 +11,7 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    GridMismatch,
     KernelFamily,
     LazyFamily,
     NotDivisible,
@@ -123,6 +124,22 @@ def test_green_family_rejects_vanishing_symbol():
     with pytest.raises(NotInvertible) as info:
         green_family(lam, DERIVATIVE, left_inverse_family(lam))
     assert info.value.worst_point == (0.0,)
+
+
+@pytest.mark.parametrize("build", [green_family, green_family_divided])
+@pytest.mark.parametrize("counts, half_extent", [(8, 4.0), (16, 2.0)], ids=["8-nodes", "other-extents"])
+def test_green_refuses_a_left_inverse_off_the_index_grid(build, counts, half_extent):
+    # mu is indexed by lam's space grid, but its members live on a grid other
+    # than lam's index grid, so they are not coefficients for lam: refused
+    # before anything is built, as family_product refuses them
+    g = make_grid(1, [16], [4.0])
+    lam = FourierFamily(g)
+    space = make_grid(1, [counts], [half_extent])
+    assert space != lam.index_grid
+    mu = KernelFamily(g, space, np.random.default_rng(0).standard_normal((g.size, space.size)))
+    for run in (lambda: build(lam, HELMHOLTZ, mu), lambda: family_product(mu, lam)):
+        with pytest.raises(GridMismatch):
+            run()
 
 
 def test_green_member_equals_delta_solve():
@@ -425,8 +442,8 @@ def test_translate_pairings_equal_dense_pairings():
     green = green_family(lam, l, left_inverse_family(lam)).family
     weighted = gaussian_probes(g)[0] * g.cell_volume
     table = green.matrix()
-    pair = _transform_pair(lam, other, table)
-    dense = pair.apply(table)[0] @ weighted
+    pair = _transform_pair(lam, other, not table.imag.any())
+    dense = pair.apply(table) @ weighted
     fast = _translate_pairings(lam, pair, green, weighted)
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
 

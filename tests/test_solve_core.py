@@ -23,6 +23,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,7 +353,7 @@ def _quotient_cases():
 def _datum_coefficients(spec, d):
     """The datum's coefficients as the solve makes them, on its pair."""
     fam = FourierFamily(d.grid)
-    pair = families._transform_pair(fam, differential_symbol(spec, fam.index_grid), d.samples[np.newaxis])
+    pair = families._transform_pair(fam, differential_symbol(spec, fam.index_grid), not d.samples.imag.any())
     return pair.analyse(d.samples[np.newaxis])[0]
 
 
@@ -466,7 +467,7 @@ def test_overflowing_quotient_is_raised_by_the_solve(monkeypatch, complex_datum)
     _count_calls(monkeypatch, families, "_sample_half", calls)
     _count_calls(monkeypatch, families, "_fourier_synthesis_real", calls)
     _count_calls(monkeypatch, FourierFamily, "superpose_rows", calls)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteSamples) as info:
+    with pytest.raises(NonFiniteSamples) as info:
         solve_pde(spec, d)
     assert calls == ({} if complex_datum else {"_sample_half": 1})
     # named: the quotient, at its first non-finite node on the index grid
@@ -477,6 +478,31 @@ def test_overflowing_quotient_is_raised_by_the_solve(monkeypatch, complex_datum)
     node = fam.index_grid.point_at(int(np.argmin(np.isfinite(q))))
     assert str(info.value).startswith(f"the quotient at index node {node} is ")
     assert str(info.value).endswith("samples must all be finite")
+
+
+def test_an_overflowing_division_stays_typed_where_warnings_are_errors():
+    # the symbol 1e-320 stays above the zero threshold 5e-324, and every
+    # quotient overflows: the division reports its own overflow with the
+    # node, so solve, solve_pde and divide raise the typed error, not a
+    # RuntimeWarning, whatever the warnings filter says
+    g = make_grid(1, [16], [2.0])
+    fam = FourierFamily(g)
+    spec = DifferentialOperatorSpec({(0,): 1e-320})
+    a = differential_symbol(spec, fam.index_grid)
+    plain = SymbolFunction(1, lambda p: 1e-320 + 0.0 * p, "1e-320")
+    d = sample_function(g, lambda x: np.exp(-(x**2)))
+    policy = DivisionPolicy(zero_threshold=5e-324)
+    d_v = coordinates(d, fam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = d_v.samples / plain.sample(fam.index_grid)
+    node = fam.index_grid.point_at(int(np.argmin(np.isfinite(q))))
+    for run in (lambda: solve_pde(spec, d, policy), lambda: solve(fam, a, d, policy),
+                lambda: solve(fam, plain, d, policy), lambda: divide(d_v, a, policy)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSamples) as info:
+                run()
+        assert str(info.value).startswith(f"the quotient at index node {node} is ")
 
 
 @pytest.mark.parametrize("complex_datum", [False, True])
