@@ -597,7 +597,7 @@ def _cmd_expand(args) -> int:
     out_dir = _output_dir(cfg)
     # the integrand a * c on the whole index grid, spread before the half synthesis overwrites it
     rows = datum.samples[np.newaxis]
-    pair = _transform_pair(family, symbol, not rows.imag.any())
+    pair = _transform_pair(family, symbol, datum._real or not rows.imag.any())
     integrands = pair.scaled(rows)
     integrand = GridDistribution._trusted(family.index_grid, pair.to_full(integrands[0]))
     image = GridDistribution._trusted(grid, pair.synthesise(integrands)[0])

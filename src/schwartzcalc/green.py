@@ -190,10 +190,11 @@ def _green(
     # point masses are real: with the canonical Fourier left inverse they take solve's pair
     real = _transform_pair(lam, l, translation)
     full = _transform_pair(lam, l, False) if real.half else real
-    magnitudes, eps, zero_mask = _zero_set(full.a_values, policy)
+    eps, zero_mask = _zero_set(full.a_values, policy)
     has_zeros = zero_mask is not None
     if has_zeros:
         if not divided:
+            magnitudes = np.abs(full.a_values)
             flat = int(np.argmin(magnitudes))
             point = lam.index_grid.point_at(flat)
             raise NotInvertible(
@@ -204,7 +205,7 @@ def _green(
                 magnitude=float(magnitudes[flat]),
             )
         _check_divisible(mu, zero_mask, policy)
-    real_mask = _zero_set(real.a_values, policy)[2] if real.half else zero_mask
+    real_mask = _zero_set(real.a_values, policy)[1] if real.half else zero_mask
 
     def rows_map(rows):
         pair, mask = (full, zero_mask) if rows.imag.any() else (real, real_mask)

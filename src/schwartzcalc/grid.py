@@ -100,12 +100,15 @@ class Grid:
 
     def axis_points(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis, ``-L + k*dx`` for k = 0..N-1."""
-        return self._axis_nodes(axis, np.arange(self.counts[axis]))
+        return self._axis_nodes(axis, np.arange(self.counts[axis], dtype=np.float64))
 
     def _axis_nodes(self, axis: int, k: np.ndarray) -> np.ndarray:
-        """:meth:`axis_points` at the node numbers ``k`` only."""
+        """:meth:`axis_points` at the node numbers ``k`` only, made in ``k``
+        (``float64``): ``-L + (2L/N) k``."""
         L = self.half_extents[axis]
-        return -L + 2.0 * L / self.counts[axis] * k
+        k *= 2.0 * L / self.counts[axis]
+        k += -L
+        return k
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of shape ``counts``, one per axis (ij indexing)."""
@@ -183,36 +186,40 @@ class GridDistribution:
     """Complex samples on a grid; the desk-scale surrogate of a distribution.
 
     Samples are stored flat in the grid's row-major order and frozen after
-    construction.
+    construction.  ``_real`` records that they came from a real array, so
+    that every imaginary part is ``+0.0`` without a scan.
     """
 
-    __slots__ = ("grid", "samples")
+    __slots__ = ("grid", "samples", "_real")
 
     def __init__(self, grid: Grid, samples):
         values = np.asarray(samples)  # a real input is scanned before its complex copy
         self._freeze(grid, values if values.dtype.kind == "f" else np.array(values, np.complex128, order="C"))
 
     @classmethod
-    def _trusted(cls, grid: Grid, samples: np.ndarray) -> "GridDistribution":
+    def _trusted(cls, grid: Grid, samples: np.ndarray, finite: bool = False) -> "GridDistribution":
         """Wrap an array the library has just allocated, skipping only the copy.
 
         The caller hands ``samples`` over and keeps no other reference to it;
-        the size check and the finiteness scan (before a complex copy) still run.
+        the size check runs, and the finiteness scan (before a complex copy)
+        unless the caller has already found every value ``finite``.
         """
         dist = cls.__new__(cls)
-        dist._freeze(grid, samples)
+        dist._freeze(grid, samples, finite)
         return dist
 
-    def _freeze(self, grid: Grid, values: np.ndarray):
+    def _freeze(self, grid: Grid, values: np.ndarray, finite: bool = False):
         if values.size != grid.size:
             raise GridMismatch(
                 f"expected {grid.size} samples for the grid, got {values.size}"
             )
-        _check_finite(values)
+        if not finite:
+            _check_finite(values)
         arr = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "_real", values.dtype.kind in "biuf")
 
     def __setattr__(self, name, value):
         raise AttributeError("GridDistribution is immutable")
@@ -320,8 +327,16 @@ def _l2(samples: np.ndarray, grid: Grid) -> float:
     When ``max|u|`` lies outside ``[1e-150, 1e150]`` the squares would
     overflow or underflow, so ``|u|`` is divided by it first and the norm
     multiplied back (the scaling of LAPACK's ``dnrm2``).  Inside that range
-    the sum is the plain ``sum |u|^2``.
+    the sum is the plain ``sum |u|^2``.  Real samples are squared with no
+    ``|u|`` array when their largest square puts ``max|u|`` strictly inside
+    it (rounded squaring is monotone), the same squares and the same sum.
     """
+    if samples.dtype == np.float64:
+        with np.errstate(over="ignore", under="ignore"):  # such squares fail the test below
+            squares = np.square(samples)
+        if 1e-150 * 1e-150 < np.max(squares) < 1e150 * 1e150:
+            return float(np.sqrt(np.sum(squares) * grid.cell_volume))
+        del squares
     mag = np.abs(samples)
     peak = float(np.max(mag))
     scale = peak if 0.0 < peak < math.inf and not 1e-150 <= peak <= 1e150 else 1.0
@@ -429,18 +444,52 @@ class SymbolFunction:
     __radd__ = __add__
 
 
-def _polynomial(terms, x, dtype) -> np.ndarray:
+def _polynomial(terms, x, dtype, out: np.ndarray | None = None) -> np.ndarray:
     """``sum c x^j`` over the ``(j, c)`` pairs of ``terms`` at the coordinate
-    arrays ``x``, summed from zeros of ``dtype``; each monomial multiplies its
-    factors left to right, one axis at a time."""
-    total = np.zeros(np.broadcast(*x).shape, dtype=dtype)
+    arrays ``x``, in ``out`` or one new array of ``dtype``: bit for bit the
+    sum from zeros of ``dtype`` in term order, each monomial multiplying its
+    factors left to right, one axis at a time (``tests/naive.py:polynomial``).
+
+    The constant terms before the first monomial are summed as one scalar,
+    which the first monomial, made in the output, is added to; a later
+    monomial of the whole shape is made in one scratch array.
+    """
+    shape = np.broadcast(*x).shape
+    total = np.empty(shape, dtype) if out is None else out
+    lead = np.zeros((), dtype)
+    seeded, scratch = False, None
     for idx, coeff in terms:
-        mono = coeff
-        for axis, power in enumerate(idx):
-            if power:
-                mono = mono * np.asarray(x[axis]) ** power
-        total += mono
+        factors = [(np.asarray(x[axis]), power) for axis, power in enumerate(idx) if power]
+        if not factors:
+            acc = total if seeded else lead
+            np.add(acc, coeff, out=acc)
+        elif not seeded:
+            np.add(lead, _monomial(coeff, factors, total), out=total)
+            seeded = True
+        else:
+            if scratch is None and np.broadcast(*(f for f, _ in factors)).shape == shape:
+                scratch = np.empty(shape, dtype)
+            np.add(total, _monomial(coeff, factors, scratch), out=total)
+    if not seeded:
+        total[...] = lead
     return total
+
+
+def _monomial(coeff, factors, out: np.ndarray | None) -> np.ndarray:
+    """``coeff x_a^j_a x_b^j_b ...`` over the ``(x, j)`` pairs of ``factors``,
+    multiplied left to right.  A product with the shape and dtype of ``out``
+    is made there, a smaller one apart; ``1.0 * y`` is skipped on real
+    values, where it is ``y``.  Returns the last product."""
+    place = out is not None and np.result_type(coeff, *(f for f, _ in factors)) == out.dtype
+    mono = None if place and out.dtype.kind == "f" and coeff == 1.0 else coeff
+    for xa, power in factors:
+        into = out if place and (xa if np.ndim(mono) == 0 else np.broadcast(mono, xa)).shape == out.shape else None
+        # the power is made in ``out`` too while no product is held there;
+        # ``x ** 2`` is numpy's square, not its power
+        at = into if mono is None or mono is coeff else None
+        f = np.square(xa, out=at) if power == 2 else np.power(xa, power, out=at)
+        mono = f if mono is None else np.multiply(mono, f, out=into)
+    return mono
 
 
 def _polynomial_symbol(arity: int, terms, descriptor: str) -> SymbolFunction:

@@ -167,7 +167,7 @@ def divide(
     """
     policy = policy or DivisionPolicy()
     q = _divide(d_v.samples, a.sample_finite(d_v.grid), policy, d_v.grid)[0]
-    return GridDistribution._trusted(d_v.grid, q)
+    return GridDistribution._trusted(d_v.grid, q, finite=True)
 
 
 def _divide(
@@ -179,7 +179,7 @@ def _divide(
     ``NotDivisible`` names the worst node of the zero set, then
     ``NonFiniteSamples`` the first where ``d_v``, or else the quotient, is
     not finite."""
-    eps, zero_mask = _zero_set(a_values, policy)[1:]  # frees |a| before the quotient is made
+    eps, zero_mask = _zero_set(a_values, policy)
     if zero_mask is not None:
         mass, bad = _mass_on_zero_set(d_v, zero_mask, policy)
         if bad.any():
@@ -204,13 +204,21 @@ def _divide(
     return q, zero_mask, eps
 
 
-def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[np.ndarray, float, np.ndarray | None]:
-    """``|a|``, the policy's zero threshold and the mask of nodes at or below
-    it, ``None`` when ``min|a|`` is above it: the first part of the division
-    rule :func:`divide`, :func:`solve` and the Green families share."""
+def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[float, np.ndarray | None]:
+    """The policy's zero threshold and the mask of nodes where ``|a|`` is at
+    or below it, ``None`` when ``min|a|`` is above it: the first part of the
+    division rule :func:`divide`, :func:`solve` and the Green families share.
+    A real (``float64``) symbol whose least value is above the threshold, or
+    whose largest is below minus it, gives both with no ``|a|`` array: its
+    ``max|a|`` is that of its least and largest values."""
+    if a_values.dtype == np.float64:
+        lo, hi = np.min(a_values), np.max(a_values)
+        eps = policy.resolve_zero_threshold(np.array([lo, hi]))
+        if lo > eps or hi < -eps:
+            return eps, None
     magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
-    return magnitudes, eps, (magnitudes <= eps if np.min(magnitudes) <= eps else None)
+    return eps, (magnitudes <= eps if np.min(magnitudes) <= eps else None)
 
 
 def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = None):
@@ -304,7 +312,7 @@ def _solve(
     ``d`` and the synthesis of ``u`` (the half pair signs the quotient in
     place for it).  The quotient (divided again) and the residual (the
     analysis of ``u``) are built when first read."""
-    x, pair = d.samples, _transform_pair(v, a, not d.samples.imag.any())
+    x, pair = d.samples, _transform_pair(v, a, d._real or not d.samples.imag.any())
     while True:
         d_v = pair.analyse(x[np.newaxis])[0]
         try:
@@ -321,8 +329,8 @@ def _solve(
     datum = x if v._parseval is None else None  # held only to form A(u) - d
 
     def quotient():  # the same division again, spread over the index grid
-        q = _masked_quotient(d_v, pair.a_values, zero_mask)
-        return GridDistribution._trusted(v.index_grid, pair.to_full(q))
+        q = _masked_quotient(d_v, pair.a_values, zero_mask)  # the bits _divide found finite
+        return GridDistribution._trusted(v.index_grid, pair.to_full(q), finite=True)
 
     def residual():  # analyse u (the half pair takes its real part)
         coords = pair.scaled(solution.samples[np.newaxis])[0]

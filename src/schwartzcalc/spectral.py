@@ -70,7 +70,7 @@ def spectral_apply(a: SymbolFunction, v: SchwartzFamily, u: GridDistribution) ->
     """
     v._check_space(u)
     rows = u.samples[np.newaxis]
-    images = _transform_pair(v, a, not rows.imag.any()).apply(rows)
+    images = _transform_pair(v, a, u._real or not rows.imag.any()).apply(rows)
     return GridDistribution._trusted(v.space_grid, images[0])
 
 

@@ -277,6 +277,21 @@ def differential_evaluator(terms, dim):
     return evaluator
 
 
+def polynomial(terms, x, dtype):
+    """``sum c x^j`` over the ``(j, c)`` pairs of ``terms`` at the coordinate
+    arrays ``x``, as the library first evaluated it: summed from zeros of
+    ``dtype``, each monomial a new array, its factors multiplied left to
+    right, one axis at a time."""
+    total = np.zeros(np.broadcast(*x).shape, dtype=dtype)
+    for idx, coeff in terms:
+        mono = coeff
+        for axis, power in enumerate(idx):
+            if power:
+                mono = mono * np.asarray(x[axis]) ** power
+        total += mono
+    return total
+
+
 def config_polynomial_evaluator(terms):
     """The evaluator the CLI used to build for a ``polynomial`` symbol's
     ``(multi-index, coefficient)`` pairs: each monomial starts as a full array."""

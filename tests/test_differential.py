@@ -19,7 +19,11 @@ names.  So does a symbol that is not finite at drawn nodes other than node
 0, for ``solve``, ``spectral_apply``, ``divide`` and ``green_family``.  A
 real, even symbol equals its mirror within a bound derived from the
 rounding of the nodes, and configs with keys and values swapped keep the
-CLI contract.
+CLI contract.  Three more are exact: the polynomial evaluator is the sum
+from zeros it replaced, bit for bit; a datum built from real samples, known
+real without a scan, gives the bits of the same values given as complex;
+and the transform pair follows ``not samples.imag.any()``, signed zeros
+included.
 
 The factor in front, ``TOL_ULPS * N``, covers the literal sums themselves:
 their phases ``p.x`` reach ``pi N / 2``, where ``exp`` is accurate to
@@ -64,7 +68,10 @@ from schwartzcalc import (
     solve_pde,
     spectral_apply,
 )
-from schwartzcalc import families
+from schwartzcalc import cli, families
+from schwartzcalc import grid as grid_module
+from schwartzcalc import solver as solver_module
+from schwartzcalc import spectral as spectral_module
 from schwartzcalc.cli import main
 
 EPS = np.finfo(float).eps
@@ -449,6 +456,154 @@ def test_real_even_symbol_is_its_own_mirror_within_the_node_rounding(grid, data)
     bound = EPS * (moved + (3 * grid.dim + len(spec.coeffs)) * sizes)
     gap = np.abs(values - mirrored).ravel()
     assert np.all(gap <= bound), float(np.max(gap / np.maximum(bound, np.finfo(float).tiny)))
+
+
+#: evaluator coefficients: the unit, signed zeros, drawn magnitudes and ones
+#: whose powers overflow (``inf - inf`` where two of them meet)
+EVALUATOR_COEFFICIENT = st.one_of(
+    st.sampled_from([1.0, -0.0, 0.0, -1.0, 1e300, -1e300]), COEFFICIENT)
+
+
+@SETTINGS
+@given(grid=grids(extents=st.floats(1e-3, 1e3)), complex_dtype=st.booleans(),
+       per_axis=st.booleans(), data=st.data())
+def test_polynomial_evaluator_is_the_sum_from_zeros(grid, complex_dtype, per_axis, data):
+    """``grid._polynomial`` is bit for bit the sum from zeros it replaced
+    (``naive.polynomial``): zero to four terms of degree 0 to 4 per axis, a
+    constant ``1.0`` or ``-0.0`` among them, real coefficients on
+    ``float64`` and real or complex ones on ``complex128``, at the whole
+    grid's meshes or at one broadcast axis each (as the half sampler
+    passes them)."""
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        idx = tuple(data.draw(st.integers(0, 4)) for _ in range(grid.dim))
+        coeff = data.draw(EVALUATOR_COEFFICIENT)
+        if complex_dtype and data.draw(st.booleans()):
+            coeff = complex(coeff, data.draw(EVALUATOR_COEFFICIENT))
+        terms.append((idx, coeff))
+    if data.draw(st.booleans()):
+        constant = ((0,) * grid.dim, data.draw(st.sampled_from([1.0, -0.0])))
+        terms.insert(data.draw(st.integers(0, len(terms))), constant)
+    if per_axis:
+        x = [grid.axis_points(i).reshape([-1 if j == i else 1 for j in range(grid.dim)])
+             for i in range(grid.dim)]
+    else:
+        x = grid.meshes()
+    dtype = np.complex128 if complex_dtype else np.float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = grid_module._polynomial(terms, x, dtype)
+        want = naive.polynomial(terms, x, dtype)
+    assert got.shape == grid.counts
+    assert same_words(got, want)
+
+
+def expand_outputs(grid, terms, d):
+    """The bytes of ``expansion.csv`` and ``integrand.csv`` that ``expand``
+    writes for the ``polynomial`` symbol ``terms`` on the Fourier family,
+    with ``d`` as its datum."""
+    cfg = {
+        "grid": {"dim": grid.dim, "counts": list(grid.counts),
+                 "half_extents": list(grid.half_extents)},
+        "operator": {"type": "diagonal", "family": "fourier", "symbol": {
+            "name": "polynomial",
+            "terms": {",".join(map(str, j)): [c.real, c.imag] for j, c in terms.items()},
+        }},
+        "datum": {"kind": "gaussian"},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output"] = {"directory": os.path.join(tmp, "out")}
+        with open(os.path.join(tmp, "run.json"), "w") as fh:
+            json.dump(cfg, fh)
+        with mock.patch.object(cli, "_parse_datum", lambda section, g: (d, "drawn")), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["expand", "--config", os.path.join(tmp, "run.json")]) == 0
+        return [open(os.path.join(tmp, "out", name), "rb").read()
+                for name in ("expansion.csv", "integrand.csv")]
+
+
+def real_and_complex_built(grid, seed):
+    """The same real values as a datum built from ``float64`` samples and as
+    one built from ``complex128`` samples with imaginary parts ``+0.0``."""
+    x = np.random.default_rng(seed).standard_normal(grid.size)
+    real, copy = GridDistribution(grid, x), GridDistribution(grid, x.astype(np.complex128))
+    assert real._real and not copy._real and same_words(real.samples, copy.samples)
+    return real, copy
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(grid=grids(max_nodes=256), real_even=st.booleans(), with_zero=st.booleans(),
+       dirac=st.booleans(), data=st.data())
+def test_a_real_built_datum_gives_the_bits_of_its_complex_copy(
+        grid, real_even, with_zero, dirac, data):
+    """``solve_pde`` and ``solve`` (solution, quotient and residual, or the
+    same error), ``spectral_apply`` and ``expand`` give the same bits for a
+    datum built from real samples, which is known real without a scan, and
+    for the same values given as complex with imaginary parts ``+0.0``,
+    which are scanned.  The symbol vanishes at ``p = 0`` when ``with_zero``."""
+    fam = DiracFamily(grid) if dirac else FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, real_even))
+    spec, a = operator_symbol(fam, terms, 0 if with_zero else 8.0)
+
+    def outputs(d):
+        out = []
+        for run in (lambda: solve_pde(spec, d), lambda: solve(fam, a, d)):
+            try:
+                result = run()
+            except NotDivisible as exc:
+                out.append(str(exc))
+            else:
+                out += [result.solution.samples, result.quotient.samples, np.float64(result.residual)]
+        out.append(spectral_apply(a, fam, d).samples)
+        return out + expand_outputs(grid, terms, d)
+
+    real, copy = real_and_complex_built(grid, data.draw(st.integers(0, 2**32 - 1)))
+    for got, want in zip(outputs(real), outputs(copy), strict=True):
+        assert got == want if isinstance(got, (str, bytes)) else same_words(got, want)
+
+
+@SETTINGS
+@given(grid=grids(), even_terms=st.booleans(),
+       imag=st.sampled_from(["real-built", "+0.0", "-0.0", "signed zeros", "complex"]),
+       data=st.data())
+def test_the_pair_follows_the_imaginary_parts(grid, even_terms, imag, data):
+    """The solve, the apply and ``expand`` ask ``_transform_pair`` for the
+    real pair exactly when ``not samples.imag.any()``: for a datum built
+    from real samples, and for complex samples whose imaginary parts are
+    all zeros of either sign; the half pair runs where the symbol is also
+    real and even."""
+    fam = FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, even_terms))
+    spec, a = operator_symbol(fam, terms, 8.0)
+    real, samples = real_and_complex_built(grid, data.draw(st.integers(0, 2**32 - 1)))
+    if imag == "real-built":
+        d = real
+    else:
+        samples = np.array(samples.samples)
+        if imag != "+0.0":
+            signs = data.draw(st.lists(st.booleans(), min_size=grid.size, max_size=grid.size))
+            samples.imag = np.where(signs, -0.0, 0.0) if imag == "signed zeros" else -0.0
+        if imag == "complex":
+            samples.imag[data.draw(st.integers(0, grid.size - 1))] = 1.0
+        d = GridDistribution(grid, samples)
+    rule = not d.samples.imag.any()
+    assert rule == (imag != "complex")
+    chosen = []
+
+    def recording(v, symbol, is_real):
+        pair = families._transform_pair(v, symbol, is_real)
+        chosen.append((is_real, pair.half, symbol._real_even))
+        return pair
+
+    with mock.patch.object(solver_module, "_transform_pair", recording), \
+            mock.patch.object(spectral_module, "_transform_pair", recording), \
+            mock.patch.object(cli, "_transform_pair", recording):
+        for run in (lambda: solve_pde(spec, d), lambda: solve(fam, a, d),
+                    lambda: spectral_apply(a, fam, d), lambda: expand_outputs(grid, terms, d)):
+            chosen.clear()
+            with contextlib.suppress(NotDivisible):  # the symbol may vanish on the nodes
+                run()
+            is_real, half, real_even = chosen[0]
+            assert is_real == rule and half == (rule and real_even), (chosen, imag)
 
 
 # -- generated configs: keys and values swapped, several fields at once

@@ -194,6 +194,23 @@ def test_l2_in_range_is_bitwise_the_first_version(name):
         assert same_words(np.float64(_l2(samples, g)), np.float64(naive.l2(samples, g)))
 
 
+@pytest.mark.parametrize("peak", [
+    0.0, 1.0, 1e150, np.nextafter(1e150, 0.0), np.nextafter(1e150, np.inf), 1e-150,
+    np.nextafter(1e-150, 0.0), np.nextafter(1e-150, 1.0), 1e155, 1e300, 1e-160, 5e-324,
+])
+def test_l2_of_real_samples_is_that_of_their_complex_copy(peak):
+    """Real samples are squared with no ``|u|`` array when their largest
+    square places ``max|u|`` strictly inside ``[1e-150, 1e150]``: the same
+    bits as the complex path, at and beside both ends of that range, on
+    small values whose squares underflow, and on a strided real part."""
+    g = make_grid(1, [64], [math.pi])
+    row = np.sin(np.arange(g.size)) * np.geomspace(1.0, 1e-200, g.size)
+    row[7] = -1.0
+    real = row * peak
+    for samples in (real, (real + 0j).real):
+        assert same_words(np.float64(_l2(samples, g)), np.float64(_l2(real + 0j, g)))
+
+
 @pytest.mark.parametrize("scale", [2.0**532, 2.0**-532, 2.0**1000, 2.0**-1000])
 def test_l2_scales_out_of_range_data(scale):
     # a power of two scales every rounding exactly; the literal sum of

@@ -58,6 +58,8 @@ from schwartzcalc import (
 )
 
 from schwartzcalc import families
+from schwartzcalc import grid as grid_module
+from schwartzcalc import solver as solver_module
 from schwartzcalc.cli import _parse_symbol, main
 
 from naive import (
@@ -510,8 +512,10 @@ def test_overflowing_analysis_names_the_datums_coefficient(complex_datum):
     # the analysis of a constant 1e308 overflows: the quotient is not finite
     # because the datum's coefficients are not, and the error says which
     g = make_grid(1, [64], [3.0])
+    # the transforms do not warn of their overflow, so this holds where
+    # warnings are errors (the test configuration makes RuntimeWarning one)
     d = GridDistribution(g, np.full(g.size, 1e308 + (1e308j if complex_datum else 0j)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteSamples) as info:
+    with pytest.raises(NonFiniteSamples) as info:
         solve_pde(HELMHOLTZ_1D, d)
     index = FourierFamily(g).index_grid
     assert str(info.value).startswith(f"the datum's coefficient at index node {index.point_at(0)} is ")
@@ -707,6 +711,83 @@ def test_real_path_traced_peak_stays_below_three_and_a_half_arrays():
     for read_residual in (False, True):
         peak = _traced_peak(np.sin(3.0 * x), read_residual)
         assert peak < 3.5, f"peak {peak:.2f} arrays"
+
+
+def _peak_per_byte(nbytes, run):
+    """``tracemalloc`` peak of ``run()``, after one untraced call, per byte
+    of ``nbytes``."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / nbytes
+
+
+def test_half_sample_peaks_at_twice_its_result():
+    """A 1-d half sample at 2^16 nodes peaks at its nodes, made in one
+    ``float64`` buffer, and the output the polynomial is evaluated in (the
+    Helmholtz symbol has one term that is not constant, so no scratch).
+    It was 4.0 results while the nodes came from integer node numbers
+    through two array expressions and the sum was made from zeros with a
+    new array per power and per product."""
+    index = FourierFamily(make_grid(1, [1 << 16], [40.0])).index_grid
+    a = differential_symbol(HELMHOLTZ_1D, index)
+    size = families._sample_half(a, index).nbytes
+    peak = _peak_per_byte(size, lambda: families._sample_half(a, index))
+    assert peak < 2.05, f"peak {peak:.3f} results"
+
+
+def test_zero_set_of_a_real_symbol_off_the_threshold_makes_no_array():
+    """A real symbol whose least value is above the zero threshold: the
+    threshold and the empty set come from its least and largest values.  It
+    was 2.0 symbols (``|a|`` and its mask) at 2^16 nodes."""
+    index = FourierFamily(make_grid(1, [1 << 16], [40.0])).index_grid
+    half = families._sample_half(differential_symbol(HELMHOLTZ_1D, index), index)
+    assert solver_module._zero_set(half, DivisionPolicy()) == (1e-12 * np.max(half), None)
+    peak = _peak_per_byte(half.nbytes, lambda: solver_module._zero_set(half, DivisionPolicy()))
+    assert peak < 0.05, f"peak {peak:.3f} symbols"
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0, 3.0], [-3.0, -2.0, -1.0], [-1.0, 0.5, 2.0], [-1.0, 1e-13, 2.0],
+    [-1.0, -0.0, 2.0], [1e-13, 1.0, 2.0], [-2.0, -1.0, -1e-13], [0.0, 0.0, 0.0],
+])
+@pytest.mark.parametrize("threshold", [None, 0.75])
+def test_zero_set_is_the_rule_on_the_magnitudes(values, threshold):
+    """On real and complex symbols, ``_zero_set`` is the rule written on
+    ``|a|``: the policy's threshold of ``a``, and the mask ``|a| <= eps``,
+    ``None`` where it holds nowhere; signs, signed zeros and a threshold
+    of the policy's own included."""
+    policy = DivisionPolicy(zero_threshold=threshold)
+    for a in (np.array(values), np.array(values) * (1 + 1j)):
+        eps = policy.resolve_zero_threshold(a)
+        mask = np.abs(a) <= eps
+        got_eps, got_mask = solver_module._zero_set(a, policy)
+        assert same_bits(got_eps, eps)
+        assert (got_mask is None) if not mask.any() else np.array_equal(got_mask, mask)
+
+
+@pytest.mark.parametrize("complex_datum", [False, True])
+def test_the_quotient_is_scanned_for_finiteness_once(monkeypatch, complex_datum):
+    """The division scans its quotient and names a node that is not finite;
+    ``divide`` and the first read of ``SolveResult.quotient``, the same
+    division again, wrap it with no second scan.  The solve scans only its
+    solution."""
+    g = make_grid(1, [64], [3.0])
+    d = GridDistribution(g, np.exp(-g.axis_points(0) ** 2) * (1 + 1j if complex_datum else 1))
+    fam = FourierFamily(g)
+    d_v, a = coordinates(d, fam), differential_symbol(HELMHOLTZ_1D, fam.index_grid)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, grid_module, "_check_finite", calls)
+    result = solve_pde(HELMHOLTZ_1D, d)
+    assert calls == {"_check_finite": 1}
+    calls.clear()
+    result.quotient
+    divide(d_v, a)
+    assert calls == {}
 
 
 # p^400 overflows on the dual grid of 1024 nodes over [-1, 1): |p| <= 512 pi
