@@ -49,6 +49,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     IndexOffGrid,
+    NonFiniteSamples,
     NotDivisible,
     SchwartzCalcError,
 )
@@ -469,9 +470,20 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
 
 
 def _write_report(path: Path, report: dict) -> None:
+    """Write ``report`` as strict JSON (RFC 8259 has no NaN or Infinity).
+    A value that is not finite is a ``NonFiniteSamples`` naming its
+    top-level key, raised before the file is opened."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        for key in sorted(report):
+            try:
+                json.dumps(report[key], allow_nan=False)
+            except ValueError:
+                raise NonFiniteSamples(f"the report's {key!r} is not finite; a report holds finite numbers only") from None
+        raise
     with _open_output(path) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ unless ``matrix()`` or ``kernel`` is called.
 Since a point mass cannot be compared node by node after applying ``L``, the
 Green property is certified weakly: each member is paired against a fixed
 set of Gaussian probe functions and the pairing is compared with point
-evaluation of the probe at the member's index.  On the Fourier family with
+evaluation of the probe at the member's index.  The probes are paired one
+at a time, so no index-by-probe table is held.  On the Fourier family with
 its canonical left inverse every ``L G_p`` is a periodic translate of one
-distribution, so all pairings come from FFT cross-correlations of one
-generating row; any other family pairs the dense table, which stays the
+distribution, so the pairings are FFT cross-correlations with one
+generating row; on the Dirac family with its own left inverse ``L G`` is
+diagonal; any other left inverse pairs the dense table, which stays the
 reference.
 """
 
@@ -30,7 +32,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import GridMismatch, NotDivisible, NotInvertible
+from .errors import GridMismatch, NonFiniteSamples, NotDivisible, NotInvertible
 from .grid import Grid, SymbolFunction
 from .families import DiracFamily, FourierFamily, LazyFamily, SchwartzFamily, _Pair, _transform_pair
 from .solver import DivisionPolicy, _masked_quotient, _mass_on_zero_set, _zero_set
@@ -51,6 +53,21 @@ PROBE_WIDTH_CELLS = 4.0
 CHECK_BLOCK_ENTRIES = 1 << 18
 
 
+def _probe(grid: Grid, k: int) -> tuple[np.ndarray, tuple]:
+    """The k-th probe of :func:`gaussian_probes`: its samples (flat,
+    ``float64``) and its center.  Each axis's term is made on that axis's
+    nodes and broadcast, node by node the values the coordinate meshes give."""
+    center = tuple(-L + (k + 0.5) * (2.0 * L / PROBE_COUNT) for L in grid.half_extents)
+    exponent = 0.0
+    for axis in range(grid.dim):
+        sigma = PROBE_WIDTH_CELLS * grid.spacings[axis]
+        shape = [1] * grid.dim
+        shape[axis] = grid.counts[axis]
+        exponent = exponent + (((grid.axis_points(axis) - center[axis]) / sigma) ** 2 / 2.0).reshape(shape)
+    np.negative(exponent, out=exponent)
+    return np.exp(exponent, out=exponent).ravel(), center
+
+
 def gaussian_probes(grid: Grid) -> tuple[np.ndarray, list]:
     """The documented probe set: 8 Gaussians of width ``4*dx``.
 
@@ -58,20 +75,8 @@ def gaussian_probes(grid: Grid) -> tuple[np.ndarray, list]:
     the box diagonal in several dimensions).  Returns the probe sample
     matrix, shape ``(grid.size, 8)``, and the list of center points.
     """
-    meshes = grid.meshes()
-    columns = []
-    centers = []
-    for k in range(PROBE_COUNT):
-        center = tuple(
-            -L + (k + 0.5) * (2.0 * L / PROBE_COUNT) for L in grid.half_extents
-        )
-        exponent = 0.0
-        for axis in range(grid.dim):
-            sigma = PROBE_WIDTH_CELLS * grid.spacings[axis]
-            exponent = exponent + ((meshes[axis] - center[axis]) / sigma) ** 2 / 2.0
-        columns.append(np.exp(-exponent).ravel())
-        centers.append(center)
-    return np.stack(columns, axis=1).astype(np.complex128), centers
+    columns, centers = zip(*(_probe(grid, k) for k in range(PROBE_COUNT)))
+    return np.stack(columns, axis=1).astype(np.complex128), list(centers)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,46 +124,89 @@ def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
     )
 
 
-def _translate_pairings(
-    lam: FourierFamily, pair: _Pair, green: LazyFamily, weighted_probes: np.ndarray
-) -> np.ndarray:
-    """Probe pairings of every ``L G_p`` from the one at the first index node.
+def _point_mass_values(grid: Grid) -> np.ndarray:
+    """One row holding every point mass's one nonzero value, each at its own
+    node: the entries of the point-mass table that are not 0."""
+    return np.full((1, grid.size), 1.0 / grid.cell_volume, dtype=np.complex128)
 
-    ``L G_{p_k}`` is ``h = L G_{p_0}`` shifted by ``k`` nodes (periodically),
-    so ``<L G_{p_k}, phi> = sum_m h[m - k] phi[m] dx^n`` is a circular
-    cross-correlation of ``phi`` with ``h``.
+
+def _probe_pairings(space: Grid, pair: _Pair, green: LazyFamily, pairing: str):
+    """Each probe ``phi`` (samples, center) with its pairings
+    ``<L G_p, phi> = sum_m (L G_p)[m] phi[m] dx^n`` at every index node
+    ``p``, one probe at a time.
+
+    ``pairing`` says how they are found:
+
+    * ``"translation"`` (the Fourier family with its canonical left
+      inverse): ``L G_{p_k}`` is ``h = L G_{p_0}`` shifted by ``k`` nodes
+      (periodically), so the pairings are the circular cross-correlation of
+      ``phi`` with ``h``, from one spectrum of ``h``;
+    * ``"diagonal"`` (the Dirac family and left inverse): every map is
+      pointwise, so ``L G`` is diagonal, and its diagonal is ``L`` applied
+      to the Green map of one row of point-mass values;
+    * ``"dense"`` (any other left inverse): the table ``L G`` paired with
+      every probe in one product.
     """
-    space = lam.space_grid
-    row = green._member_rows(0, 1)
-    h = pair.apply(row).reshape(space.counts)
-    axes = tuple(range(1, space.dim + 1))
-    phis = weighted_probes.T.reshape((-1,) + space.counts)
-    spectra = np.fft.fftn(phis, axes=axes) * np.conj(np.fft.fftn(np.conj(h)))
-    return np.fft.ifftn(spectra, axes=axes).reshape(len(phis), -1).T
-
-
-def _weak_residuals(
-    lam: SchwartzFamily, pair: _Pair, green: LazyFamily, translation: bool
-) -> tuple[np.ndarray, list]:
-    space = lam.space_grid
-    probes, centers = gaussian_probes(space)
-    weighted = probes * space.cell_volume
-    if translation:
-        pair_matrix = _translate_pairings(lam, pair, green, weighted)
+    if pairing == "dense":
+        probes, centers = gaussian_probes(space)
+        table = pair.apply(green.matrix()) @ (probes * space.cell_volume)
+        for k in range(PROBE_COUNT):
+            yield probes[:, k], centers[k], table[:, k]
+        return
+    if pairing == "translation":
+        spectrum = np.fft.fftn(np.conj(pair.apply(green._member_rows(0, 1))).reshape(space.counts))
+        np.conjugate(spectrum, out=spectrum)
     else:
-        # L G_p for every p at once from the dense table
-        pair_matrix = pair.apply(green.matrix()) @ weighted
-    # the index grid is the space grid, so the targets phi(p) are the probe samples
-    return np.max(np.abs(pair_matrix - probes), axis=1), centers
+        diagonal = pair.apply(green.superpose_rows(_point_mass_values(space)))[0]
+    for k in range(PROBE_COUNT):
+        probe, center = _probe(space, k)
+        weighted = np.multiply(probe, space.cell_volume, out=np.empty(space.size, np.complex128))
+        if pairing == "translation":
+            phi = weighted.reshape(space.counts)
+            np.fft.fftn(phi, out=phi)
+            np.multiply(phi, spectrum, out=phi)
+            np.fft.ifftn(phi, out=phi)
+        else:
+            np.multiply(diagonal, weighted, out=weighted)
+        yield probe, center, weighted
+
+
+def _weak_residuals(space: Grid, pair: _Pair, green: LazyFamily, pairing: str) -> tuple[np.ndarray, list]:
+    """The worst probe-pairing error at every index node and the probe
+    centers, folded one probe at a time (see :func:`_probe_pairings`).
+    ``NonFiniteSamples`` names the first index node whose residual is not
+    finite: overflow in ``L G`` is found here, not warned of."""
+    worst = np.zeros(space.size)
+    centers = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for probe, center, pairings in _probe_pairings(space, pair, green, pairing):
+            # the index grid is the space grid, so the target phi(p) is the probe's sample at p
+            pairings -= probe
+            np.maximum(worst, np.abs(pairings), out=worst)
+            centers.append(center)
+    if not np.isfinite(worst).all():
+        flat = int(np.argmin(np.isfinite(worst)))
+        raise NonFiniteSamples(
+            f"the weak residual at index node {space.point_at(flat)} is {worst[flat]}; samples must all be finite"
+        )
+    return worst, centers
 
 
 def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: DivisionPolicy) -> None:
     """Raise ``NotDivisible`` for the first ``mu`` member with mass on the zero set.
 
     The members are built in blocks of rows, and the scan stops at the first
-    block holding an offending row.
+    block holding an offending row.  A Dirac member is the point mass at its
+    index node, its one and largest value there, so one row of point-mass
+    values judges them all.
     """
     index = mu.index_grid
+    if isinstance(mu, DiracFamily):
+        mass, bad = _mass_on_zero_set(_point_mass_values(index)[0], zero_mask, policy)
+        if bad.any():
+            flat = int(np.argmax(bad))
+            raise _not_divisible(index, flat, float(mass[flat]))
+        return
     block = max(1, CHECK_BLOCK_ENTRIES // mu.space_grid.size)
     for start in range(0, index.size, block):
         stop = min(start + block, index.size)
@@ -166,14 +214,17 @@ def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: Division
         bad_rows = np.nonzero(np.any(bad, axis=1))[0]
         if bad_rows.size:
             row = int(bad_rows[0])
-            point = index.point_at(start + row)
-            raise NotDivisible(
-                f"left-inverse member at index node {point} has coefficient mass "
-                f"on the symbol's zero set",
-                worst_index=start + row,
-                worst_point=point,
-                magnitude=float(np.max(np.where(bad[row], mass[row], 0.0))),
-            )
+            raise _not_divisible(index, start + row, float(np.max(np.where(bad[row], mass[row], 0.0))))
+
+
+def _not_divisible(index: Grid, flat: int, magnitude: float) -> NotDivisible:
+    point = index.point_at(flat)
+    return NotDivisible(
+        f"left-inverse member at index node {point} has coefficient mass on the symbol's zero set",
+        worst_index=flat,
+        worst_point=point,
+        magnitude=magnitude,
+    )
 
 
 def _green(
@@ -187,6 +238,7 @@ def _green(
         raise GridMismatch("a left inverse must be indexed by lam's space grid and live on its index grid")
     policy = policy or DivisionPolicy()
     translation = _is_translation_family(lam, mu)
+    diagonal = isinstance(lam, DiracFamily) and isinstance(mu, DiracFamily)
     # point masses are real: with the canonical Fourier left inverse they take solve's pair
     real = _transform_pair(lam, l, translation)
     full = _transform_pair(lam, l, False) if real.half else real
@@ -213,7 +265,8 @@ def _green(
         return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
-    residuals, centers = _weak_residuals(lam, real, family, translation)
+    pairing = "translation" if translation else "diagonal" if diagonal else "dense"
+    residuals, centers = _weak_residuals(lam.space_grid, real, family, pairing)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)
 

@@ -194,6 +194,9 @@ class GridDistribution:
 
     def __init__(self, grid: Grid, samples):
         values = np.asarray(samples)  # a real input is scanned before its complex copy
+        if values.dtype.kind == "f" and values.dtype.itemsize > 8:  # scanned as the doubles it is stored as
+            with np.errstate(over="ignore"):
+                values = values.astype(np.float64)
         self._freeze(grid, values if values.dtype.kind == "f" else np.array(values, np.complex128, order="C"))
 
     @classmethod

@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from schwartzcalc.cli import main
+
+# every report.json a test here writes must parse as strict JSON
+pytestmark = pytest.mark.usefixtures("strict_reports")
 
 
 def write_config(path, **sections):
@@ -826,16 +830,53 @@ def test_overflowing_reciprocal_in_green_prints_no_numpy_warning(tmp_path):
     assert "samples must all be finite" in err
 
 
-def test_green_above_the_dense_cap_exits_1_before_building(tmp_path):
-    # the multiplication operator's Green pairing needs a 5184 x 5184 table
-    err = _one_line_exit_1(
-        tmp_path,
-        ["green", "--index", "0,0"],
+def test_green_above_the_dense_cap_runs_on_the_dirac_diagonal(tmp_path):
+    # 72^2 = 5184 nodes: a multiplication operator's Green pairing used to
+    # need a 5184 x 5184 table (410 MiB, held several times) and exited 1;
+    # its L G is diagonal, so the build holds a few arrays of the grid's size
+    cfg = write_config(
+        tmp_path / "run.json",
         grid={"dim": 2, "counts": [72, 72], "half_extents": [4.0, 4.0]},
         operator={
             "type": "multiplication",
             "symbol": {"name": "polynomial", "terms": {"0,0": 1, "2,0": 1, "0,2": 1}},
         },
+        output={"directory": str(tmp_path / "out")},
     )
-    assert "5184 x 5184" in err
+    tracemalloc.start()
+    try:
+        assert main(["green", "--config", cfg, "--index", "0,0"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "ok" and report["route"] == "reciprocal"
+    assert report["max_weak_residual_all_indices"] < 1e-12
+
+
+TINY_SYMBOL_RUN = dict(
+    grid={"dim": 1, "counts": [1024], "half_extents": [20.0]},
+    operator={
+        "type": "diagonal",
+        "family": "fourier",
+        "symbol": {"name": "polynomial", "terms": {"0": 1e-307, "2": 1e-307}},
+    },
+    datum={"kind": "gaussian", "sigma": 1.0},
+)
+
+
+def test_green_whose_weak_residual_overflows_exits_1_without_a_report(tmp_path):
+    # L G_p of the finite member overflows in its analysis: the residual is
+    # nan, and the family is not certified (it was, with NaN, exit 0)
+    err = _one_line_exit_1(tmp_path, ["green", "--index", "0"], **TINY_SYMBOL_RUN)
+    assert err.startswith("error: the weak residual at index node (-20.0,) is nan")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_solve_whose_residual_is_not_finite_exits_1_without_a_report(tmp_path):
+    # the solution is finite, but its residual reads nan: the strict report
+    # refuses it (it was written as "residual": NaN, exit 0)
+    err = _one_line_exit_1(tmp_path, ["solve"], **TINY_SYMBOL_RUN)
+    assert "'residual' is not finite" in err
     assert not (tmp_path / "out" / "report.json").exists()

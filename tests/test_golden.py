@@ -33,6 +33,9 @@ import pytest
 
 from schwartzcalc.cli import main
 
+# every report.json a test here writes must parse as strict JSON
+pytestmark = pytest.mark.usefixtures("strict_reports")
+
 HELMHOLTZ_1D = {"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}}
 HELMHOLTZ_2D = {
     "type": "differential",

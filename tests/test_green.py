@@ -14,6 +14,7 @@ from schwartzcalc import (
     GridMismatch,
     KernelFamily,
     LazyFamily,
+    NonFiniteSamples,
     NotDivisible,
     NotInvertible,
     SymbolFunction,
@@ -432,20 +433,104 @@ def test_translate_pairings_equal_dense_pairings():
     # the public route always pairs L G_p ~ delta_p, which is symmetric; an
     # operator other than the one the family inverts gives an asymmetric
     # generating row, which pins the direction of the cross-correlation
+    # (the one-probe-at-a-time code, each probe against its own product)
     from schwartzcalc.families import _transform_pair
-    from schwartzcalc.green import _translate_pairings, gaussian_probes
+    from schwartzcalc.green import _probe_pairings, gaussian_probes
 
     g = make_grid(2, [16, 8], [3.0, 2.0])
     lam = FourierFamily(g)
     l = SymbolFunction(2, lambda p, q: 1.0 + p**2 + q**2, "1+|p|^2")
     other = SymbolFunction(2, lambda p, q: 1.0 + p + 2j * q + p * q**2, "asymmetric")
     green = green_family(lam, l, left_inverse_family(lam)).family
-    weighted = gaussian_probes(g)[0] * g.cell_volume
+    probes, centers = gaussian_probes(g)
     table = green.matrix()
     pair = _transform_pair(lam, other, not table.imag.any())
-    dense = pair.apply(table) @ weighted
-    fast = _translate_pairings(lam, pair, green, weighted)
-    np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+    dense = pair.apply(table) @ (probes * g.cell_volume)
+    for k, (probe, center, fast) in enumerate(_probe_pairings(g, pair, green, "translation")):
+        assert np.array_equal(probe, probes[:, k].real) and center == centers[k]
+        np.testing.assert_allclose(fast, dense[:, k], rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
+    assert k == 7
+
+
+def _grid_arrays(build, grid):
+    """The traced peak of ``build()``, in complex arrays of ``grid``'s size,
+    after one untraced build has filled the first-call caches."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * grid.size)
+
+
+@pytest.mark.parametrize("n", [48, 128])
+def test_fourier_green_build_holds_no_probe_table(n):
+    # the probes are paired one at a time against one spectrum of the
+    # generating row; the N x 8 probe pass peaked at 42 arrays
+    g = make_grid(2, [n, n], [4.0, 4.0])
+    lam = FourierFamily(g)
+    mu = left_inverse_family(lam)
+    l = SymbolFunction(2, lambda p, q: 1.0 + p**2 + q**2, "1+|p|^2")
+    arrays = _grid_arrays(lambda: green_family(lam, l, mu), g)
+    assert arrays <= 10, f"{arrays:.2f} arrays"
+
+
+DIRAC_ZEROS = SymbolFunction(2, lambda x, y: x**2 + y**2, "|x|^2")
+
+
+@pytest.mark.parametrize("divided", [False, True])
+def test_dirac_green_build_holds_no_table(divided):
+    # L G is diagonal: its pairings cost O(N) (one N x N table at 48^2 is
+    # 2304 arrays; the dense pairing peaked at 4 of them).  The divided
+    # route takes a symbol with a zero at the origin, judged with a residual
+    # threshold of 1 so that the point mass there passes.
+    g = make_grid(2, [48, 48], [4.0, 4.0])
+    lam = DiracFamily(g)
+    mu = left_inverse_family(lam)
+    if divided:
+        build = lambda: green_family_divided(lam, DIRAC_ZEROS, mu, DivisionPolicy(residual_threshold=1.0))
+    else:
+        build = lambda: green_family(lam, SymbolFunction(2, lambda x, y: 1.0 + x**2 + y**2, "1+|x|^2"), mu)
+    arrays = _grid_arrays(build, g)
+    assert arrays <= 12, f"{arrays:.2f} arrays"
+    assert build().route == ("divided" if divided else "reciprocal")
+
+
+def _same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("counts", [[64], [1024], [16, 16], [48, 48]])
+@pytest.mark.parametrize("divided", [False, True])
+def test_dirac_green_is_the_dense_green(counts, divided):
+    # the diagonal of L G times each probe gives the bits of the dense
+    # product: every off-diagonal term is an exact zero
+    dim = len(counts)
+    g = make_grid(dim, counts, [4.0] * dim)
+    lam = DiracFamily(g)
+    policy = DivisionPolicy(residual_threshold=1.0)
+    offset = 0.0 if divided else 1.0
+    l = SymbolFunction(dim, lambda *x: offset + sum(t**2 for t in x) + 0.25j * x[0], "complex")
+    build = green_family_divided if divided else green_family
+    result = build(lam, l, left_inverse_family(lam), policy)
+    table, residuals = dense_green(lam, l, policy, divided=divided)
+    assert result.route == ("divided" if divided else "reciprocal")
+    assert _same_bits(result.weak_residuals, residuals)
+    for k in range(0, g.size, max(1, g.size // 16)):
+        assert _same_bits(result.family.member(g.point_at(k)).samples, table[k])
+
+
+def test_weak_residual_that_overflows_is_a_typed_error():
+    # a finite member whose L G_p overflows in its analysis: the residual is
+    # nan, and the family is not certified (it was, with NaN)
+    g = make_grid(1, [1024], [20.0])
+    lam = FourierFamily(g)
+    l = SymbolFunction(1, lambda p: 1e-307 * (1.0 + p**2), "1e-307 (1+p^2)")
+    with pytest.raises(NonFiniteSamples, match=r"weak residual at index node \(-20.0,\) is nan"):
+        green_family(lam, l, left_inverse_family(lam))
 
 
 def test_verify_green_suite_builds_each_dense_table_once(monkeypatch):

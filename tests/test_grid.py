@@ -8,6 +8,7 @@ from schwartzcalc import (
     GridDistribution,
     IndexOffGrid,
     InvalidGrid,
+    NonFiniteSamples,
     GridMismatch,
     ArityMismatch,
     SymbolFunction,
@@ -160,6 +161,19 @@ def test_grid_distribution_validation_and_immutability():
         u.samples[0] = 5.0
     with pytest.raises(AttributeError):
         u.samples = np.zeros(8)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="longdouble is no wider than float64 here")
+def test_samples_wider_than_a_double_are_scanned_as_stored():
+    # 1e400 is finite as a longdouble and inf as the double that is stored
+    g = make_grid(1, [4], [1.0])
+    for wide in (np.full(4, np.longdouble("1e400")), np.full(4, np.clongdouble("1e400"))):
+        with pytest.raises(NonFiniteSamples):
+            GridDistribution(g, wide)
+    # a wide value that fits a double is kept, as real-built
+    d = GridDistribution(g, np.full(4, np.longdouble("1.5")))
+    assert d._real and np.array_equal(d.samples, np.full(4, 1.5 + 0j))
 
 
 def test_distribution_arithmetic():

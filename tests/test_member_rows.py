@@ -238,14 +238,20 @@ def test_dense_tables_above_the_cap_raise_before_allocating():
 
 
 def test_green_on_a_dirac_family_above_the_cap_refuses():
+    # a caller-supplied left inverse (here the Dirac one, as a map) is
+    # paired through the dense table, which the cap refuses; the canonical
+    # Dirac left inverse pairs the diagonal of L G and needs no table
     g = make_grid(2, [72, 72], [4.0, 4.0])
     dirac = DiracFamily(g)
+    supplied = LazyFamily(g, g, lambda rows: np.array(rows, dtype=np.complex128))
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge):
-            green_family(dirac, _symbol(2, 0.0), left_inverse_family(dirac))
+            green_family(dirac, _symbol(2, 0.0), supplied)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the probes and the symbol samples, no N x N table
+    # the symbol samples and the generating map, no N x N table
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    result = green_family(dirac, _symbol(2, 0.0), left_inverse_family(dirac))
+    assert result.max_weak_residual() < 1e-12
