@@ -309,7 +309,7 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
         raise ConfigError(
             f"samples file {path}: data row {row + 1} holds a non-finite value {samples[row]}"
         )
-    return GridDistribution._trusted(grid, samples)
+    return GridDistribution._trusted(grid, samples, finite=True)
 
 
 def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:

@@ -113,15 +113,22 @@ def left_inverse_family(lam: SchwartzFamily) -> SchwartzFamily:
     return LazyFamily(lam.space_grid, lam.index_grid, lam.coordinates_rows)
 
 
-def _is_translation_family(lam: SchwartzFamily, mu: SchwartzFamily) -> bool:
-    """Whether ``mu`` is the canonical left inverse of ``lam``, a Fourier family:
-    the Fourier analysis on ``lam``'s space grid, from whichever instance."""
-    return (
+def _pairing(lam: SchwartzFamily, mu: SchwartzFamily) -> str:
+    """How ``mu`` is judged on the zero set and ``L G`` paired with the
+    probes, decided once: ``"translation"`` when ``lam`` is a Fourier family
+    and ``mu`` its canonical left inverse (the Fourier analysis on ``lam``'s
+    space grid, from whichever instance), ``"diagonal"`` when both are Dirac
+    families, else ``"dense"``."""
+    if isinstance(lam, DiracFamily) and isinstance(mu, DiracFamily):
+        return "diagonal"
+    if (
         type(lam) is FourierFamily
         and isinstance(mu, LazyFamily)
         and getattr(mu.rows_map, "__func__", None) is FourierFamily.coordinates_rows
         and mu.rows_map.__self__.space_grid == lam.space_grid
-    )
+    ):
+        return "translation"
+    return "dense"
 
 
 def _point_mass_values(grid: Grid) -> np.ndarray:
@@ -130,56 +137,44 @@ def _point_mass_values(grid: Grid) -> np.ndarray:
     return np.full((1, grid.size), 1.0 / grid.cell_volume, dtype=np.complex128)
 
 
-def _probe_pairings(space: Grid, pair: _Pair, green: LazyFamily, pairing: str):
-    """Each probe ``phi`` (samples, center) with its pairings
-    ``<L G_p, phi> = sum_m (L G_p)[m] phi[m] dx^n`` at every index node
-    ``p``, one probe at a time.
-
-    ``pairing`` says how they are found:
-
-    * ``"translation"`` (the Fourier family with its canonical left
-      inverse): ``L G_{p_k}`` is ``h = L G_{p_0}`` shifted by ``k`` nodes
-      (periodically), so the pairings are the circular cross-correlation of
-      ``phi`` with ``h``, from one spectrum of ``h``;
-    * ``"diagonal"`` (the Dirac family and left inverse): every map is
-      pointwise, so ``L G`` is diagonal, and its diagonal is ``L`` applied
-      to the Green map of one row of point-mass values;
-    * ``"dense"`` (any other left inverse): the table ``L G`` paired with
-      every probe in one product.
-    """
-    if pairing == "dense":
-        probes, centers = gaussian_probes(space)
-        table = pair.apply(green.matrix()) @ (probes * space.cell_volume)
-        for k in range(PROBE_COUNT):
-            yield probes[:, k], centers[k], table[:, k]
-        return
-    if pairing == "translation":
-        spectrum = np.fft.fftn(np.conj(pair.apply(green._member_rows(0, 1))).reshape(space.counts))
-        np.conjugate(spectrum, out=spectrum)
-    else:
-        diagonal = pair.apply(green.superpose_rows(_point_mass_values(space)))[0]
-    for k in range(PROBE_COUNT):
-        probe, center = _probe(space, k)
-        weighted = np.multiply(probe, space.cell_volume, out=np.empty(space.size, np.complex128))
-        if pairing == "translation":
-            phi = weighted.reshape(space.counts)
-            np.fft.fftn(phi, out=phi)
-            np.multiply(phi, spectrum, out=phi)
-            np.fft.ifftn(phi, out=phi)
-        else:
-            np.multiply(diagonal, weighted, out=weighted)
-        yield probe, center, weighted
-
-
 def _weak_residuals(space: Grid, pair: _Pair, green: LazyFamily, pairing: str) -> tuple[np.ndarray, list]:
     """The worst probe-pairing error at every index node and the probe
-    centers, folded one probe at a time (see :func:`_probe_pairings`).
+    centers, folded one probe ``phi`` at a time.  The pairings
+    ``<L G_p, phi> = sum_m (L G_p)[m] phi[m] dx^n`` at every index node ``p``
+    are found as :func:`_pairing` decides:
+
+    * ``"translation"``: ``L G_{p_k}`` is ``h = L G_{p_0}`` shifted by ``k``
+      nodes (periodically), so the pairings are the circular
+      cross-correlation of ``phi`` with ``h``, from one spectrum of ``h``;
+    * ``"diagonal"``: ``L G`` is diagonal, and its diagonal is ``L`` applied
+      to the Green map of one row of point-mass values;
+    * ``"dense"``: the table ``L G`` paired with every probe in one product.
+
     ``NonFiniteSamples`` names the first index node whose residual is not
     finite: overflow in ``L G`` is found here, not warned of."""
     worst = np.zeros(space.size)
     centers = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for probe, center, pairings in _probe_pairings(space, pair, green, pairing):
+        if pairing == "dense":
+            table = pair.apply(green.matrix()) @ (gaussian_probes(space)[0] * space.cell_volume)
+        elif pairing == "translation":
+            spectrum = np.fft.fftn(np.conj(pair.apply(green._member_rows(0, 1))).reshape(space.counts))
+            np.conjugate(spectrum, out=spectrum)
+        else:
+            diagonal = pair.apply(green.superpose_rows(_point_mass_values(space)))[0]
+        for k in range(PROBE_COUNT):
+            probe, center = _probe(space, k)
+            if pairing == "dense":
+                pairings = table[:, k]
+            else:
+                pairings = np.multiply(probe, space.cell_volume, out=np.empty(space.size, np.complex128))
+            if pairing == "translation":
+                phi = pairings.reshape(space.counts)
+                np.fft.fftn(phi, out=phi)
+                np.multiply(phi, spectrum, out=phi)
+                np.fft.ifftn(phi, out=phi)
+            elif pairing == "diagonal":
+                np.multiply(diagonal, pairings, out=pairings)
             # the index grid is the space grid, so the target phi(p) is the probe's sample at p
             pairings -= probe
             np.maximum(worst, np.abs(pairings), out=worst)
@@ -192,24 +187,31 @@ def _weak_residuals(space: Grid, pair: _Pair, green: LazyFamily, pairing: str) -
     return worst, centers
 
 
-def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: DivisionPolicy) -> None:
-    """Raise ``NotDivisible`` for the first ``mu`` member with mass on the zero set.
+def _check_divisible(mu: SchwartzFamily, zero_mask: np.ndarray, policy: DivisionPolicy, pairing: str) -> None:
+    """Raise ``NotDivisible`` for the first ``mu`` member with mass on the
+    zero set, judged as :func:`_pairing` decides.
 
-    The members are built in blocks of rows, and the scan stops at the first
-    block holding an offending row.  A Dirac member is the point mass at its
-    index node, its one and largest value there, so one row of point-mass
-    values judges them all.
+    * ``"diagonal"``: a member is the point mass at its index node, its one
+      and largest value there, so one row of point-mass values judges all.
+    * ``"translation"``: member 0, the analysis of the point mass at node 0,
+      is exact, so its coefficients share one magnitude and its mass on the
+      zero set is its own maximum, the largest ratio any member has.  It
+      offends exactly when some member does, and comes first: it alone is
+      judged.
+    * ``"dense"``: the members are built in blocks of rows, and the scan
+      stops at the first block holding an offending row.
     """
     index = mu.index_grid
-    if isinstance(mu, DiracFamily):
+    if pairing == "diagonal":
         mass, bad = _mass_on_zero_set(_point_mass_values(index)[0], zero_mask, policy)
         if bad.any():
             flat = int(np.argmax(bad))
             raise _not_divisible(index, flat, float(mass[flat]))
         return
+    members = 1 if pairing == "translation" else index.size
     block = max(1, CHECK_BLOCK_ENTRIES // mu.space_grid.size)
-    for start in range(0, index.size, block):
-        stop = min(start + block, index.size)
+    for start in range(0, members, block):
+        stop = min(start + block, members)
         mass, bad = _mass_on_zero_set(mu._member_rows(start, stop), zero_mask, policy, axis=1)
         bad_rows = np.nonzero(np.any(bad, axis=1))[0]
         if bad_rows.size:
@@ -237,10 +239,9 @@ def _green(
     if mu.index_grid != lam.space_grid or mu.space_grid != lam.index_grid:
         raise GridMismatch("a left inverse must be indexed by lam's space grid and live on its index grid")
     policy = policy or DivisionPolicy()
-    translation = _is_translation_family(lam, mu)
-    diagonal = isinstance(lam, DiracFamily) and isinstance(mu, DiracFamily)
+    pairing = _pairing(lam, mu)
     # point masses are real: with the canonical Fourier left inverse they take solve's pair
-    real = _transform_pair(lam, l, translation)
+    real = _transform_pair(lam, l, pairing == "translation")
     full = _transform_pair(lam, l, False) if real.half else real
     eps, zero_mask = _zero_set(full.a_values, policy)
     has_zeros = zero_mask is not None
@@ -256,7 +257,7 @@ def _green(
                 worst_point=point,
                 magnitude=float(magnitudes[flat]),
             )
-        _check_divisible(mu, zero_mask, policy)
+        _check_divisible(mu, zero_mask, policy, pairing)
     real_mask = _zero_set(real.a_values, policy)[1] if real.half else zero_mask
 
     def rows_map(rows):
@@ -265,7 +266,6 @@ def _green(
         return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
-    pairing = "translation" if translation else "diagonal" if diagonal else "dense"
     residuals, centers = _weak_residuals(lam.space_grid, real, family, pairing)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)

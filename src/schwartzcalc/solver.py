@@ -292,6 +292,10 @@ def solve(
     ``A(u)`` is never synthesised; on the Dirac family the constant is 1.
     It agrees with the spatial residual to the rounding of the synthesis it
     saves.  A family with no such constant synthesises ``A(u)`` instead.
+    When that misfit is not finite (the analysis of ``u`` overflows), it is
+    measured again with ``u`` and ``d`` scaled by the power of two just
+    below ``1 / max`` of ``u``'s parts; a residual still not finite raises
+    ``NonFiniteSamples``.
 
     A real datum under a real, even Fourier symbol runs on half spectra
     (``families._transform_pair``): the solution is then real (imaginary
@@ -332,16 +336,27 @@ def _solve(
         q = _masked_quotient(d_v, pair.a_values, zero_mask)  # the bits _divide found finite
         return GridDistribution._trusted(v.index_grid, pair.to_full(q), finite=True)
 
-    def residual():  # analyse u (the half pair takes its real part)
-        coords = pair.scaled(solution.samples[np.newaxis])[0]
+    def misfit(u, target):  # |A(u) - d|: analyse u (the half pair takes its real part)
+        coords = pair.scaled(u[np.newaxis])[0]
         if datum is not None:
             image = pair.synthesise(coords[np.newaxis])[0]
-            np.subtract(image, datum, out=image)
-            norm = _l2(image, v.space_grid)
-        else:
-            np.subtract(coords, d_v, out=coords)
-            norm = v._parseval * pair.l2(coords, v.index_grid)
-        return float(norm / denom) if denom > 0.0 else 0.0
+            np.subtract(image, target, out=image)
+            return _l2(image, v.space_grid)
+        np.subtract(coords, target, out=coords)
+        return v._parseval * pair.l2(coords, v.index_grid)
+
+    def residual():
+        u, target = solution.samples, d_v if datum is None else datum
+        with np.errstate(over="ignore", invalid="ignore"):  # a misfit that is not finite is measured again
+            norm = misfit(u, target)
+            if not math.isfinite(norm):  # the analysis of u overflowed: scale by 2**-e, which is exact
+                e = int(np.frexp(np.max(np.abs(u.view(np.float64))))[1])
+                down = lambda x: np.ldexp(x.view(np.float64), -e).view(x.dtype)
+                norm = float(np.ldexp(misfit(down(u), down(target)), e))
+        value = float(norm / denom) if denom > 0.0 else 0.0
+        if not math.isfinite(value):
+            raise NonFiniteSamples(f"the residual |A(u) - d| / |d| is {value}; samples must all be finite")
+        return value
 
     return SolveResult(solution, quotient, residual), eps
 

@@ -391,6 +391,16 @@ def test_verify_suite_exit_codes():
     assert main(["verify", "nonsense"]) == 1
 
 
+def test_every_verify_check_passes_in_process():
+    # the 27 checks of `verify all`, outside the CLI's silenced floating-point
+    # errors, so that a numpy warning here fails under -W error
+    from schwartzcalc.verify import SUITE_NAMES, run_suites
+
+    checks = run_suites(SUITE_NAMES, 42)
+    assert len(checks) == 27
+    assert [c for c in checks if not c.passed] == []
+
+
 def test_verify_failure_exit_code_and_report_file(monkeypatch, tmp_path, capsys):
     import schwartzcalc.cli as cli
     import schwartzcalc.verify as verify
@@ -874,9 +884,23 @@ def test_green_whose_weak_residual_overflows_exits_1_without_a_report(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_solve_whose_residual_is_not_finite_exits_1_without_a_report(tmp_path):
-    # the solution is finite, but its residual reads nan: the strict report
-    # refuses it (it was written as "residual": NaN, exit 0)
-    err = _one_line_exit_1(tmp_path, ["solve"], **TINY_SYMBOL_RUN)
-    assert "'residual' is not finite" in err
-    assert not (tmp_path / "out" / "report.json").exists()
+def test_solve_whose_residual_overflows_reports_it_rescaled(tmp_path):
+    # the solution is finite (max about 6.6e306), but the analysis of u
+    # overflows: the residual is measured again on u and d scaled by one
+    # power of two (it read nan, and the strict report refused it, exit 1)
+    cfg = write_config(tmp_path / "run.json", output={"directory": str(tmp_path / "out")}, **TINY_SYMBOL_RUN)
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert 0.0 < report["residual"] < 1e-10
+    assert (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, [1.0, -math.inf]])
+def test_report_that_is_not_finite_is_refused_before_the_file_opens(tmp_path, value):
+    from schwartzcalc import NonFiniteSamples
+    from schwartzcalc.cli import _write_report
+
+    path = tmp_path / "report.json"
+    with pytest.raises(NonFiniteSamples, match=r"the report's 'residual' is not finite"):
+        _write_report(path, {"status": "ok", "residual": value, "route": "reciprocal"})
+    assert not path.exists()

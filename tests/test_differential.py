@@ -53,6 +53,7 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    NonFiniteSamples,
     NonFiniteSymbol,
     NotDivisible,
     NotInvertible,
@@ -84,10 +85,10 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def grids(draw, max_nodes=MAX_NODES, extents=st.floats(0.25, 8.0)):
-    """Even counts from 4 to 32 per axis, at most ``max_nodes`` in all, and
-    half extents from ``extents``."""
-    dim = draw(st.integers(1, 3))
+def grids(draw, max_nodes=MAX_NODES, extents=st.floats(0.25, 8.0), dims=st.integers(1, 3)):
+    """Even counts from 4 to 32 per axis, at most ``max_nodes`` in all, in
+    ``dims`` dimensions, and half extents from ``extents``."""
+    dim = draw(dims)
     counts = []
     for axis in range(dim):
         room = max_nodes // math.prod(counts) // 4 ** (dim - axis - 1)
@@ -249,6 +250,34 @@ def test_solve_is_the_literal_solve_or_the_same_error(grid, real_even, with_zero
         assert ok, detail
         # the residual, relative to |d|, within the symbol's condition
         assert result.residual <= TOL_ULPS * grid.size * EPS * np.max(live) / np.min(live)
+
+
+@SETTINGS
+@given(grid=grids(dims=st.integers(1, 2)), real_even=st.booleans(), complex_datum=st.booleans(),
+       exponent=st.one_of(st.sampled_from([-307.0, 300.0]), st.floats(-307.0, 300.0)),
+       data=st.data())
+def test_residual_is_finite_and_small_or_a_typed_error(grid, real_even, complex_datum, exponent, data):
+    """``10**exponent (1 + |p|^2)``, plus ``-0.5i p_0`` times the scale when
+    not ``real_even``: the symbol keeps its condition at every scale, so the
+    relative residual stays at rounding level.  Near 1e-307 the analysis of
+    ``u`` overflows, and the residual is measured again, scaled; a solution
+    that itself overflows is a ``NonFiniteSamples``."""
+    fam = FourierFamily(grid)
+    scale = 10.0**exponent
+    unit = (0,) * grid.dim
+    terms = {unit: scale}
+    for axis in range(grid.dim):
+        terms[tuple(2 if a == axis else 0 for a in range(grid.dim))] = -scale
+    if not real_even:
+        terms[(1,) + unit[1:]] = 0.5 * scale
+    spec, a = operator_symbol(fam, terms)
+    d = draw_datum(data.draw, grid, "complex" if complex_datum else "real")
+    for run in (lambda: solve_pde(spec, d), lambda: solve(fam, a, d)):
+        try:
+            residual = run().residual
+        except (NonFiniteSamples, NonFiniteSymbol):
+            continue
+        assert math.isfinite(residual) and residual <= 1e-10, residual
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)

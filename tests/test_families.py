@@ -15,6 +15,7 @@ from schwartzcalc import (
     IllConditioned,
     IndexOffGrid,
     KernelFamily,
+    LazyFamily,
     NotABasis,
     SymbolFunction,
     coordinates,
@@ -382,3 +383,27 @@ def test_kernel_svd_is_computed_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 4 and len(set(results)) == 1
     assert len(calls) == 1
+
+
+def test_lazy_family_coordinates_solve_on_its_own_table():
+    # a lazy family holds a row map, no table: its coordinates are those of
+    # the kernel family of the table the map builds, built afresh per call
+    g = make_grid(1, [16], [3.0])
+    fam = FourierFamily(g)
+    seen = []
+
+    def rows_map(rows):
+        seen.append(rows.shape[0])
+        return fam.superpose_rows(rows)
+
+    lazy = LazyFamily(fam.index_grid, g, rows_map)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+    got = lazy.coordinates_rows(rows)
+    assert seen == [fam.index_grid.size]
+    want = KernelFamily(fam.index_grid, g, lazy.matrix()).coordinates_rows(rows)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+    # the Fourier synthesis is invertible: least squares is its analysis
+    assert np.max(np.abs(got - fam.coordinates_rows(rows))) <= 1e-12 * np.max(np.abs(got))
+    u = GridDistribution(g, rows[0])
+    assert np.array_equal(coordinates(u, lazy).samples, lazy.coordinates_rows(rows[:1])[0])

@@ -433,23 +433,81 @@ def test_translate_pairings_equal_dense_pairings():
     # the public route always pairs L G_p ~ delta_p, which is symmetric; an
     # operator other than the one the family inverts gives an asymmetric
     # generating row, which pins the direction of the cross-correlation
-    # (the one-probe-at-a-time code, each probe against its own product)
+    # (each probe against its own product, against all 8 in one product)
     from schwartzcalc.families import _transform_pair
-    from schwartzcalc.green import _probe_pairings, gaussian_probes
+    from schwartzcalc.green import _weak_residuals
 
     g = make_grid(2, [16, 8], [3.0, 2.0])
     lam = FourierFamily(g)
     l = SymbolFunction(2, lambda p, q: 1.0 + p**2 + q**2, "1+|p|^2")
     other = SymbolFunction(2, lambda p, q: 1.0 + p + 2j * q + p * q**2, "asymmetric")
     green = green_family(lam, l, left_inverse_family(lam)).family
-    probes, centers = gaussian_probes(g)
-    table = green.matrix()
-    pair = _transform_pair(lam, other, not table.imag.any())
-    dense = pair.apply(table) @ (probes * g.cell_volume)
-    for k, (probe, center, fast) in enumerate(_probe_pairings(g, pair, green, "translation")):
-        assert np.array_equal(probe, probes[:, k].real) and center == centers[k]
-        np.testing.assert_allclose(fast, dense[:, k], rtol=0.0, atol=1e-12 * np.max(np.abs(dense)))
-    assert k == 7
+    pair = _transform_pair(lam, other, not green.matrix().imag.any())
+    fast, fast_centers = _weak_residuals(g, pair, green, "translation")
+    dense, centers = _weak_residuals(g, pair, green, "dense")
+    assert fast_centers == centers and len(centers) == 8
+    np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12 * np.max(dense))
+
+
+LAPLACIAN_2D = DifferentialOperatorSpec({(2, 0): -1.0, (0, 2): -1.0})
+
+
+@pytest.mark.parametrize("threshold", [1e-10, 0.5, 1.0 - 2.0**-52, 1.0, 2.0])
+def test_divided_fourier_check_builds_one_member(monkeypatch, threshold):
+    # member 0 of the canonical Fourier left inverse has one magnitude at
+    # every node, the largest ratio any member has, and comes first: it
+    # alone decides, and names the member the full scan names (the scan
+    # built all 4096 members of a 64^2 grid when none offends)
+    g = make_grid(2, [64, 64], [4.0, 4.0])
+    lam = FourierFamily(g)
+    l = differential_symbol(LAPLACIAN_2D, lam.index_grid)
+    policy = DivisionPolicy(residual_threshold=threshold)
+    built = []
+    analysis = FourierFamily.coordinates_rows
+
+    def counting(self, rows):
+        built.append(rows.shape[0])
+        return analysis(self, rows)
+
+    monkeypatch.setattr(FourierFamily, "coordinates_rows", counting)
+    mu = left_inverse_family(lam)
+    if threshold >= 1.0:
+        assert green_family_divided(lam, l, mu, policy).route == "divided"
+        assert built == [1]
+        return
+    with pytest.raises(NotDivisible) as got:
+        green_family_divided(lam, l, mu, policy)
+    assert built == [1]
+    # the oracle stops at its first offending row, so its leading rows decide
+    monkeypatch.setattr(FourierFamily, "coordinates_rows", analysis)
+    rows = lam.coordinates_rows(np.eye(64, g.size, dtype=np.complex128) / g.cell_volume)
+    with pytest.raises(NotDivisible) as want:
+        dense_green(lam, l, policy, divided=True, mu_rows=rows)
+    assert got.value.worst_index == want.value.worst_index == 0
+    assert got.value.worst_point == want.value.worst_point
+    assert got.value.magnitude == want.value.magnitude
+
+
+@pytest.mark.parametrize("counts", [[1024], [16, 16], [12, 8]])
+@pytest.mark.parametrize("threshold", [1e-10, 0.5, 1.0 - 2.0**-52, 1.0, 2.0])
+def test_divided_fourier_check_is_the_full_scan(counts, threshold):
+    # against every row of the dense oracle: the same error and fields, or none
+    dim = len(counts)
+    g = make_grid(dim, counts, [4.0] * dim)
+    lam = FourierFamily(g)
+    l = SymbolFunction(dim, lambda *p: sum(t**2 for t in p) - 1j * p[0], "|p|^2 - ip")
+    policy = DivisionPolicy(residual_threshold=threshold)
+    try:
+        dense_green(lam, l, policy, divided=True)
+    except NotDivisible as want:
+        with pytest.raises(NotDivisible) as got:
+            green_family_divided(lam, l, left_inverse_family(lam), policy)
+        assert got.value.worst_index == want.worst_index
+        assert got.value.worst_point == want.worst_point
+        assert got.value.magnitude == want.magnitude
+    else:
+        assert threshold >= 1.0
+        assert green_family_divided(lam, l, left_inverse_family(lam), policy).route == "divided"
 
 
 def _grid_arrays(build, grid):

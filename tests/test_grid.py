@@ -196,6 +196,31 @@ def test_delta_pairing_reproduces_point_evaluation():
         assert pairing(d, phi) == pytest.approx(phi(np.array(p)), abs=1e-14)
 
 
+def test_negated_distribution_negates_every_sample():
+    g = make_grid(2, [4, 4], [1.0, 1.0])
+    u = GridDistribution(g, np.array([0.0, -0.0, 1.5, -2.0j, 3.0 + 1.0j, -1e300, 5e-324, 7.0] * 2))
+    neg = -u
+    assert neg.grid == g
+    assert np.array_equal(neg.samples.view(np.uint64), (-u.samples).view(np.uint64))
+    assert not neg.samples.flags.writeable
+    assert np.all((neg + u).samples == 0.0)
+
+
+def test_pairing_with_a_raw_array_is_the_quadrature_sum():
+    g = make_grid(2, [4, 6], [1.0, 1.5])
+    rng = np.random.default_rng(5)
+    u = GridDistribution(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
+    phi = rng.standard_normal(g.counts) - 0.5j * rng.standard_normal(g.counts)
+    literal = complex(np.sum(u.samples * phi.reshape(-1)) * g.cell_volume)
+    for raw in (phi, phi.reshape(-1), phi.reshape(-1).tolist()):
+        assert pairing(u, raw) == literal
+    assert pairing(u, GridDistribution(g, phi.reshape(-1))) == literal
+    with pytest.raises(GridMismatch, match="wrong length"):
+        pairing(u, phi.reshape(-1)[:-1])
+    with pytest.raises(GridMismatch, match="different grids"):
+        pairing(u, GridDistribution(make_grid(2, [4, 6], [1.0, 2.0]), phi.reshape(-1)))
+
+
 def test_symbol_function_eval_and_algebra():
     f = SymbolFunction(1, lambda p: -1j * p, "-ip")
     assert f.at(2.0) == pytest.approx(-2j)

@@ -10,6 +10,7 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    KernelFamily,
     NotDivisible,
     SymbolFunction,
     coordinates,
@@ -284,3 +285,23 @@ def test_differential_operator_applies_spectrally():
     assert sup_norm(out - exact) / sup_norm(exact) <= 1e-10
     with pytest.raises(ArityMismatch):
         op.apply(sample_function(make_grid(2, [8, 8], [1, 1]), lambda x, y: x * y))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, scale", [("fourier", 1e-307), ("kernel", 2e-308)])
+@pytest.mark.parametrize("imag", [0.0, 0.25])
+def test_residual_whose_misfit_overflows_is_measured_again_scaled(family, scale, imag):
+    # u reaches 1e307 or more everywhere, so the analysis of u overflows (on
+    # the kernel family, which synthesises A(u), in its projection); scaled
+    # by one power of two the misfit is finite, and the residual reads what
+    # the same problem reads at scale 1 (it read nan)
+    g = make_grid(1, [256], [8.0])
+    fourier = FourierFamily(g)
+    v = fourier if family == "fourier" else KernelFamily(fourier.index_grid, g, fourier.matrix())
+    d = sample_function(g, lambda x: 1.0 + (0.5 + imag * 1j) * np.cos(x * np.pi / 8.0))
+    residuals = []
+    for s in (scale, 1.0):
+        result = solve(v, SymbolFunction(1, lambda p, s=s: s * (1.0 + p**2), "s (1+p^2)"), d)
+        residuals.append(result.residual)
+    assert math.isfinite(residuals[0]) and residuals[0] <= 1e-10
+    assert abs(residuals[0] - residuals[1]) <= 1e-12

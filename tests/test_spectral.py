@@ -31,12 +31,14 @@ from schwartzcalc import (
     spectral_product,
     spectrum_identity,
     spectrum_one,
+    superpose,
+    sup_norm,
     unit_symbol,
     zero_distribution,
 )
 from schwartzcalc.solver import DifferentialOperatorSpec
 from schwartzcalc.oracle import finite_difference
-from schwartzcalc.spectral import SpectrumFunction
+from schwartzcalc.spectral import ComposedOperator, SpectrumFunction, SumOperator, SuperposeOperator
 
 from schwartzcalc.verify import _band_limited as band_limited
 
@@ -356,3 +358,76 @@ def test_spectrum_function_requires_right_kind(fourier_256):
 def test_diagonal_operator_arity_check(fourier_256):
     with pytest.raises(ArityMismatch):
         DiagonalOperator(fourier_256, SymbolFunction(2, lambda p, q: p + q))
+
+
+# ---------------------------------------------------------------------------
+# the operator algebra and spectrum functions, against their definitions
+
+
+def _bits(x):
+    return np.ascontiguousarray(x.samples if isinstance(x, GridDistribution) else x).view(np.uint64)
+
+
+def _operators():
+    g = make_grid(1, [32], [4.0])
+    fam = FourierFamily(g)
+    A = DiagonalOperator(fam, SymbolFunction(1, lambda p: 1.0 + p**2 - 0.5j * p, "1+p^2-ip/2"))
+    B = MultiplicationOperator(SymbolFunction(1, lambda x: np.exp(-(x**2)), "exp(-x^2)"))
+    u = sample_function(g, lambda x: np.sin(x) + 0.5j * np.cos(2.0 * x))
+    return fam, A, B, u
+
+
+def test_calling_composing_and_adding_operators_is_their_definition():
+    fam, A, B, u = _operators()
+    assert np.array_equal(_bits(A(u)), _bits(A.apply(u)))
+    composed, summed = A @ B, A + B
+    assert isinstance(composed, ComposedOperator) and isinstance(summed, SumOperator)
+    assert np.array_equal(_bits(composed(u)), _bits(A(B(u))))
+    assert np.array_equal(_bits(summed(u)), _bits(A(u) + B(u)))
+    assert np.array_equal(_bits((B @ A + A)(u)), _bits(B(A(u)) + A(u)))
+
+
+def test_superpose_operator_is_superpose_and_undoes_the_coordinate_operator():
+    fam, A, B, u = _operators()
+    c = coordinates(u, fam)
+    synthesis = SuperposeOperator(fam)
+    assert np.array_equal(_bits(synthesis(c)), _bits(superpose(c, fam)))
+    round_trip = (synthesis @ CoordinateOperator(fam))(u)
+    assert np.max(np.abs(round_trip.samples - u.samples)) <= 1e-14 * np.max(np.abs(u.samples))
+    with pytest.raises(GridMismatch):
+        synthesis(u)  # u lives on the space grid, not the index grid
+
+
+def test_spectrum_function_sum_and_scalar_product_are_pointwise():
+    f, g = spectrum_identity(), SpectrumFunction(lambda s: s**2, "s^2")
+    s = np.array([0.5, -2.0 + 1.0j, 3.0j, 0.0])
+    total = f + g
+    assert total.descriptor == "(id + s^2)"
+    assert np.array_equal(total.evaluator(s), s + s**2)
+    for scaled, text in ((g * 2.5, "(s^2 * 2.5)"), (2.5 * g, "(s^2 * 2.5)")):
+        assert scaled.descriptor == text
+        assert np.array_equal(scaled.evaluator(s), s**2 * 2.5)
+    with pytest.raises(TypeError):
+        f + 1.0
+    # composed with a symbol, the sum is the sum of the compositions
+    grid = make_grid(1, [16], [2.0])
+    a = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
+    values = a.sample(grid)
+    assert np.array_equal(total.compose(a).sample(grid), values + values**2)
+
+
+def test_is_eigenfamily_sweeps_every_index_node_by_default():
+    fam, A, B, u = _operators()
+    a = A.symbol
+    nodes = [fam.index_grid.point_at(k) for k in range(fam.index_grid.size)]
+    assert is_eigenfamily(A, fam, a, 1e-10) == is_eigenfamily(A, fam, a, 1e-10, indices=nodes)
+    # multiplication is not diagonal in the Fourier family: the worst node is
+    # the largest of the residuals written out node by node
+    residuals = []
+    for p in nodes:
+        vp = member(fam, p)
+        residuals.append(sup_norm(B.apply(vp) - a.at(p) * vp) / max(1.0, sup_norm(vp)))
+    report = is_eigenfamily(B, fam, a, 1e-10)
+    worst = int(np.argmax(residuals))
+    assert report.max_residual == residuals[worst] and not report.passed
+    assert report.worst_index == tuple(float(x) for x in nodes[worst])
