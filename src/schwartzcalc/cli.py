@@ -408,14 +408,6 @@ def _output_dir(cfg: dict) -> Path:
 # deterministic writers
 
 
-def _grid_json(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "counts": list(grid.counts),
-        "half_extents": [float(L) for L in grid.half_extents],
-    }
-
-
 def _policy_json(policy: DivisionPolicy, applied: float | None = None) -> dict:
     out = {
         "zero_threshold": policy.zero_threshold,
@@ -469,12 +461,12 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
                 fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for x, re, im in rows]))
 
 
-def _write_report(path: Path, report: dict) -> None:
-    """Write ``report`` as strict JSON (RFC 8259 has no NaN or Infinity).
-    A value that is not finite is a ``NonFiniteSamples`` naming its
-    top-level key, raised before the file is opened."""
+def _report_text(report: dict) -> str:
+    """``report`` as strict JSON (RFC 8259 has no NaN or Infinity), one
+    line end included.  A value that is not finite is a ``NonFiniteSamples``
+    naming its top-level key."""
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
         for key in sorted(report):
             try:
@@ -482,64 +474,65 @@ def _write_report(path: Path, report: dict) -> None:
             except ValueError:
                 raise NonFiniteSamples(f"the report's {key!r} is not finite; a report holds finite numbers only") from None
         raise
-    with _open_output(path) as fh:
-        fh.write(text + "\n")
+
+
+def _finish(out_dir: Path, report: dict, csvs: dict, code: int, message: str) -> int:
+    """The one way out of ``solve``, ``green`` and ``expand``: check the
+    report, write each CSV (``csvs`` maps its file name to a callable that
+    builds the distribution), write ``report.json``, then print ``message``,
+    to stderr when ``code`` is not 0.  A refused report writes no file."""
+    text = _report_text(report)
+    for name, build in csvs.items():
+        write_distribution_csv(out_dir / name, build())
+    with _open_output(out_dir / "report.json") as fh:
+        fh.write(text)
+    print(message, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_solve(args) -> int:
+def _front(args, command: str) -> tuple:
+    """The config, grid and operator of ``args.config``, and the report head
+    ``{command, grid, operator}`` every command but ``verify`` starts from."""
     cfg = _load_config(args.config)
     grid = _parse_grid(_require(cfg, "grid"))
     family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
-    datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
+    grid_json = {"dim": grid.dim, "counts": list(grid.counts), "half_extents": [float(L) for L in grid.half_extents]}
+    return cfg, grid, family, symbol, {"command": command, "grid": grid_json, "operator": op_label}
+
+
+def _worst(exc: NotDivisible) -> dict:
+    """The offending node of a ``NotDivisible``, as both its reports give it."""
+    return {"worst_index": [float(c) for c in exc.worst_point], "worst_flat_index": exc.worst_index}
+
+
+def _cmd_solve(args) -> int:
+    cfg, grid, family, symbol, report = _front(args, "solve")
+    datum, report["datum"] = _parse_datum(_require(cfg, "datum"), grid)
     policy = _parse_policy(_require(cfg, "policy", optional=True))
     out_dir = _output_dir(cfg)
-    report = {
-        "command": "solve",
-        "grid": _grid_json(grid),
-        "operator": op_label,
-        "datum": datum_label,
-    }
     try:
         result, applied = _solve(family, symbol, datum, policy)
     except NotDivisible as exc:
         report.update(
-            {
-                "policy": _policy_json(policy, exc.zero_threshold),
-                "status": "not_divisible",
-                "divisible": False,
-                "residual": None,
-                "worst_index": [float(c) for c in exc.worst_point],
-                "worst_flat_index": exc.worst_index,
-                "offending_mass": exc.magnitude,
-            }
+            policy=_policy_json(policy, exc.zero_threshold), status="not_divisible", divisible=False,
+            residual=None, **_worst(exc), offending_mass=exc.magnitude,
         )
-        _write_report(out_dir / "report.json", report)
-        print(f"not divisible: {exc}", file=sys.stderr)
-        return 2
+        return _finish(out_dir, report, {}, 2, f"not divisible: {exc}")
     del datum  # freed first, the residual read below stays under the solve's peak
-    write_distribution_csv(out_dir / "solution.csv", result.solution)
     report.update(
-        {
-            "policy": _policy_json(policy, applied),
-            "status": "ok",
-            "divisible": True,
-            "residual": result.residual,
-            "outputs": {"solution_csv": "solution.csv"},
-        }
+        policy=_policy_json(policy, applied), status="ok", divisible=True,
+        residual=result.residual, outputs={"solution_csv": "solution.csv"},
     )
-    _write_report(out_dir / "report.json", report)
-    print(f"solved: residual {result.residual:.4e}; outputs in {out_dir}")
-    return 0
+    message = f"solved: residual {result.residual:.4e}; outputs in {out_dir}"
+    return _finish(out_dir, report, {"solution.csv": lambda: result.solution}, 0, message)
 
 
 def _cmd_green(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _parse_grid(_require(cfg, "grid"))
-    family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
+    cfg, grid, family, symbol, report = _front(args, "green")
     policy = _parse_policy(_require(cfg, "policy", optional=True))
     out_dir = _output_dir(cfg)
     # every index is resolved on the Green index grid (the space grid)
@@ -552,60 +545,33 @@ def _cmd_green(args) -> int:
         except IndexOffGrid as exc:
             raise ConfigError(str(exc)) from exc
         points.append(pt)
-    report = {
-        "command": "green",
-        "grid": _grid_json(grid),
-        "operator": op_label,
-        "policy": _policy_json(policy),
-        "indices": [list(p) for p in points],
-    }
+    report.update(policy=_policy_json(policy), indices=[list(p) for p in points])
     try:
         result = green_family_divided(family, symbol, left_inverse_family(family), policy)
     except NotDivisible as exc:
-        report.update(
-            {
-                "status": "not_divisible",
-                "worst_index": [float(c) for c in exc.worst_point],
-                "worst_flat_index": exc.worst_index,
-                "magnitude": exc.magnitude,
-            }
-        )
-        _write_report(out_dir / "report.json", report)
-        print(f"green construction failed: {exc}", file=sys.stderr)
-        return 2
-    outputs = {}
-    residuals = {}
-    for k, (pt, flat) in enumerate(zip(points, flats)):
-        name = f"green_{k:03d}.csv"
-        write_distribution_csv(out_dir / name, result.family.member(pt))
-        outputs[name] = list(pt)
-        residuals[name] = float(result.weak_residuals[flat])
+        report.update(status="not_divisible", **_worst(exc), magnitude=exc.magnitude)
+        return _finish(out_dir, report, {}, 2, f"green construction failed: {exc}")
+    names = [f"green_{k:03d}.csv" for k in range(len(points))]
     report.update(
-        {
-            "status": "ok",
-            "route": result.route,
-            "outputs": outputs,
-            "weak_residuals": residuals,
-            "max_weak_residual_all_indices": result.max_weak_residual(),
-            "probe": {
-                "centers": [list(c) for c in result.probe_centers],
-                "width_cells": result.probe_width_cells,
-            },
-        }
+        status="ok",
+        route=result.route,
+        outputs={name: list(pt) for name, pt in zip(names, points)},
+        weak_residuals={name: float(result.weak_residuals[f]) for name, f in zip(names, flats)},
+        max_weak_residual_all_indices=result.max_weak_residual(),
+        probe={"centers": [list(c) for c in result.probe_centers], "width_cells": result.probe_width_cells},
     )
-    _write_report(out_dir / "report.json", report)
-    print(
+    # each member is built when its file is written, one at a time
+    members = {name: (lambda pt=pt: result.family.member(pt)) for name, pt in zip(names, points)}
+    message = (
         f"green family built ({result.route}); max weak residual "
         f"{result.max_weak_residual():.4e}; outputs in {out_dir}"
     )
-    return 0
+    return _finish(out_dir, report, members, 0, message)
 
 
 def _cmd_expand(args) -> int:
-    cfg = _load_config(args.config)
-    grid = _parse_grid(_require(cfg, "grid"))
-    family, symbol, op_label = _parse_operator(_require(cfg, "operator"), grid)
-    datum, datum_label = _parse_datum(_require(cfg, "datum"), grid)
+    cfg, grid, family, symbol, report = _front(args, "expand")
+    datum, report["datum"] = _parse_datum(_require(cfg, "datum"), grid)
     out_dir = _output_dir(cfg)
     # the integrand a * c on the whole index grid, spread before the half synthesis overwrites it
     rows = datum.samples[np.newaxis]
@@ -613,22 +579,9 @@ def _cmd_expand(args) -> int:
     integrands = pair.scaled(rows)
     integrand = GridDistribution._trusted(family.index_grid, pair.to_full(integrands[0]))
     image = GridDistribution._trusted(grid, pair.synthesise(integrands)[0])
-    write_distribution_csv(out_dir / "expansion.csv", image)
-    write_distribution_csv(out_dir / "integrand.csv", integrand)
-    report = {
-        "command": "expand",
-        "status": "ok",
-        "grid": _grid_json(grid),
-        "operator": op_label,
-        "datum": datum_label,
-        "outputs": {
-            "expansion_csv": "expansion.csv",
-            "integrand_csv": "integrand.csv",
-        },
-    }
-    _write_report(out_dir / "report.json", report)
-    print(f"expansion written to {out_dir}")
-    return 0
+    report.update(status="ok", outputs={"expansion_csv": "expansion.csv", "integrand_csv": "integrand.csv"})
+    csvs = {"expansion.csv": lambda: image, "integrand.csv": lambda: integrand}
+    return _finish(out_dir, report, csvs, 0, f"expansion written to {out_dir}")
 
 
 def _cmd_verify(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -235,8 +236,8 @@ class GridDistribution:
         if isinstance(other, GridDistribution):
             if other.grid != self.grid:
                 raise GridMismatch("operands live on different grids")
-            return GridDistribution._trusted(self.grid, op(self.samples, other.samples))
-        return GridDistribution._trusted(self.grid, op(self.samples, other))
+            other = other.samples
+        return _formed(self.grid, op, self.samples, other)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -248,10 +249,18 @@ class GridDistribution:
         return self._binary(other, np.multiply)
 
     def __rmul__(self, other):
-        return GridDistribution._trusted(self.grid, other * self.samples)
+        return _formed(self.grid, np.multiply, other, self.samples)
 
     def __neg__(self):
         return GridDistribution._trusted(self.grid, -self.samples)
+
+
+def _formed(grid: Grid, op: Callable, left, right) -> GridDistribution:
+    """The fresh distribution ``op(left, right)`` on ``grid``: a value that
+    overflows is the scan's ``NonFiniteSamples``, not a floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = op(left, right)
+    return GridDistribution._trusted(grid, values)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -427,7 +436,7 @@ class SymbolFunction:
                 lambda *x: op(f(*x), g(*x)),
                 f"({self.descriptor} {tag} {other.descriptor})",
             )
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             f = self.evaluator
             return SymbolFunction(
                 self.arity,

@@ -139,8 +139,8 @@ class DivisionPolicy:
 
     def __post_init__(self):
         zt = self.zero_threshold
-        if zt is not None and (math.isnan(zt) or zt <= 0.0):
-            raise ValueError(f"zero_threshold must be positive (or None), got {zt}")
+        if zt is not None and not 0.0 < zt < math.inf:
+            raise ValueError(f"zero_threshold must be positive and finite (or None), got {zt}")
         if not math.isfinite(self.residual_threshold) or self.residual_threshold < 0.0:
             raise ValueError(
                 f"residual_threshold must be non-negative and finite, got {self.residual_threshold}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ from .grid import (
     Grid,
     GridDistribution,
     SymbolFunction,
+    _formed,
     sup_norm,
     unit_symbol,
 )
@@ -90,6 +92,8 @@ class SLinearOperator(abc.ABC):
         return SumOperator(self, other)
 
     def __mul__(self, scalar) -> "SLinearOperator":
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
         return ScaledOperator(complex(scalar), self)
 
     __rmul__ = __mul__
@@ -149,7 +153,7 @@ class MultiplicationOperator(SLinearOperator):
         self.symbol = symbol
 
     def apply(self, u):
-        return GridDistribution(u.grid, self.symbol.sample_finite(u.grid) * u.samples)
+        return _formed(u.grid, np.multiply, self.symbol.sample_finite(u.grid), u.samples)
 
     def __repr__(self):
         return f"MultiplicationOperator({self.symbol.descriptor!r})"
@@ -224,7 +228,7 @@ class SpectrumFunction:
             return SpectrumFunction(
                 lambda s: f(s) * g(s), f"({self.descriptor} * {other.descriptor})"
             )
-        if np.isscalar(other):
+        if isinstance(other, numbers.Number):
             f = self.evaluator
             return SpectrumFunction(lambda s: f(s) * other, f"({self.descriptor} * {other})")
         return NotImplemented
@@ -330,8 +334,7 @@ class _ProductOperator(SLinearOperator):
                 "spectral product operator must land on the family's index grid"
             )
         return superpose(
-            GridDistribution(fam.index_grid, self.f.sample_finite(fam.index_grid) * mid.samples),
-            fam,
+            _formed(fam.index_grid, np.multiply, self.f.sample_finite(fam.index_grid), mid.samples), fam
         )
 
 
@@ -379,10 +382,9 @@ class EigenspectrumMeasure(GeneralizedMeasure):
     def evaluate(self, f: SpectrumFunction) -> CoordinateDistribution:
         if not isinstance(f, SpectrumFunction):
             raise ArityMismatch("eigenspectrum measures consume spectrum functions")
-        composed = f.compose(self.symbol)
-        return GridDistribution(
-            self.family.index_grid,
-            composed.sample_finite(self.family.index_grid) * self._coords.samples,
+        index_grid = self.family.index_grid
+        return _formed(
+            index_grid, np.multiply, f.compose(self.symbol).sample_finite(index_grid), self._coords.samples
         )
 
     def _unit(self):

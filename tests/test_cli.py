@@ -570,6 +570,8 @@ def _error_cases(tmp_path):
         "sigma-square-underflow": dict(base, datum={"kind": "gaussian", "sigma": 1e-200}),
         "sigma-negative": dict(base, datum={"kind": "gaussian", "sigma": -1.0}),
         "residual-threshold-overflow": dict(base, policy={"residual_threshold": BIG}),
+        # 1e400 reads as inf; it ran in full and the report refused it (exit 1, "error: ...")
+        "zero-threshold-overflow": dict(base, policy={"zero_threshold": 1e400}),
         "pair-im-overflow": dict(base, datum={"kind": "constant", "c": [1.0, BIG]}),
         "directory-not-a-string": dict(base, output={"directory": 5}),
         "path-a-list": dict(base, datum={"kind": "samples", "path": [4.0]}),
@@ -604,7 +606,8 @@ def _error_cases(tmp_path):
 ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
     "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
-    "sigma-negative", "residual-threshold-overflow", "pair-im-overflow", "directory-not-a-string",
+    "sigma-negative", "residual-threshold-overflow", "zero-threshold-overflow", "pair-im-overflow",
+    "directory-not-a-string",
     "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "samples-missing",
     "samples-a-directory", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
@@ -896,11 +899,62 @@ def test_solve_whose_residual_overflows_reports_it_rescaled(tmp_path):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, [1.0, -math.inf]])
-def test_report_that_is_not_finite_is_refused_before_the_file_opens(tmp_path, value):
-    from schwartzcalc import NonFiniteSamples
-    from schwartzcalc.cli import _write_report
+def test_report_that_is_not_finite_is_refused_before_the_file_opens(tmp_path, value, capsys):
+    from schwartzcalc import NonFiniteSamples, make_grid, zero_distribution
+    from schwartzcalc.cli import _finish
 
-    path = tmp_path / "report.json"
+    def never():
+        raise AssertionError("a CSV was built for a refused report")
+
+    report = {"status": "ok", "residual": value, "route": "reciprocal"}
+    csvs = {"solution.csv": never, "other.csv": lambda: zero_distribution(make_grid(1, [4], [1.0]))}
     with pytest.raises(NonFiniteSamples, match=r"the report's 'residual' is not finite"):
-        _write_report(path, {"status": "ok", "residual": value, "route": "reciprocal"})
-    assert not path.exists()
+        _finish(tmp_path, report, csvs, 0, "done")
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_solve_whose_report_is_refused_writes_no_file(tmp_path, monkeypatch, capsys):
+    import types
+
+    from schwartzcalc import cli
+
+    def nan_residual(*args, _solve=cli._solve):
+        result, applied = _solve(*args)
+        return types.SimpleNamespace(solution=result.solution, residual=math.nan), applied
+
+    monkeypatch.setattr(cli, "_solve", nan_residual)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "run.json", grid=GRID_64_PI, operator=DDX, datum={"kind": "sin", "k": 1.0},
+        output={"directory": str(out)},
+    )
+    assert main(["solve", "--config", cfg]) == 1
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the report's 'residual' is not finite; a report holds finite numbers only\n"
+
+
+def test_green_whose_report_is_refused_writes_no_file(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    from schwartzcalc import cli
+
+    def nan_residuals(*args, _build=cli.green_family_divided):
+        result = _build(*args)
+        return dataclasses.replace(result, weak_residuals=np.full_like(result.weak_residuals, math.nan))
+
+    monkeypatch.setattr(cli, "green_family_divided", nan_residuals)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "run.json", grid=GRID_64_PI,
+        operator={"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}},
+        output={"directory": str(out)},
+    )
+    assert main(["green", "--config", cfg, "--index", "0", "--index", "-3.141592653589793"]) == 1
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the report's ")
+    assert captured.err.count("\n") == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -263,7 +264,7 @@ def test_green_family_divided_degenerate_policy():
     mu = left_inverse_family(lam)
     with pytest.raises(NotDivisible):
         green_family_divided(
-            lam, HELMHOLTZ, mu, DivisionPolicy(zero_threshold=math.inf)
+            lam, HELMHOLTZ, mu, DivisionPolicy(zero_threshold=sys.float_info.max)
         )
 
 

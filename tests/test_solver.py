@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -154,7 +155,11 @@ def test_division_policy_validation():
         DivisionPolicy(zero_threshold=0.0)
     with pytest.raises(ValueError):
         DivisionPolicy(residual_threshold=-1e-3)
-    DivisionPolicy(zero_threshold=math.inf)  # degenerate but legal
+    with pytest.raises(ValueError, match="positive and finite"):
+        DivisionPolicy(zero_threshold=math.inf)
+    with pytest.raises(ValueError):
+        DivisionPolicy(zero_threshold=math.nan)
+    DivisionPolicy(zero_threshold=sys.float_info.max)  # every finite symbol value is zero: degenerate but legal
 
 
 def test_solve_derivative_of_sine():

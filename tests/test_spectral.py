@@ -15,6 +15,7 @@ from schwartzcalc import (
     IndexOffGrid,
     KernelFamily,
     MultiplicationOperator,
+    NonFiniteSamples,
     NotABasis,
     SymbolFunction,
     coordinates,
@@ -431,3 +432,59 @@ def test_is_eigenfamily_sweeps_every_index_node_by_default():
     worst = int(np.argmax(residuals))
     assert report.max_residual == residuals[worst] and not report.passed
     assert report.worst_index == tuple(float(x) for x in nodes[worst])
+
+
+def _overflow_sites():
+    """Each library product whose finite factors overflow, as a thunk."""
+    g = make_grid(1, [8], [1.0])
+    big = sample_function(g, lambda x: 1e308 + 0.0 * x)
+    huge = SymbolFunction(1, lambda x: 1e300 + 0.0 * x, "1e300")
+    dirac = DiracFamily(g)
+    return {
+        "add": lambda: big + big,
+        "subtract": lambda: big - (-big),
+        "multiply": lambda: big * big,
+        "scalar-times": lambda: big * 10.0,
+        "times-scalar": lambda: 10.0 * big,
+        "multiplication-operator": lambda: MultiplicationOperator(huge).apply(big),
+        "spectral-product": lambda: spectral_product(CoordinateOperator(dirac), dirac).evaluate(huge).apply(big),
+        "eigenspectrum-measure": lambda: eigenspectrum_measure(big, dirac, huge).evaluate(spectrum_identity()),
+        "scaled-identity": lambda: (1e300 * IdentityOperator()).apply(big),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("site", sorted(_overflow_sites()))
+def test_arithmetic_that_overflows_is_a_typed_error(site):
+    with pytest.raises(NonFiniteSamples):
+        _overflow_sites()[site]()
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: unit_symbol(1) + "x",
+        lambda: "x" * unit_symbol(1),
+        lambda: spectrum_identity() * "x",
+        lambda: "x" * spectrum_identity(),
+        lambda: "2" * IdentityOperator(),
+        lambda: IdentityOperator() * "2",
+    ],
+    ids=["symbol-plus", "times-symbol", "spectrum-times", "times-spectrum", "times-operator", "operator-times"],
+)
+def test_operands_that_are_not_numbers_are_a_type_error(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
+@pytest.mark.parametrize("scalar", [2, np.float64(2), 1j], ids=["int", "float64", "complex"])
+def test_number_operands_keep_their_bits(scalar):
+    g = make_grid(1, [16], [2.0])
+    u = sample_function(g, lambda x: np.exp(-x**2) + 1j * x)
+    symbol = SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2")
+    s = symbol.sample(g)
+    np.testing.assert_array_equal((symbol * scalar).sample(g), np.multiply(s, scalar))
+    np.testing.assert_array_equal((scalar + symbol).sample(g), np.add(s, scalar))
+    values = np.linspace(-1.0, 1.0, 5) + 0.5j
+    np.testing.assert_array_equal((scalar * spectrum_identity()).evaluator(values), values * scalar)
+    np.testing.assert_array_equal((scalar * IdentityOperator())(u).samples, complex(scalar) * u.samples)
