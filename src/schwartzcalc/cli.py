@@ -36,7 +36,6 @@ import array
 import contextlib
 import csv
 import gc
-import itertools
 import json
 import os
 import stat
@@ -434,28 +433,22 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
     of a Python float.
 
     The rows are written one slab along the last axis at a time, in blocks
-    of at most ``_CSV_BLOCK_ROWS``, with the slab's leading coordinates
-    formatted once.  On a grid of several slabs each axis is formatted once;
-    on a 1-d grid, one slab, each block formats its own coordinates, so the
-    memory of a write stays within a block.
+    of at most ``_CSV_BLOCK_ROWS``, each slab formatting its own leading
+    coordinates.  The last axis's strings are made once when the axis fits
+    in a block and for each block otherwise, so on any grid shape a write
+    holds at most one block of strings.
     """
     grid = dist.grid
-    n, L, dx = grid.counts[-1], grid.half_extents[-1], grid.spacings[-1]
-    axes = [list(map(repr, grid.axis_points(i).tolist())) for i in range(grid.dim - 1)]
-    # several slabs share the strings of the last axis; the one slab of a
-    # 1-d grid uses each string once, so there each block formats its own
-    last = list(map(repr, grid.axis_points(grid.dim - 1).tolist())) if axes else None
-    slabs = dist.samples.reshape(-1, n)
+    n, last = grid.counts[-1], grid.dim - 1
+    shared = list(map(repr, grid.axis_points(last).tolist())) if n <= _CSV_BLOCK_ROWS else None
     with _open_output(path) as fh:
         fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
-        for lead, slab in zip(itertools.product(*axes), slabs):
-            prefix = "".join(c + "," for c in lead)
+        for s, slab in enumerate(dist.samples.reshape(-1, n)):
+            # the values of ``grid.axis_points`` bit for bit: the same products and sums
+            prefix = "".join(f"{x!r}," for x in grid.point_at(s * n)[:-1])
             for start in range(0, n, _CSV_BLOCK_ROWS):
                 stop = min(start + _CSV_BLOCK_ROWS, n)
-                if last is None:  # the values of ``grid.axis_points``, bit for bit
-                    xs = map(repr, (-L + dx * np.arange(start, stop)).tolist())
-                else:
-                    xs = last[start:stop]
+                xs = shared or map(repr, grid._axis_nodes(last, np.arange(start, stop, dtype=np.float64)).tolist())
                 re_part, im_part = slab.real[start:stop].tolist(), slab.imag[start:stop].tolist()
                 rows = zip(xs, re_part, im_part)
                 fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for x, re, im in rows]))
@@ -671,9 +664,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_join_index_values(argv))
     try:
-        # an overflow or invalid value ends as a typed error, not as warnings
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

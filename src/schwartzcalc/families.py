@@ -242,9 +242,11 @@ class _Pair(collections.namedtuple("_Pair", "analyse synthesise a_values l2 to_f
 
     def scaled(self, rows: np.ndarray) -> np.ndarray:
         """The integrands ``a * coordinates`` of each row, scaled in place
-        (the symbol first: numpy's complex product is not bitwise commutative)."""
+        (the symbol first: numpy's complex product is not bitwise commutative).
+        A product that overflows is left for the caller's finiteness scan."""
         coords = self.analyse(rows)
-        return np.multiply(self.a_values, coords, out=coords)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.multiply(self.a_values, coords, out=coords)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """The diagonal operator on each row: analyse, scale by the symbol,

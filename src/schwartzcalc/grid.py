@@ -309,7 +309,8 @@ def pairing(u: GridDistribution, phi) -> complex:
 
     ``phi`` may be a vectorized callable of the coordinates, another
     distribution on the same grid, or a raw sample array.  No conjugation is
-    applied (distributional pairing, not an inner product).
+    applied (distributional pairing, not an inner product).  A sum that is
+    not finite, as when finite factors overflow, is a ``NonFiniteSamples``.
     """
     if callable(phi):
         phi_vals = _on_nodes(phi, u.grid)
@@ -321,7 +322,11 @@ def pairing(u: GridDistribution, phi) -> complex:
         phi_vals = np.asarray(phi, dtype=np.complex128).reshape(-1)
         if phi_vals.size != u.grid.size:
             raise GridMismatch("pairing array has the wrong length for the grid")
-    return complex(np.sum(u.samples * phi_vals) * u.grid.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.sum(u.samples * phi_vals) * u.grid.cell_volume)
+    if not np.isfinite(value):
+        raise NonFiniteSamples(f"the pairing is not finite: {value}")
+    return value
 
 
 def sup_norm(u: GridDistribution) -> float:

@@ -177,7 +177,7 @@ class DenseOperator(SLinearOperator):
     def apply(self, u):
         if u.grid != self.grid:
             raise GridMismatch("distribution does not live on the operator's grid")
-        return GridDistribution(self.grid, self.matrix @ u.samples)
+        return _formed(self.grid, np.matmul, self.matrix, u.samples)
 
 
 class CoordinateOperator(SLinearOperator):

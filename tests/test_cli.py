@@ -559,6 +559,7 @@ def _error_cases(tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "header_only.csv").write_text("x0,x1,re,im\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "list.json").write_text("[]")
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
         "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
@@ -585,6 +586,9 @@ def _error_cases(tmp_path):
         "samples-a-directory": dict(
             base, datum={"kind": "samples", "path": str(taken / "solution.csv")}
         ),
+        "multi-index-too-long": dict(base, operator=dict(DDX, coefficients={"1,0": 1.0})),
+        "multi-index-negative": dict(base, operator=dict(DDX, coefficients={"-1": 1.0})),
+        "delta-off-grid": dict(base, datum={"kind": "delta", "p": [0.01]}),
         "policy-a-string": dict(base, policy="x"),
         "policy-a-list": dict(base, policy=[True]),
         "grid-2^40-nodes": dict(base, grid={"dim": 1, "counts": [2**40], "half_extents": [1.0]}),
@@ -596,6 +600,7 @@ def _error_cases(tmp_path):
         ),
         "config-a-directory": (["solve", "--config", str(taken)], {}),
         "config-not-utf8": (["solve", "--config", str(tmp_path / "latin1.json")], {}),
+        "config-root-a-list": (["solve", "--config", str(tmp_path / "list.json")], {}),
         "config-nested-too-deep": (["solve", "--config", str(tmp_path / "deep.json")], {}),
         "seed-not-an-integer": (["verify", "identity"], {"SCHWARTZ_SEED": "abc"}),
         "seed-negative": (["verify", "identity"], {"SCHWARTZ_SEED": "-1"}),
@@ -609,9 +614,10 @@ ERROR_CASES = [
     "sigma-negative", "residual-threshold-overflow", "zero-threshold-overflow", "pair-im-overflow",
     "directory-not-a-string",
     "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "samples-missing",
-    "samples-a-directory", "policy-a-string", "policy-a-list", "grid-2^40-nodes",
+    "samples-a-directory", "multi-index-too-long", "multi-index-negative", "delta-off-grid",
+    "policy-a-string", "policy-a-list", "grid-2^40-nodes",
     "grid-1e308-nodes", "grid-40-axes", "config-a-directory", "config-not-utf8",
-    "config-nested-too-deep", "seed-not-an-integer", "seed-negative",
+    "config-root-a-list", "config-nested-too-deep", "seed-not-an-integer", "seed-negative",
     "unknown-suite",
 ]
 

@@ -56,6 +56,7 @@ def special_distribution(grid, seed):
         ([2 * BLOCK + 10], [7.3]),  # several blocks in one slab
         ([12, 10], [math.pi, 2.5]),
         ([4, BLOCK + 6], [1e-3, 3.3]),  # a slab longer than a block
+        ([BLOCK + 6, 4], [3.3, 1e-3]),  # a leading axis longer than a block
         ([4, 6, 10], [1.0, 2.0 / 3.0, 1e5]),  # many slabs per block, unequal counts
     ],
 )
@@ -71,9 +72,10 @@ def test_writer_is_byte_identical_to_the_row_by_row_writer(tmp_path, counts, hal
 
 
 def test_writer_memory_stays_within_a_block(tmp_path):
-    # whole-column lists of the 65,536 values would peak near 4 MiB; on the
-    # one slab of a 1-d grid, coordinates formatted whole would peak near 6.5 MiB
-    for counts in ([256, 256], [1 << 16]):
+    # whole-column lists of the 65,536 values would peak near 4 MiB; an axis
+    # formatted whole peaks near 6.5 MiB on a 1-d grid, and near 2 MiB when
+    # it is the long axis of a thin grid, first or last
+    for counts in ([256, 256], [1 << 16], [4, 4 * BLOCK], [4 * BLOCK, 4]):
         grid = make_grid(len(counts), counts, [20.0] * len(counts))
         dist = special_distribution(grid, seed=256)
         tracemalloc.start()

@@ -385,6 +385,12 @@ def test_kernel_svd_is_computed_once_across_threads(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lazy_family_is_not_a_basis():
+    # it holds no table to check one against
+    g = make_grid(1, [8], [1.0])
+    assert not LazyFamily(g, g, lambda rows: rows.copy()).is_basis
+
+
 def test_lazy_family_coordinates_solve_on_its_own_table():
     # a lazy family holds a row map, no table: its coordinates are those of
     # the kernel family of the table the map builds, built afresh per call

@@ -234,6 +234,17 @@ def test_symbol_function_eval_and_algebra():
     assert constant_symbol(1, 3 - 1j).at(5.0) == 3 - 1j
 
 
+def test_index_point_with_the_wrong_number_of_coordinates_is_off_the_grid():
+    g = make_grid(2, [4, 4], [1.0, 1.0])
+    with pytest.raises(IndexOffGrid, match="must have 2 coordinates"):
+        g.index_of([0.0])
+
+
+def test_symbol_of_no_coordinates_is_refused():
+    with pytest.raises(ArityMismatch, match="arity must be >= 1"):
+        SymbolFunction(0, lambda: 1.0)
+
+
 def test_symbol_arity_checks():
     f = SymbolFunction(2, lambda p, q: p + q)
     with pytest.raises(ArityMismatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schwartzcalc import (
+    ArityMismatch,
     DenseOperator,
     DifferentialOperatorSpec,
     FourierFamily,
@@ -82,6 +83,12 @@ def test_finite_difference_zero_and_identity_specs():
     assert np.all(zero.matrix == 0)
     ident = finite_difference(DifferentialOperatorSpec({(0,): 1.0}), g)
     np.testing.assert_allclose(ident.matrix, np.eye(16), atol=1e-15)
+
+
+def test_finite_difference_refuses_a_spec_of_another_arity():
+    g = make_grid(1, [16], [1.0])
+    with pytest.raises(ArityMismatch):
+        finite_difference(DifferentialOperatorSpec({(1, 0): 1.0}), g)
 
 
 def test_finite_difference_unsupported_order():

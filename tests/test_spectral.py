@@ -6,6 +6,7 @@ import pytest
 from schwartzcalc import (
     ArityMismatch,
     CoordinateOperator,
+    DenseOperator,
     DiagonalOperator,
     DiracFamily,
     FourierFamily,
@@ -25,6 +26,7 @@ from schwartzcalc import (
     make_grid,
     member,
     operator_spectral_measure,
+    pairing,
     sample_function,
     scale_measure,
     spectral_apply,
@@ -37,6 +39,7 @@ from schwartzcalc import (
     unit_symbol,
     zero_distribution,
 )
+from schwartzcalc.grid import _polynomial_symbol
 from schwartzcalc.solver import DifferentialOperatorSpec
 from schwartzcalc.oracle import finite_difference
 from schwartzcalc.spectral import ComposedOperator, SpectrumFunction, SumOperator, SuperposeOperator
@@ -248,6 +251,13 @@ def test_spectral_product_grid_mismatch(fourier_256):
         measure.evaluate(unit_symbol(1)).apply(u)
 
 
+def test_spectral_product_integral_with_the_coordinate_operator_is_the_identity(fourier_256):
+    fam = fourier_256
+    u = band_limited(np.random.default_rng(18), fam, 40)
+    got = integrate_measure(spectral_product(CoordinateOperator(fam), fam)).apply(u)
+    assert np.max(np.abs(got.samples - u.samples)) <= 1e-12 * np.max(np.abs(u.samples))
+
+
 def test_scale_measure_rules(fourier_256):
     fam = fourier_256
     mu = spectral_distribution(fam)
@@ -274,6 +284,26 @@ def test_scale_measure_arity_mismatch(fourier_256):
         scale_measure(SymbolFunction(2, lambda p, q: p + q), mu)
     with pytest.raises(ArityMismatch):
         scale_measure(spectrum_one(), mu)
+
+
+def test_scale_measure_of_a_spectrum_measure_refuses_a_symbol(fourier_256):
+    a = SymbolFunction(1, lambda p: p**2, "p^2")
+    mu = operator_spectral_measure(a, fourier_256)
+    with pytest.raises(ArityMismatch, match="spectrum functions"):
+        scale_measure(unit_symbol(1), mu)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: DenseOperator(g, np.eye(g.size - 1)),
+        lambda g: DenseOperator(make_grid(1, [8], [2.0]), np.eye(8)).apply(zero_distribution(g)),
+    ],
+    ids=["shape", "foreign-grid"],
+)
+def test_dense_operator_refuses_a_matrix_or_a_distribution_off_its_grid(build):
+    with pytest.raises(GridMismatch):
+        build(make_grid(1, [8], [1.0]))
 
 
 def test_measure_evaluate_linearity(fourier_256):
@@ -438,9 +468,16 @@ def _overflow_sites():
     """Each library product whose finite factors overflow, as a thunk."""
     g = make_grid(1, [8], [1.0])
     big = sample_function(g, lambda x: 1e308 + 0.0 * x)
+    large = sample_function(g, lambda x: 1e200 + 0.0 * x)  # its transforms stay finite
     huge = SymbolFunction(1, lambda x: 1e300 + 0.0 * x, "1e300")
-    dirac = DiracFamily(g)
+    huge_even = _polynomial_symbol(1, [((0,), 1e300)], "1e300")  # real and even: the half pair
+    dirac, fourier = DiracFamily(g), FourierFamily(g)
     return {
+        "dense-operator": lambda: DenseOperator(g, np.full((8, 8), 1e300)).apply(big),
+        "pairing": lambda: pairing(big, big),
+        "fourier-half-pair": lambda: spectral_apply(huge_even, fourier, large),
+        "fourier-complex-pair": lambda: DiagonalOperator(fourier, huge).apply(large),
+        "dirac-pair": lambda: DiagonalOperator(dirac, huge).apply(large),
         "add": lambda: big + big,
         "subtract": lambda: big - (-big),
         "multiply": lambda: big * big,
