@@ -433,25 +433,32 @@ def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
     of a Python float.
 
     The rows are written one slab along the last axis at a time, in blocks
-    of at most ``_CSV_BLOCK_ROWS``, each slab formatting its own leading
-    coordinates.  The last axis's strings are made once when the axis fits
-    in a block and for each block otherwise, so on any grid shape a write
-    holds at most one block of strings.
+    of at most ``_CSV_BLOCK_ROWS``.  An axis's coordinate strings are held
+    while the axis fits in a block and made a block at a time otherwise, so
+    on any grid shape a write holds at most a block of strings per axis.
     """
-    grid = dist.grid
-    n, last = grid.counts[-1], grid.dim - 1
-    shared = list(map(repr, grid.axis_points(last).tolist())) if n <= _CSV_BLOCK_ROWS else None
+    grid, last = dist.grid, dist.grid.dim - 1
+    def strings(axis):  # ``repr`` of ``grid.axis_points(axis)``, bit for bit, a block at a time
+        count = grid.counts[axis]
+        for start in range(0, count, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, count)
+            yield from map(repr, grid._axis_nodes(axis, np.arange(start, stop, dtype=np.float64)).tolist())
+
+    def prefixes(axis):  # ``"x0,...,"`` of each slab along the last axis, row-major
+        if axis == last:
+            return [""]
+        return (f"{x},{rest}" for x in held[axis] or strings(axis) for rest in prefixes(axis + 1))
+
+    held = [list(strings(i)) if c <= _CSV_BLOCK_ROWS else None for i, c in enumerate(grid.counts)]
     with _open_output(path) as fh:
         fh.write(",".join(f"x{i}" for i in range(grid.dim)) + ",re,im\n")
-        for s, slab in enumerate(dist.samples.reshape(-1, n)):
-            # the values of ``grid.axis_points`` bit for bit: the same products and sums
-            prefix = "".join(f"{x!r}," for x in grid.point_at(s * n)[:-1])
-            for start in range(0, n, _CSV_BLOCK_ROWS):
-                stop = min(start + _CSV_BLOCK_ROWS, n)
-                xs = shared or map(repr, grid._axis_nodes(last, np.arange(start, stop, dtype=np.float64)).tolist())
-                re_part, im_part = slab.real[start:stop].tolist(), slab.imag[start:stop].tolist()
-                rows = zip(xs, re_part, im_part)
-                fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for x, re, im in rows]))
+        for prefix, slab in zip(prefixes(0), dist.samples.reshape(-1, grid.counts[last])):
+            xs = iter(held[last] or strings(last))
+            for start in range(0, slab.size, _CSV_BLOCK_ROWS):
+                block = slice(start, start + _CSV_BLOCK_ROWS)
+                # xs last: zip stops at the block's end before taking another string
+                rows = zip(slab.real[block].tolist(), slab.imag[block].tolist(), xs)
+                fh.write("".join([f"{prefix}{x},{re!r},{im!r}\n" for re, im, x in rows]))
 
 
 def _report_text(report: dict) -> str:

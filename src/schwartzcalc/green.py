@@ -247,7 +247,8 @@ def _green(
     has_zeros = zero_mask is not None
     if has_zeros:
         if not divided:
-            magnitudes = np.abs(full.a_values)
+            with np.errstate(over="ignore"):
+                magnitudes = np.abs(full.a_values)
             flat = int(np.argmin(magnitudes))
             point = lam.index_grid.point_at(flat)
             raise NotInvertible(
@@ -263,7 +264,8 @@ def _green(
     def rows_map(rows):
         pair, mask = (full, zero_mask) if rows.imag.any() else (real, real_mask)
         coeffs = pair.analyse(rows) if pair.half else mu.superpose_rows(rows)
-        return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
+        with np.errstate(over="ignore", invalid="ignore"):  # the weak residuals and member() scan the result
+            return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
     residuals, centers = _weak_residuals(lam.space_grid, real, family, pairing)

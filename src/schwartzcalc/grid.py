@@ -275,9 +275,13 @@ def sample_function(grid: Grid, fn: Callable) -> GridDistribution:
     """Sample a vectorized function of the grid coordinates.
 
     ``fn`` receives one coordinate array per axis (shaped ``counts``) and
-    must return an array broadcastable to that shape.
+    must return an array broadcastable to that shape.  Overflow and invalid
+    operations in ``fn`` are not warned of: a value they spoil is a
+    ``NonFiniteSamples``.
     """
-    return GridDistribution(grid, _on_nodes(fn, grid))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = _on_nodes(fn, grid)
+    return GridDistribution(grid, values)
 
 
 def _on_nodes(fn: Callable, grid: Grid) -> np.ndarray:
@@ -310,10 +314,12 @@ def pairing(u: GridDistribution, phi) -> complex:
     ``phi`` may be a vectorized callable of the coordinates, another
     distribution on the same grid, or a raw sample array.  No conjugation is
     applied (distributional pairing, not an inner product).  A sum that is
-    not finite, as when finite factors overflow, is a ``NonFiniteSamples``.
+    not finite, as when finite factors overflow or ``phi`` is not finite
+    somewhere, is a ``NonFiniteSamples``.
     """
     if callable(phi):
-        phi_vals = _on_nodes(phi, u.grid)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a spoiled value spoils the sum
+            phi_vals = _on_nodes(phi, u.grid)
     elif isinstance(phi, GridDistribution):
         if phi.grid != u.grid:
             raise GridMismatch("pairing operands live on different grids")

@@ -130,8 +130,9 @@ class DivisionPolicy:
 
     ``zero_threshold`` is the absolute magnitude below which the symbol
     counts as zero; ``None`` resolves to ``1e-12 * max|a|`` over the grid at
-    division time.  ``residual_threshold`` is the fraction of the datum's
-    sup norm tolerated as coefficient mass on the zero set.
+    division time, a ``max|a|`` past the largest double taken as that
+    double.  ``residual_threshold`` is the fraction of the datum's sup norm
+    tolerated as coefficient mass on the zero set.
     """
 
     zero_threshold: float | None = None
@@ -149,7 +150,10 @@ class DivisionPolicy:
     def resolve_zero_threshold(self, symbol_values: np.ndarray) -> float:
         if self.zero_threshold is not None:
             return float(self.zero_threshold)
-        return 1e-12 * float(np.max(np.abs(symbol_values)))
+        # a finite value whose modulus overflows counts as the largest double
+        with np.errstate(over="ignore"):
+            largest = float(np.max(np.abs(symbol_values)))
+        return 1e-12 * min(largest, np.finfo(np.float64).max)
 
 
 def divide(
@@ -216,7 +220,8 @@ def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[float, np.n
         eps = policy.resolve_zero_threshold(np.array([lo, hi]))
         if lo > eps or hi < -eps:
             return eps, None
-    magnitudes = np.abs(a_values)
+    with np.errstate(over="ignore"):  # an |a| past the largest double is inf: off the zero set
+        magnitudes = np.abs(a_values)
     eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
     return eps, (magnitudes <= eps if np.min(magnitudes) <= eps else None)
 
@@ -225,7 +230,8 @@ def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = N
     """``|x|`` and the mask of zero-set nodes where it exceeds the policy's
     tolerance: ``residual_threshold`` times the largest ``|x|`` over ``axis``
     (the whole array by default; ``axis=1`` judges each row on its own)."""
-    mass = np.abs(x)
+    with np.errstate(over="ignore"):
+        mass = np.abs(x)
     allowed = policy.residual_threshold * np.max(mass, axis=axis, keepdims=True, initial=0.0)
     return mass, zero_mask & (mass > allowed)
 

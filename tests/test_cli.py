@@ -701,6 +701,10 @@ def _contract_cases():
         "overflowing-product": (
             "expand", dict(base, operator=huge, datum={"kind": "constant", "c": 1e300})
         ),
+        # k * x overflows, then sin(inf) is invalid
+        "overflowing-wave-vector": (
+            "solve", dict(base, grid=dict(grid8, half_extents=[4.0]), datum={"kind": "sin", "k": 1e308})
+        ),
     }
 
 
@@ -718,6 +722,37 @@ def test_malformed_values_exit_1_with_one_line(tmp_path, case):
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert len(run.stderr.strip().splitlines()) == 1, run.stderr
+
+
+def _silent_overflow_cases():
+    grid8 = {"dim": 1, "counts": [8], "half_extents": [4.0]}
+    one = {"type": "multiplication", "symbol": {"name": "one"}}
+    huge = {"type": "differential", "coefficients": {"0": [1.5e308, 1.5e308], "2": 1.0}}
+    return {
+        # (x - c)**2 overflows and exp(-inf) is 0: a valid datum
+        "far-gaussian": (["solve"], dict(grid=grid8, operator=one, datum={"kind": "gaussian", "center": 1e200})),
+        # |a| overflows at every node: the zero threshold stays finite
+        "symbol-modulus": (["solve"], dict(grid=grid8, operator=huge, datum={"kind": "gaussian"})),
+        # the complex quotient 1/a overflows on its way to an underflow
+        "green-quotient": (
+            ["green", "--index", "0"],
+            dict(grid=grid8, operator={"type": "differential", "coefficients": {"0": [1e308, 1e308]}}),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_silent_overflow_cases()))
+def test_overflow_inside_a_valid_run_warns_of_nothing(tmp_path, case):
+    command, sections = _silent_overflow_cases()[case]
+    cfg = write_config(tmp_path / "run.json", output={"directory": str(tmp_path / "out")}, **sections)
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "schwartzcalc", command[0], "--config", cfg, *command[1:]],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 def _boolean_cases():

@@ -58,6 +58,7 @@ def special_distribution(grid, seed):
         ([4, BLOCK + 6], [1e-3, 3.3]),  # a slab longer than a block
         ([BLOCK + 6, 4], [3.3, 1e-3]),  # a leading axis longer than a block
         ([4, 6, 10], [1.0, 2.0 / 3.0, 1e5]),  # many slabs per block, unequal counts
+        ([4, BLOCK + 6, 4], [1.0, 3.3, 1e-3]),  # an inner leading axis longer than a block
     ],
 )
 def test_writer_is_byte_identical_to_the_row_by_row_writer(tmp_path, counts, half_extents):
