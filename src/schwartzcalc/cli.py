@@ -32,13 +32,10 @@ in row-major order; identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import array
 import contextlib
-import csv
 import gc
 import json
 import os
-import stat
 import sys
 import warnings
 from pathlib import Path
@@ -193,111 +190,39 @@ def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
     return pt
 
 
-def _samples_by_csv_module(path: str) -> np.ndarray:
-    """The literal reader, which defines the samples format: the last two
-    fields of each ``csv.reader`` row as ``re, im``.
+def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
+    """The samples of ``path``, a file in the format ``write_distribution_csv``
+    writes: an optional header, then one row per node whose last two fields
+    are ``re, im``.
 
-    Rows whose last two fields do not parse as floats (headers, comments,
-    blank or one-field lines) are skipped.  Only the two parsed columns are
-    kept while reading.
+    Leading ``#`` comment lines and blank lines are skipped, and the first
+    other line is the header unless ``float()`` reads its last two fields.
+    One ``np.loadtxt`` pass reads the rest from the opened file (given a
+    path, numpy's ``DataSource`` would fetch URLs and decompress by suffix).
+    Comments and blank lines may stand anywhere; any other line whose last
+    two fields are not numbers is a ``ConfigError`` with numpy's message.
     """
-    re_col, im_col = array.array("d"), array.array("d")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
-                try:
-                    re_part, im_part = float(row[-2]), float(row[-1])
-                except (IndexError, ValueError):
-                    continue  # header, comment, blank or short line
-                re_col.append(re_part)
-                im_col.append(im_part)
+            skip = 0
+            for skip, line in enumerate(fh, 1):
+                fields = line.partition("#")[0].rstrip("\r\n").split(",")
+                if fields != [""]:  # the first line neither a comment nor blank
+                    with contextlib.suppress(IndexError, ValueError):
+                        float(fields[-2]), float(fields[-1])
+                        skip -= 1  # it is data: no header to skip
+                    break
+            fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data": 0 rows, refused below
+                table = np.loadtxt(
+                    fh, delimiter=",", comments="#", usecols=(-2, -1), ndmin=2, skiprows=skip
+                )
     except OSError as exc:
         raise ConfigError(f"cannot read samples file {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes included
         raise ConfigError(f"samples file {path} is not a readable CSV: {exc}") from exc
-    samples = np.empty(len(re_col), dtype=np.complex128)
-    samples.real = np.frombuffer(re_col, dtype=np.float64)
-    samples.imag = np.frombuffer(im_col, dtype=np.float64)
-    return samples
-
-
-#: NUL, which ``csv.reader`` refuses before Python 3.11, and the separators
-#: 0x1c-0x1f, which numpy's float parser strips as whitespace and ``float()`` refuses
-_UNVOUCHED_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _vouched(path: str) -> bool:
-    """Whether the C pass may read ``path``.
-
-    ``np.loadtxt`` opens a path through numpy's ``DataSource``, which picks
-    a decompressor by suffix and fetches URLs, so ``path``, absolute, must
-    end in ``.csv``.  The file is read three times, so it must be a regular
-    file, not a pipe.  It must hold none of ``_UNVOUCHED_BYTES`` and
-    no field longer than ``csv.field_size_limit()``, which ``csv.reader``
-    refuses.  Such a field lies in a run without a line end that covers a
-    whole block of half the limit, unless a quoted field spans lines; a file
-    with a quote character is vouched for only when it is no longer than the
-    limit.
-    """
-    if not (path.endswith(".csv") and stat.S_ISREG(os.stat(path).st_mode)):
-        return False
-    limit = csv.field_size_limit()
-    step = max(limit // 2, 1)
-    size, quoted, unbroken = 0, False, False
-    with open(path, "rb") as raw:
-        while block := raw.read(step):
-            if any(b in block for b in _UNVOUCHED_BYTES):
-                return False
-            size += len(block)
-            quoted = quoted or b'"' in block
-            if len(block) == step and b"\n" not in block and b"\r" not in block:
-                unbroken = True
-    return size <= limit or not (quoted or unbroken)
-
-
-def _samples_by_loadtxt(path: str) -> np.ndarray:
-    """The samples of ``path`` in one C pass of ``np.loadtxt``; raises when
-    ``_vouched`` refuses the file or the file may read differently by
-    ``_samples_by_csv_module``.
-
-    The first line is skipped when it is not data by the literal rule, and
-    every later row must then be data: any other row, a value ``float()``
-    takes but the C parser refuses (``1_0``) or a file with no data raises.
-    """
-    path = os.path.abspath(path)
-    if not _vouched(path):
-        raise ValueError(f"samples file {path} is left to the csv module")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        first = next(rows, [])
-        if rows.line_num > 1:
-            raise ValueError("the first row spans lines")
-        try:
-            float(first[-2]), float(first[-1])
-            header = 0
-        except (IndexError, ValueError):
-            header = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt's "input contained no data"
-        table = np.loadtxt(
-            path, delimiter=",", comments=None, usecols=(-2, -1), quotechar='"',
-            ndmin=2, skiprows=header, encoding="utf-8",
-        )
-    return table.view(np.complex128).reshape(-1)
-
-
-def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
-    """Read the last two fields of each row as ``re, im``.
-
-    One C pass (``_samples_by_loadtxt``) reads the file when it can vouch
-    for it; otherwise the literal reader ``_samples_by_csv_module`` does.
-    Both give the same values bit for bit.
-    """
-    try:
-        samples = _samples_by_loadtxt(path)
-    except (OSError, ValueError, csv.Error, Warning):
-        # the literal reader decides every file the C pass cannot vouch for
-        samples = _samples_by_csv_module(path)
+    samples = table.view(np.complex128).reshape(-1)
     if samples.size != grid.size:
         raise ConfigError(
             f"samples file {path} has {samples.size} data rows, grid has {grid.size} nodes"

@@ -288,10 +288,6 @@ class SchwartzFamily(abc.ABC):
         return self.index_grid.dim
 
     @property
-    def space_dim(self) -> int:
-        return self.space_grid.dim
-
-    @property
     @abc.abstractmethod
     def is_basis(self) -> bool:
         """Whether coordinates/superpose form a two-sided inverse pair."""

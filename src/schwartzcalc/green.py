@@ -243,7 +243,7 @@ def _green(
     # point masses are real: with the canonical Fourier left inverse they take solve's pair
     real = _transform_pair(lam, l, pairing == "translation")
     full = _transform_pair(lam, l, False) if real.half else real
-    eps, zero_mask = _zero_set(full.a_values, policy)
+    eps, zero_mask, huge = _zero_set(full.a_values, policy)
     has_zeros = zero_mask is not None
     if has_zeros:
         if not divided:
@@ -259,13 +259,13 @@ def _green(
                 magnitude=float(magnitudes[flat]),
             )
         _check_divisible(mu, zero_mask, policy, pairing)
-    real_mask = _zero_set(real.a_values, policy)[1] if real.half else zero_mask
+    real_masks = _zero_set(real.a_values, policy)[1:] if real.half else (zero_mask, huge)
 
     def rows_map(rows):
-        pair, mask = (full, zero_mask) if rows.imag.any() else (real, real_mask)
+        pair, masks = (full, (zero_mask, huge)) if rows.imag.any() else (real, real_masks)
         coeffs = pair.analyse(rows) if pair.half else mu.superpose_rows(rows)
         with np.errstate(over="ignore", invalid="ignore"):  # the weak residuals and member() scan the result
-            return pair.synthesise(_masked_quotient(coeffs, pair.a_values, mask))
+            return pair.synthesise(_masked_quotient(coeffs, pair.a_values, *masks))
 
     family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
     residuals, centers = _weak_residuals(lam.space_grid, real, family, pairing)

@@ -183,7 +183,7 @@ def _divide(
     ``NotDivisible`` names the worst node of the zero set, then
     ``NonFiniteSamples`` the first where ``d_v``, or else the quotient, is
     not finite."""
-    eps, zero_mask = _zero_set(a_values, policy)
+    eps, zero_mask, huge = _zero_set(a_values, policy)
     if zero_mask is not None:
         mass, bad = _mass_on_zero_set(d_v, zero_mask, policy)
         if bad.any():
@@ -198,32 +198,35 @@ def _divide(
                 zero_threshold=eps,
             )
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with its node
-        q = _masked_quotient(d_v, a_values, zero_mask)
+        q = _masked_quotient(d_v, a_values, zero_mask, huge)
     if not np.isfinite(q.view(np.float64)).all():  # the parts as floats scan faster
         what, bad = ("the datum's coefficient", d_v) if not np.isfinite(d_v).all() else ("the quotient", q)
         flat = int(np.argmin(np.isfinite(bad)))
         raise NonFiniteSamples(
             f"{what} at index node {index.point_at(flat)} is {bad.flat[flat]}; samples must all be finite"
         )
-    return q, zero_mask, eps
+    return q, (zero_mask, huge), eps
 
 
-def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[float, np.ndarray | None]:
-    """The policy's zero threshold and the mask of nodes where ``|a|`` is at
-    or below it, ``None`` when ``min|a|`` is above it: the first part of the
-    division rule :func:`divide`, :func:`solve` and the Green families share.
-    A real (``float64``) symbol whose least value is above the threshold, or
-    whose largest is below minus it, gives both with no ``|a|`` array: its
-    ``max|a|`` is that of its least and largest values."""
+def _zero_set(a_values: np.ndarray, policy: DivisionPolicy) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """The policy's zero threshold, the mask of nodes where ``|a|`` is at
+    or below it and the mask where it reaches ``_HUGE``, each ``None`` when
+    it holds nowhere: the first part of the division rule :func:`divide`,
+    :func:`solve` and the Green families share.  A real (``float64``)
+    symbol whose least value is above the threshold, or whose largest is
+    below minus it, gives all three from its least and largest values, with
+    no ``|a|`` array unless one reaches ``_HUGE``."""
     if a_values.dtype == np.float64:
         lo, hi = np.min(a_values), np.max(a_values)
         eps = policy.resolve_zero_threshold(np.array([lo, hi]))
         if lo > eps or hi < -eps:
-            return eps, None
+            return eps, None, (np.abs(a_values) >= _HUGE if max(-lo, hi) >= _HUGE else None)
     with np.errstate(over="ignore"):  # an |a| past the largest double is inf: off the zero set
         magnitudes = np.abs(a_values)
-    eps = policy.resolve_zero_threshold(magnitudes)  # |a| gives the threshold a does
-    return eps, (magnitudes <= eps if np.min(magnitudes) <= eps else None)
+    largest = np.max(magnitudes)
+    eps = policy.resolve_zero_threshold(largest)  # max|a| gives the threshold a does
+    zero_mask = magnitudes <= eps if np.min(magnitudes) <= eps else None
+    return eps, zero_mask, (magnitudes >= _HUGE if largest >= _HUGE else None)
 
 
 def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = None):
@@ -236,10 +239,27 @@ def _mass_on_zero_set(x, zero_mask, policy: DivisionPolicy, axis: int | None = N
     return mass, zero_mask & (mass > allowed)
 
 
-def _masked_quotient(x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray | None) -> np.ndarray:
+#: ``|a|`` from which Smith's denominator ``c + d (d / c)``, at most
+#: ``2 max(|c|, |d|)``, can overflow or ``1 / a`` fall below the normal range
+_HUGE = 2.0**1021
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """``x * 2**e`` part by part, a ``float64`` or ``complex128`` array."""
+    return np.ldexp(x.view(np.float64), e).view(x.dtype)
+
+
+def _masked_quotient(
+    x: np.ndarray, a_values: np.ndarray, zero_mask: np.ndarray | None, huge: np.ndarray | None
+) -> np.ndarray:
     """``x / a`` off the zero set and 0 on it, in a new array; plain ``x / a``
-    when the set is empty (``None``).  ``a_values`` and ``zero_mask``
-    broadcast against ``x``."""
+    when the set is empty (``None``).  Where ``huge`` marks ``|a| >= _HUGE``,
+    both operands are scaled by ``2**-4`` first (Priest 2004), so numpy's
+    complex division (Smith 1962) neither overflows to a zero quotient nor
+    loses bits to a subnormal ``1 / a``; every other node keeps the bits of
+    plain division.  ``a_values`` and the masks broadcast against ``x``."""
+    if huge is not None:
+        x, a_values = (np.where(huge, _ldexp(v, -4), v) for v in (x, a_values))
     if zero_mask is None:
         return x / a_values
     return np.where(zero_mask, 0.0 + 0.0j, x / np.where(zero_mask, 1.0, a_values))
@@ -326,7 +346,7 @@ def _solve(
     while True:
         d_v = pair.analyse(x[np.newaxis])[0]
         try:
-            buf, zero_mask, eps = _divide(d_v, pair.a_values, policy, v.index_grid)
+            buf, masks, eps = _divide(d_v, pair.a_values, policy, v.index_grid)
             break
         except (NotDivisible, NonFiniteSamples):
             if not pair.half:
@@ -339,7 +359,7 @@ def _solve(
     datum = x if v._parseval is None else None  # held only to form A(u) - d
 
     def quotient():  # the same division again, spread over the index grid
-        q = _masked_quotient(d_v, pair.a_values, zero_mask)  # the bits _divide found finite
+        q = _masked_quotient(d_v, pair.a_values, *masks)  # the bits _divide found finite
         return GridDistribution._trusted(v.index_grid, pair.to_full(q), finite=True)
 
     def misfit(u, target):  # |A(u) - d|: analyse u (the half pair takes its real part)
@@ -357,8 +377,7 @@ def _solve(
             norm = misfit(u, target)
             if not math.isfinite(norm):  # the analysis of u overflowed: scale by 2**-e, which is exact
                 e = int(np.frexp(np.max(np.abs(u.view(np.float64))))[1])
-                down = lambda x: np.ldexp(x.view(np.float64), -e).view(x.dtype)
-                norm = float(np.ldexp(misfit(down(u), down(target)), e))
+                norm = float(np.ldexp(misfit(_ldexp(u, -e), _ldexp(target, -e)), e))
         value = float(norm / denom) if denom > 0.0 else 0.0
         if not math.isfinite(value):
             raise NonFiniteSamples(f"the residual |A(u) - d| / |d| is {value}; samples must all be finite")

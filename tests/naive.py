@@ -6,6 +6,7 @@ independent.
 """
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 
@@ -258,6 +259,19 @@ def read_samples_csv(path):
             continue
         values.append(complex(re_part, im_part))
     return np.asarray(values, dtype=np.complex128)
+
+
+def exact_quotient(x, a):
+    """``x / a`` for complex arrays, node by node: each part of
+    ``x conj(a) / |a|^2`` formed exactly in ``fractions.Fraction`` and
+    rounded once to a double (``int / int`` rounds correctly, subnormals
+    included)."""
+    out = []
+    for xv, av in zip(np.ravel(x).tolist(), np.ravel(np.broadcast_to(a, np.shape(x))).tolist()):
+        xr, xi, ar, ai = (Fraction(float(v)) for v in (xv.real, xv.imag, av.real, av.imag))
+        den = ar * ar + ai * ai
+        out.append(complex(float((xr * ar + xi * ai) / den), float((xi * ar - xr * ai) / den)))
+    return np.array(out, dtype=np.complex128).reshape(np.shape(x))
 
 
 def differential_evaluator(terms, dim):

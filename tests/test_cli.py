@@ -545,6 +545,31 @@ def test_one_field_lines_in_samples_csv_are_skipped(tmp_path):
     np.testing.assert_array_equal(values, np.arange(16.0))
 
 
+def test_symbols_near_the_top_of_the_range_divide_right(tmp_path):
+    """Symbols whose parts pass half the largest double, where numpy's
+    complex division alone overflows to a zero quotient (weak residual
+    0.992, residual 1.0): the Green member of ``1e308 (1 + i)`` at node 0
+    is ``1 / (dx a) = 5e-309 - 5e-309i`` and certifies, and the solve of
+    ``1.5e308 (1 + i) - p^2`` has a residual at rounding level."""
+    grid = {"dim": 1, "counts": [8], "half_extents": [4.0]}
+    cfg = write_config(
+        tmp_path / "green.json", grid=grid, output={"directory": str(tmp_path / "green")},
+        operator={"type": "differential", "coefficients": {"0": [1e308, 1e308]}},
+    )
+    assert main(["green", "--config", cfg, "--index", "0"]) == 0
+    report = json.loads((tmp_path / "green" / "report.json").read_text())
+    assert report["max_weak_residual_all_indices"] < 1e-15
+    _, member = read_csv_samples(tmp_path / "green" / "green_000.csv")
+    assert member[4] == 5e-309 - 5e-309j and not member[np.arange(8) != 4].any()
+    cfg = write_config(
+        tmp_path / "solve.json", grid=grid, output={"directory": str(tmp_path / "solve")},
+        operator={"type": "differential", "coefficients": {"0": [1.5e308, 1.5e308], "2": 1.0}},
+        datum={"kind": "gaussian", "sigma": 1.0},
+    )
+    assert main(["solve", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "solve" / "report.json").read_text())["residual"] < 1e-13
+
+
 BIG = int("9" * 400)  # a JSON integer that no float holds
 
 

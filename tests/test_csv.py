@@ -3,8 +3,8 @@
 ``naive.write_distribution_csv`` formats one row at a time from
 ``grid.points()`` and ``naive.read_samples_csv`` holds every row of the file;
 the CLI's versions must write the same bytes and read the same values.  The
-CLI reads a samples file in one C pass (``np.loadtxt``) when it can vouch for
-it and by its ``csv.reader`` loop otherwise; both must agree bit for bit.
+CLI reads a samples file in one C pass (``np.loadtxt``), in the format the
+writer writes; other files are refused with one error line.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,16 +99,18 @@ def read_both(tmp_path, text, counts=(4,)):
 @pytest.mark.parametrize(
     "text",
     [
-        # quoted fields, one holding a comma
-        '"x0","re","im"\n"-1.0","0.5","-0.25"\n"a, b",1.5,"2"\n-0.5,"-0.0","0.0"\n0,3,4\n',
+        # a quoted header and quoted leading fields, one holding a comma
+        '"x0","re","im"\n"-1.0",0.5,-0.25\n"a, b",1.5,2\n-0.5,-0.0,0.0\n0,3,4\n',
         # CRLF line ends
         "x0,re,im\r\n-1.0,0.5,-0.25\r\n-0.5,1.5,2.0\r\n0.0,-0.0,0.0\r\n0.5,3.0,4.0\r\n",
-        # blank lines and one-field lines anywhere
-        "\n# first line\nx0,re,im\n\n-1.0,0.5,-0.25\n7\n-0.5,1.5,2.0\n\n0.0,-0.0,0.0\n0.5,3,4\n\n",
+        # CR line ends, no line end after the last row
+        "x0,re,im\r-1.0,0.5,-0.25\r-0.5,1.5,2.0\r0.0,-0.0,0.0\r0.5,3.0,4.0",
+        # blank lines and comments anywhere, and rows of just re, im
+        "\n# first line\nx0,re,im\n\n-1.0,0.5,-0.25\n#\n1.5,2.0\n\r\n0.0,-0.0,0.0\n0.5,3,4\n\n",
         # extra leading columns
         "id,x0,x1,re,im\n1,-1.0,0.0,0.5,-0.25\n2,-0.5,0.0,1.5,2.0\n3,0.0,0.0,-0.0,0.0\n4,0.5,0.0,3,4\n",
     ],
-    ids=["quoted", "crlf", "blank-and-short", "leading-columns"],
+    ids=["quoted", "crlf", "cr", "blank-and-short", "leading-columns"],
 )
 def test_reader_reads_what_the_literal_reader_reads(tmp_path, text):
     fast, literal = read_both(tmp_path, text)
@@ -130,134 +133,9 @@ def test_reader_reports_undecodable_bytes_as_a_config_error(tmp_path):
         cli._read_samples_csv(str(path), make_grid(1, [4], [1.0]))
 
 
-def refuse(path):
-    raise AssertionError("the literal reader is switched off")
-
-
-def cannot_vouch(path):
-    raise ValueError("the C pass is switched off")
-
-
-def outcome(path):
-    """The samples ``cli._read_samples_csv`` reads from ``path`` for a
-    4-node grid, as bytes, or the text of its ``ConfigError``."""
-    grid = make_grid(1, [4], [1.0])
-    try:
-        return cli._read_samples_csv(str(path), grid).samples.tobytes()
-    except ConfigError as exc:
-        return str(exc)
-
-
-def literal_outcome(path):
-    """``outcome`` with the C pass switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_samples_by_loadtxt", cannot_vouch)
-        return outcome(path)
-
-
-LIMIT = csv.field_size_limit()
-
-
-@pytest.mark.parametrize(
-    "name, text",
-    [
-        ("datum.csv", "x0,re,im\n-1.0,1_0,0.5\n-0.5,1,2\n0.0,3,4\n0.5,5,6\n"),
-        ("datum.csv", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n \n0.0,5,6\n0.5,7,8\n"),
-        ("datum.csv", '"x\n0",re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
-        ("datum.csv", '"x\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
-        ("datum.csv", "x0,re,im\n"),
-        ("datum.csv", ""),
-        ("datum.csv", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\x1c\n0.5,7,8\n"),
-        ("datum.csv", "x0,re,im\na\x00,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
-        ("datum.csv", "x0,re,im\n" + "7" * (LIMIT + 1) + ",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
-        ("datum.csv", 'x0,re,im\n"' + "7" * LIMIT + '",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
-        ("datum.txt", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
-    ],
-    ids=["underscore", "whitespace-line", "header-spans-lines", "quote-never-closes",
-         "header-only", "empty", "file-separator", "nul", "field-over-the-limit",
-         "quoted-file-over-the-limit", "not-a-csv-suffix"],
-)
-def test_c_pass_leaves_files_it_cannot_vouch_for_to_the_literal_reader(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
-    with pytest.raises((OSError, ValueError, csv.Error, Warning)):  # what the reader falls back on
-        cli._samples_by_loadtxt(str(path))
-    assert outcome(path) == literal_outcome(path)
-
-
-def test_c_pass_leaves_files_that_are_not_regular_to_the_literal_reader(tmp_path):
-    # a pipe could be read only once; a device reads without blocking
-    os.symlink(os.devnull, tmp_path / "datum.csv")
-    assert not cli._vouched(str(tmp_path / "datum.csv"))
-
-
-@pytest.mark.parametrize(
-    "counts, half_extents",
-    [
-        ([2 * BLOCK + 10], [7.3]),  # longer than the csv module's field limit
-        ([12, 10], [math.pi, 2.5]),
-        ([4, 6, 10], [1.0, 2.0 / 3.0, 1e5]),
-    ],
-)
-def test_c_pass_reads_the_writers_own_output(tmp_path, monkeypatch, counts, half_extents):
-    monkeypatch.setattr(cli, "_samples_by_csv_module", refuse)
-    grid = make_grid(len(counts), counts, half_extents)
-    dist = special_distribution(grid, seed=len(counts))
-    cli.write_distribution_csv(tmp_path / "solution.csv", dist)
-    assert same_bits(cli._read_samples_csv(str(tmp_path / "solution.csv"), grid).samples,
-                     dist.samples)
-
-
-# -- property tests: generated samples files, CLI contract and oracle agreement
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-VALUE = st.tuples(st.sampled_from(["{}", '"{}"', " {} "]), FINITE).map(lambda t: t[0].format(t[1]))
-LEAD = st.lists(
-    st.sampled_from(["-1.0", "7", "id", '"a, b"', '""', '"a,1,2\n3,4"', '"x\r\n"']), max_size=3
-)
-DATA_ROW = st.tuples(LEAD, VALUE, VALUE).map(lambda t: ",".join(t[0] + [t[1], t[2]]))
-OTHER_LINE = st.one_of(
-    st.sampled_from(["x0,re,im", '"x0","re","im"', "# comment", "# a, b, re, im", "", "#"]),
-    st.sampled_from([" ", "\t", " \t ", "0.0,1_0,0.5", '"x\n0",re,im']),
-    FINITE,  # one field
-    st.sampled_from(["nan", "inf", "-inf", "1e400"]).map(lambda v: f"0.0,{v},0.5"),
-    st.text(alphabet=',"# ab1.e-\r', max_size=12),
-)
-
-
-@st.composite
-def samples_files(draw):
-    lines = [draw(DATA_ROW) for _ in range(draw(st.sampled_from([0, 1, 3, 4, 4, 4, 5])))]
-    for _ in range(draw(st.integers(0, 5))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINE))
-    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
-
-
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(text=samples_files())
-def test_c_pass_and_literal_reader_agree(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "datum.csv")
-        with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-        got = outcome(path)
-        assert got == literal_outcome(path)
-        if isinstance(got, bytes):
-            assert got == naive.read_samples_csv(path).tobytes()
-
-
-@settings(
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(text=samples_files())
-def test_samples_reader_property(tmp_path, text):
-    path = tmp_path / "datum.csv"
-    path.write_bytes(text.encode("utf-8"))
+def expand_samples(tmp_path, path):
+    """``cli.main(["expand", ...])`` on the samples file ``path`` for a 4-node
+    grid, with warnings as errors: the exit code and the lines of stderr."""
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "grid": {"dim": 1, "counts": [4], "half_extents": [1.0]},
@@ -267,19 +145,192 @@ def test_samples_reader_property(tmp_path, text):
     }))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["expand", "--config", str(config)])
-    lines = err.getvalue().splitlines()
-    expected = naive.read_samples_csv(path)
-    if expected.size != 4:
-        assert code == 1 and len(lines) == 1
-        assert f"has {expected.size} data rows" in lines[0]
-    elif not np.isfinite(expected).all():
-        assert code == 1 and len(lines) == 1
-        assert f"data row {int(np.argmin(np.isfinite(expected))) + 1} " in lines[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["expand", "--config", str(config)])
+    return code, err.getvalue().splitlines()
+
+
+ROWS = "-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('x0,re,im\n-1.0,"1",2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n', "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\n \n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2\n7\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\nx0,re,im\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,abc\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1_0,0.5\n-0.5,1,2\n0.0,3,4\n0.5,5,6\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\x00\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
+        ("x0,re,im\n-1.0,1,2 # note\n-0.5,3,4\n0.0,5,6\n0.5,x,8\n", "not a readable CSV: "),
+        ('"x\n0",re,im\n' + ROWS, "not a readable CSV: "),
+        ("x0,re,im\n", "has 0 data rows"),
+        ("", "has 0 data rows"),
+        ("# only a comment\n\n", "has 0 data rows"),
+        (None, "has 0 data rows"),  # a device, not a regular file
+    ],
+    ids=["quoted-value", "whitespace-line", "one-field-line", "second-header", "text-value",
+         "underscore", "empty-field", "nul-in-a-value", "late-text-value", "header-spans-lines",
+         "header-only", "empty", "comments-only", "device"],
+)
+def test_refused_samples_files_exit_1_in_one_line(tmp_path, text, message):
+    path = tmp_path / "datum.csv"
+    if text is None:
+        os.symlink(os.devnull, path)
     else:
+        path.write_bytes(text.encode("utf-8"))
+    code, lines = expand_samples(tmp_path, path)
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith(f"configuration error: samples file {path}")
+    assert message in lines[0]
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("datum.csv", "x0,re,im\n-1.0,1,2\n-0.5,3,4\n0.0,5,6\x1c\n0.5,7\x1f,8\n"),
+        ("datum.csv", "x0,re,im\na\x00,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
+        ("datum.csv", "x0,re,im\n" + "7" * (LIMIT + 1) + ",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"),
+        ("datum.csv", 'x0,re,im\n"' + "7" * LIMIT + '",1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n'),
+        ("datum.csv", '"x\n' + ROWS),
+        ("datum.txt", "x0,re,im\n" + ROWS),
+        ("datum.csv.gz", "x0,re,im\n" + ROWS),
+    ],
+    ids=["file-separator", "nul-in-a-leading-column", "field-over-the-limit",
+         "quoted-field-over-the-limit", "quote-never-closes", "not-a-csv-suffix", "gz-suffix"],
+)
+def test_reader_reads_what_numpy_parses_under_any_name(tmp_path, name, text):
+    """Fields past ``csv.field_size_limit()``, bytes 0x1c-0x1f (whitespace
+    to numpy's parser), a NUL or a quote in a header or leading column: the
+    csv module refused or skipped these.  A file is opened, not handed to
+    numpy by name, so a ``.gz`` suffix decompresses nothing."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    samples = cli._read_samples_csv(str(path), make_grid(1, [4], [1.0])).samples
+    assert same_bits(samples, np.array([1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j]))
+    assert expand_samples(tmp_path, path) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "counts, half_extents",
+    [
+        ([2 * BLOCK + 10], [7.3]),  # longer than the csv module's field limit
+        ([12, 10], [math.pi, 2.5]),
+        ([4, 6, 10], [1.0, 2.0 / 3.0, 1e5]),
+        ([4, BLOCK + 6], [1e-3, 3.3]),
+        ([BLOCK + 6, 4], [3.3, 1e-3]),
+        ([4, BLOCK + 6, 4], [1.0, 3.3, 1e-3]),
+        ([4, 4 * BLOCK], [20.0, 20.0]),
+        ([4 * BLOCK, 4], [20.0, 20.0]),
+    ],
+)
+def test_c_pass_reads_the_writers_own_output(tmp_path, counts, half_extents):
+    grid = make_grid(len(counts), counts, half_extents)
+    dist = special_distribution(grid, seed=len(counts))
+    cli.write_distribution_csv(tmp_path / "solution.csv", dist)
+    assert same_bits(cli._read_samples_csv(str(tmp_path / "solution.csv"), grid).samples,
+                     dist.samples)
+
+
+# -- property tests: generated samples files, the reader against the literal reader
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+VALUE = st.one_of(
+    FINITE,
+    FINITE.map(lambda v: f" {v} "),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "5e-324"]),
+)
+LEAD = st.lists(st.sampled_from(["-1.0", "7", "id", '"a, b"', '""', '"x"']), max_size=3)
+DATA_ROW = st.tuples(LEAD, VALUE, VALUE).map(lambda t: ",".join(t[0] + [t[1], t[2]]))
+HEADER = st.sampled_from(["x0,re,im", "x0,x1,re,im", '"x0","re","im"', "id,x0,re,im", "re"])
+# lines that are no row: neither reader takes a value from them
+SKIPPED = st.sampled_from(["", "#", "# comment", "# a, b, re, im", "# 1.0, 2.0 # 3.0"])
+
+
+@st.composite
+def accepted_files(draw):
+    """A file in the format the reader takes: an optional header, then data
+    rows, with comments and blank lines anywhere, under one line end."""
+    lines = draw(st.lists(HEADER, max_size=1))
+    lines += [draw(DATA_ROW) for _ in range(draw(st.sampled_from([0, 1, 3, 4, 4, 4, 5])))]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(SKIPPED))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def outcome(path):
+    """What reading ``path`` for a 4-node grid gives: the samples' bytes, or
+    the text of the ``ConfigError``."""
+    try:
+        return cli._read_samples_csv(str(path), make_grid(1, [4], [1.0])).samples.tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(text=accepted_files())
+def test_c_pass_and_literal_reader_agree(text):
+    """On the accepted format, the reader's one ``np.loadtxt`` pass gives
+    the literal reader's values bit for bit, or the error its count or its
+    first non-finite row calls for."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "datum.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        expected = naive.read_samples_csv(path)
+        got = outcome(path)
+        if expected.size != 4:
+            assert got == f"samples file {path} has {expected.size} data rows, grid has 4 nodes"
+        elif not np.isfinite(expected).all():
+            assert f": data row {int(np.argmin(np.isfinite(expected))) + 1} holds" in got
+        else:
+            assert got == expected.tobytes()
+
+
+OTHER_LINE = st.one_of(
+    SKIPPED,
+    HEADER,
+    st.sampled_from([" ", "\t", "7", "0.0,1_0,0.5", '"x\n0",re,im', '0.0,"1",2', "1,2,3 # c"]),
+    st.text(alphabet=',"# ab1.e-\r\x00\x1c', max_size=12),
+)
+
+
+@st.composite
+def samples_files(draw):
+    """Accepted rows mixed with any other line: files the reader may refuse."""
+    lines = [draw(DATA_ROW) for _ in range(draw(st.sampled_from([0, 1, 3, 4, 4, 4, 5])))]
+    for _ in range(draw(st.integers(0, 5))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(OTHER_LINE))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=samples_files())
+def test_samples_reader_property(tmp_path, text):
+    """Any samples file keeps the CLI contract: exit 0 with the values the
+    reader reads, or exit 1 with the reader's error on one line."""
+    path = tmp_path / "datum.csv"
+    path.write_bytes(text.encode("utf-8"))
+    code, lines = expand_samples(tmp_path, path)
+    got = outcome(path)
+    if isinstance(got, bytes):
         assert code == 0 and lines == []
-        grid = make_grid(1, [4], [1.0])
-        assert same_bits(cli._read_samples_csv(str(path), grid).samples, expected)
+    else:
+        assert code == 1 and lines == [f"configuration error: {got}"]
 
 
 # -- property test: generated configs keep the CLI contract

@@ -67,6 +67,7 @@ from naive import (
     dense_from_diagonal_columns,
     dense_green,
     differential_evaluator,
+    exact_quotient,
     literal_solve,
     literal_solve_half,
     to_half,
@@ -746,7 +747,7 @@ def test_zero_set_of_a_real_symbol_off_the_threshold_makes_no_array():
     was 2.0 symbols (``|a|`` and its mask) at 2^16 nodes."""
     index = FourierFamily(make_grid(1, [1 << 16], [40.0])).index_grid
     half = families._sample_half(differential_symbol(HELMHOLTZ_1D, index), index)
-    assert solver_module._zero_set(half, DivisionPolicy()) == (1e-12 * np.max(half), None)
+    assert solver_module._zero_set(half, DivisionPolicy()) == (1e-12 * np.max(half), None, None)
     peak = _peak_per_byte(half.nbytes, lambda: solver_module._zero_set(half, DivisionPolicy()))
     assert peak < 0.05, f"peak {peak:.3f} symbols"
 
@@ -765,9 +766,10 @@ def test_zero_set_is_the_rule_on_the_magnitudes(values, threshold):
     for a in (np.array(values), np.array(values) * (1 + 1j)):
         eps = policy.resolve_zero_threshold(a)
         mask = np.abs(a) <= eps
-        got_eps, got_mask = solver_module._zero_set(a, policy)
+        got_eps, got_mask, huge = solver_module._zero_set(a, policy)
         assert same_bits(got_eps, eps)
         assert (got_mask is None) if not mask.any() else np.array_equal(got_mask, mask)
+        assert huge is None
 
 
 @pytest.mark.parametrize("complex_datum", [False, True])
@@ -821,6 +823,34 @@ def test_divide_names_the_first_non_finite_node():
     assert "(0.0,)" in str(info.value)
     # the same datum divides by a finite symbol
     divide(d_v, SymbolFunction(1, lambda p: 1.0 + p**2, "1+p^2"))
+
+
+TOP = np.finfo(float).max
+
+
+@pytest.mark.parametrize("a", [
+    TOP, -TOP, 1.5e308, 2.0**1021, 3.0,
+    1e308 * (1 + 1j), 1.5e308 * (1 - 1j), TOP * np.exp(0.3j), 2.0**1023 * (1 + 0.5j), 3.0 - 1e300j,
+], ids=["top", "-top", "1.5e308", "2^1021", "3", "1e308(1+i)", "1.5e308(1-i)", "top-e^0.3i",
+        "2^1023(1+0.5i)", "3-1e300i"])
+def test_quotient_near_the_top_of_the_range_is_the_exact_one(a):
+    """numpy's complex division (Smith's method) overflows to 0 once the
+    parts of ``a`` sum past the largest double, and forms a subnormal
+    ``1 / a`` past ``2**1022``; the division scales both operands by
+    ``2**-4`` where ``|a| >= 2**1021``.  Each quotient is within
+    ``max(8u |q|, 8 * 2**-1074)`` of ``naive.exact_quotient``, on data
+    from 1e-300 to 1e300, and a real symbol divides as its complex copy does,
+    bit for bit."""
+    rng = np.random.default_rng(0)
+    x = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * 10.0 ** rng.integers(-300, 301, 64)
+    index = make_grid(1, [64], [1.0])
+    values = np.full(64, a)
+    q = solver_module._divide(x, values, DivisionPolicy(), index)[0]
+    exact = exact_quotient(x, values)
+    ratio = np.abs(q - exact) / np.maximum(np.abs(exact), 2.0**-1021) / (4.0 * np.finfo(float).eps)
+    assert np.all(ratio <= 1.0), float(np.max(ratio))
+    if values.dtype == np.float64:
+        assert same_bits(q, solver_module._divide(x, values.astype(complex), DivisionPolicy(), index)[0])
 
 
 # --- the shared cores against literal copies of the code they replaced -----
