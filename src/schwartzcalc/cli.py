@@ -36,6 +36,7 @@ import contextlib
 import gc
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -190,6 +191,29 @@ def _parse_point(value, dim: int, what: str) -> tuple[float, ...]:
     return pt
 
 
+def _load_samples(lines, skip: int) -> np.ndarray:
+    """The ``re, im`` pairs that end the rows of ``lines`` (an opened file or
+    a list of its lines) after the first ``skip``, in one ``np.loadtxt`` pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data": 0 rows, refused by the caller
+        return np.loadtxt(
+            lines, delimiter=",", comments="#", usecols=(-2, -1), ndmin=2, skiprows=skip
+        )
+
+
+def _refused_line(lines: list[str], skip: int) -> int | None:
+    """The 1-based number of the first line after ``skip`` that
+    ``_load_samples`` refuses on its own, None if there is none.  numpy's
+    own row numbers count data rows only, from 0 in a conversion error and
+    from 1 in a column-count error."""
+    for number, text in enumerate(lines[skip:], skip + 1):
+        try:
+            _load_samples([text], 0)
+        except ValueError:
+            return number
+    return None
+
+
 def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
     """The samples of ``path``, a file in the format ``write_distribution_csv``
     writes: an optional header, then one row per node whose last two fields
@@ -200,8 +224,10 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
     One ``np.loadtxt`` pass reads the rest from the opened file (given a
     path, numpy's ``DataSource`` would fetch URLs and decompress by suffix).
     Comments and blank lines may stand anywhere; any other line whose last
-    two fields are not numbers is a ``ConfigError`` with numpy's message.
+    two fields are not numbers is a ``ConfigError`` naming that line of the
+    file, with numpy's message less its row number.
     """
+    refused = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             skip = 0
@@ -213,15 +239,18 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
                         skip -= 1  # it is data: no header to skip
                     break
             fh.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # "input contained no data": 0 rows, refused below
-                table = np.loadtxt(
-                    fh, delimiter=",", comments="#", usecols=(-2, -1), ndmin=2, skiprows=skip
-                )
+            try:
+                table = _load_samples(fh, skip)
+            except ValueError:
+                fh.seek(0)
+                refused = _refused_line(fh.readlines(), skip)
+                raise
     except OSError as exc:
         raise ConfigError(f"cannot read samples file {path}: {exc}") from exc
     except ValueError as exc:  # undecodable bytes included
-        raise ConfigError(f"samples file {path} is not a readable CSV: {exc}") from exc
+        where = "" if refused is None else f"line {refused}: "
+        reason = re.sub(r" at row \d+", "", str(exc))
+        raise ConfigError(f"samples file {path} is not a readable CSV: {where}{reason}") from exc
     samples = table.view(np.complex128).reshape(-1)
     if samples.size != grid.size:
         raise ConfigError(
@@ -390,15 +419,12 @@ def _report_text(report: dict) -> str:
     """``report`` as strict JSON (RFC 8259 has no NaN or Infinity), one
     line end included.  A value that is not finite is a ``NonFiniteSamples``
     naming its top-level key."""
-    try:
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        for key in sorted(report):
-            try:
-                json.dumps(report[key], allow_nan=False)
-            except ValueError:
-                raise NonFiniteSamples(f"the report's {key!r} is not finite; a report holds finite numbers only") from None
-        raise
+    for key in sorted(report):
+        try:
+            json.dumps(report[key], allow_nan=False)
+        except ValueError:
+            raise NonFiniteSamples(f"the report's {key!r} is not finite; a report holds finite numbers only") from None
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _finish(out_dir: Path, report: dict, csvs: dict, code: int, message: str) -> int:

@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SchwartzCalcError",
+    "InvalidGrid",
+    "GridMismatch",
+    "IndexOffGrid",
+    "ArityMismatch",
+    "IllConditioned",
+    "NotABasis",
+    "NotDivisible",
+    "NotInvertible",
+    "NonFiniteSymbol",
+    "NonFiniteSamples",
+    "TooLarge",
+    "UnsupportedOrder",
+    "ConfigError",
+]
+
 
 class SchwartzCalcError(Exception):
     """Base class for every error raised by this library."""

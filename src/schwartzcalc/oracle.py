@@ -15,7 +15,7 @@ from .families import MAX_DENSE_POINTS, SchwartzFamily, _check_dense, _transform
 from .solver import DifferentialOperatorSpec
 from .spectral import DenseOperator
 
-__all__ = ["DenseOperator", "dense_from_diagonal", "finite_difference", "MAX_DENSE_POINTS"]
+__all__ = ["dense_from_diagonal", "finite_difference"]
 
 
 def dense_from_diagonal(v: SchwartzFamily, a: SymbolFunction) -> DenseOperator:

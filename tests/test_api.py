@@ -7,6 +7,7 @@ changes only together with a documented change to the public API.
 import types
 
 import schwartzcalc
+from schwartzcalc import errors, families, green, grid, oracle, solver, spectral
 
 PUBLIC_NAMES = [
     "ArityMismatch",
@@ -100,3 +101,15 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_each_public_name_is_declared_in_one_module():
+    # the package star-imports these modules, so their __all__ lists are the
+    # only statement of the public surface: disjoint, and together the pin
+    declared = [
+        name
+        for module in (errors, grid, families, spectral, solver, green, oracle)
+        for name in module.__all__
+    ]
+    assert len(declared) == len(set(declared))
+    assert sorted(declared) == PUBLIC_NAMES

@@ -157,24 +157,25 @@ ROWS = "-1.0,1,2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n"
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('x0,re,im\n-1.0,"1",2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n', "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\n \n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2\n7\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\nx0,re,im\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2\n-0.5,3,abc\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1_0,0.5\n-0.5,1,2\n0.0,3,4\n0.5,5,6\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\x00\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: "),
-        ("x0,re,im\n-1.0,1,2 # note\n-0.5,3,4\n0.0,5,6\n0.5,x,8\n", "not a readable CSV: "),
-        ('"x\n0",re,im\n' + ROWS, "not a readable CSV: "),
+        ('x0,re,im\n-1.0,"1",2\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n', "not a readable CSV: line 2: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\n \n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 4: "),
+        ("x0,re,im\n-1.0,1,2\n7\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 3: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\nx0,re,im\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 4: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,abc\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 3: "),
+        ("x0,re,im\n-1.0,1,2\n# note\n-0.5,3,4\n\nabc\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 6: "),
+        ("x0,re,im\n-1.0,1_0,0.5\n-0.5,1,2\n0.0,3,4\n0.5,5,6\n", "not a readable CSV: line 2: "),
+        ("x0,re,im\n-1.0,1,\n-0.5,3,4\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 2: "),
+        ("x0,re,im\n-1.0,1,2\n-0.5,3,4\x00\n0.0,5,6\n0.5,7,8\n", "not a readable CSV: line 3: "),
+        ("x0,re,im\n-1.0,1,2 # note\n-0.5,3,4\n0.0,5,6\n0.5,x,8\n", "not a readable CSV: line 5: "),
+        ('"x\n0",re,im\n' + ROWS, "not a readable CSV: line 2: "),
         ("x0,re,im\n", "has 0 data rows"),
         ("", "has 0 data rows"),
         ("# only a comment\n\n", "has 0 data rows"),
         (None, "has 0 data rows"),  # a device, not a regular file
     ],
     ids=["quoted-value", "whitespace-line", "one-field-line", "second-header", "text-value",
-         "underscore", "empty-field", "nul-in-a-value", "late-text-value", "header-spans-lines",
-         "header-only", "empty", "comments-only", "device"],
+         "text-after-comment-and-blank", "underscore", "empty-field", "nul-in-a-value",
+         "late-text-value", "header-spans-lines", "header-only", "empty", "comments-only", "device"],
 )
 def test_refused_samples_files_exit_1_in_one_line(tmp_path, text, message):
     path = tmp_path / "datum.csv"
@@ -186,6 +187,8 @@ def test_refused_samples_files_exit_1_in_one_line(tmp_path, text, message):
     assert code == 1 and len(lines) == 1, lines
     assert lines[0].startswith(f"configuration error: samples file {path}")
     assert message in lines[0]
+    # numpy's row numbers count data rows only, so the refusal names the file's line instead
+    assert " at row " not in lines[0]
 
 
 LIMIT = csv.field_size_limit()

@@ -8,6 +8,7 @@ import pytest
 
 from schwartzcalc import (
     ArityMismatch,
+    DiagonalOperator,
     DiracFamily,
     FourierFamily,
     GridDistribution,
@@ -16,6 +17,7 @@ from schwartzcalc import (
     IndexOffGrid,
     KernelFamily,
     LazyFamily,
+    MultiplicationOperator,
     NotABasis,
     SymbolFunction,
     coordinates,
@@ -413,3 +415,24 @@ def test_lazy_family_coordinates_solve_on_its_own_table():
     assert np.max(np.abs(got - fam.coordinates_rows(rows))) <= 1e-12 * np.max(np.abs(got))
     u = GridDistribution(g, rows[0])
     assert np.array_equal(coordinates(u, lazy).samples, lazy.coordinates_rows(rows[:1])[0])
+
+
+REPR_GRID = make_grid(1, [8], [math.pi])
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [
+        (DiracFamily(REPR_GRID), repr(REPR_GRID)),
+        (FourierFamily(REPR_GRID), repr(REPR_GRID)),
+        (KernelFamily(REPR_GRID, REPR_GRID, np.eye(8)), repr(REPR_GRID)),
+        (LazyFamily(REPR_GRID, REPR_GRID, lambda rows: np.eye(8)[rows]), repr(REPR_GRID)),
+        (zero_distribution(REPR_GRID), repr(REPR_GRID)),
+        (DiagonalOperator(FourierFamily(REPR_GRID), unit_symbol(1)), "'one'"),
+        (MultiplicationOperator(unit_symbol(1)), "'one'"),
+    ],
+    ids=["dirac", "fourier", "kernel", "lazy", "distribution", "diagonal", "multiplication"],
+)
+def test_repr_names_its_class_and_its_grid_or_symbol(value, names):
+    assert repr(value).startswith(f"{type(value).__name__}(")
+    assert names in repr(value)
