@@ -55,7 +55,6 @@ from .grid import (
     GridDistribution,
     SymbolFunction,
     _polynomial_symbol,
-    delta_distribution,
     make_grid,
     sample_function,
     unit_symbol,
@@ -295,7 +294,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
     if kind == "delta":
         p = _parse_point(section.get("p", [0.0] * grid.dim), grid.dim, "delta location p")
         try:
-            datum = delta_distribution(grid, p)
+            datum = DiracFamily(grid).member(p)
         except IndexOffGrid as exc:
             raise ConfigError(str(exc)) from exc
         return datum, f"delta(p={list(p)})"

@@ -11,8 +11,9 @@ a space grid.  Four variants are provided:
 * ``LazyFamily`` -- members given by a linear map on coefficient rows; the
   member table is built only when asked for.
 
-Members are superpositions of point masses (``_member_rows``); the Fourier
-and kernel families keep their closed form and their table.
+``member`` and ``matrix`` read one row map, ``_member_rows``: by default the
+superpositions of point masses, the Dirac family's point masses, the
+Fourier family's closed form and the kernel family's table.
 
 Fixed transform convention
 --------------------------
@@ -49,6 +50,7 @@ __all__ = [
     "KernelFamily",
     "LazyFamily",
     "CoordinateDistribution",
+    "delta_distribution",
     "member",
     "coordinates",
     "superpose",
@@ -375,8 +377,8 @@ class DiracFamily(SchwartzFamily):
 
 
 class FourierFamily(SchwartzFamily):
-    """Plane waves ``x -> exp(-i p.x)`` indexed by the dual lattice; ``member``
-    and ``matrix`` keep the closed form, other arithmetic than the FFT rows."""
+    """Plane waves ``x -> exp(-i p.x)`` indexed by the dual lattice; the member
+    rows are the closed form at the index nodes, other arithmetic than the FFTs."""
 
     def __init__(self, space_grid: Grid):
         self.space_grid = space_grid
@@ -388,17 +390,14 @@ class FourierFamily(SchwartzFamily):
     def is_basis(self) -> bool:
         return True
 
-    def member(self, p) -> GridDistribution:
-        # validates that p is an index node before building the wave
-        self.index_grid.index_of(p)
-        pt = np.atleast_1d(np.asarray(p, dtype=float))
-        meshes = self.space_grid.meshes()
-        phase = sum(pt[i] * meshes[i] for i in range(self.space_grid.dim))
-        return GridDistribution._trusted(self.space_grid, np.exp(-1j * phase))
-
-    def matrix(self) -> np.ndarray:
-        _check_dense(self.index_grid.size, self.space_grid.size)
-        phase = self.index_grid.points() @ self.space_grid.points().T
+    def _member_rows(self, start: int, stop: int) -> np.ndarray:
+        # p.x summed over the axes from 0 (a -0.0 phase is +0.0), one product per axis
+        _check_dense(stop - start, self.space_grid.size)
+        nodes = np.unravel_index(np.arange(start, stop), self.index_grid.counts)
+        phase = sum(
+            self.index_grid._axis_nodes(axis, k.astype(np.float64))[:, np.newaxis] * mesh.reshape(-1)
+            for axis, (k, mesh) in enumerate(zip(nodes, self.space_grid.meshes()))
+        )
         return np.exp(-1j * phase)
 
     def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -567,6 +566,13 @@ class LazyFamily(SchwartzFamily):
             f"LazyFamily(index_grid={self.index_grid!r}, "
             f"space_grid={self.space_grid!r})"
         )
+
+
+def delta_distribution(grid: Grid, point) -> GridDistribution:
+    """The unit point mass at a grid node, the Dirac member there:
+    ``1/cell_volume`` at the node and zero elsewhere, so that
+    ``pairing(delta_p, phi) == phi(p)`` under the box quadrature."""
+    return DiracFamily(grid).member(point)
 
 
 def member(v: SchwartzFamily, p) -> GridDistribution:

@@ -34,7 +34,6 @@ __all__ = [
     "quadrature_weight",
     "sample_function",
     "zero_distribution",
-    "delta_distribution",
     "pairing",
     "sup_norm",
     "l2_norm",
@@ -294,18 +293,6 @@ def _on_nodes(fn: Callable, grid: Grid) -> np.ndarray:
 
 def zero_distribution(grid: Grid) -> GridDistribution:
     return GridDistribution._trusted(grid, np.zeros(grid.size, dtype=np.complex128))
-
-
-def delta_distribution(grid: Grid, point) -> GridDistribution:
-    """Unit point mass at a grid node: ``1/cell_volume`` there, zero elsewhere.
-
-    Normalized so that ``pairing(delta_p, phi) == phi(p)`` under the box
-    quadrature.
-    """
-    flat = grid.index_of(point)
-    samples = np.zeros(grid.size, dtype=np.complex128)
-    samples[flat] = 1.0 / grid.cell_volume
-    return GridDistribution._trusted(grid, samples)
 
 
 def pairing(u: GridDistribution, phi) -> complex:

@@ -17,7 +17,6 @@ from .errors import NotDivisible, NotInvertible
 from .grid import (
     GridDistribution,
     SymbolFunction,
-    delta_distribution,
     l2_norm,
     make_grid,
     pairing,
@@ -25,7 +24,7 @@ from .grid import (
     sup_norm,
     unit_symbol,
 )
-from .families import DiracFamily, FourierFamily, coordinates, superpose
+from .families import DiracFamily, FourierFamily, coordinates, delta_distribution, superpose
 from .spectral import (
     DiagonalOperator,
     IdentityOperator,

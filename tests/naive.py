@@ -17,7 +17,6 @@ from schwartzcalc import (
     NotDivisible,
     NotInvertible,
     coordinates,
-    delta_distribution,
     gaussian_probes,
     l2_norm,
     member,
@@ -387,16 +386,29 @@ def distribution_samples(samples):
     return np.asarray(samples, dtype=np.complex128).reshape(-1).copy()
 
 
-# the member and matrix methods of the Dirac, kernel and lazy families, and
-# the Green invertibility check, as first written
+# the member and matrix methods of the Dirac, Fourier, kernel and lazy
+# families, and the Green invertibility check, as first written
 
 
 def dirac_member(family, p):
-    return delta_distribution(family.space_grid, p)
+    grid = family.space_grid
+    flat = grid.index_of(p)
+    samples = np.zeros(grid.size, dtype=np.complex128)
+    samples[flat] = 1.0 / grid.cell_volume
+    return GridDistribution(grid, samples)
 
 
 def dirac_matrix(family):
     return point_mass_rows(family.space_grid, 0, family.space_grid.size)
+
+
+def fourier_member(family, p):
+    # validates that p is an index node before building the wave
+    family.index_grid.index_of(p)
+    pt = np.atleast_1d(np.asarray(p, dtype=float))
+    meshes = family.space_grid.meshes()
+    phase = sum(pt[i] * meshes[i] for i in range(family.space_grid.dim))
+    return GridDistribution(family.space_grid, np.exp(-1j * phase))
 
 
 def kernel_member(family, p):

@@ -665,6 +665,39 @@ def test_bad_values_and_unwritable_outputs_exit_1_without_traceback(tmp_path, ca
     assert len(lines) == 1 and lines[0].startswith("configuration error:"), run.stderr
 
 
+# refusals of the subprocess tables that no other test runs in process, run
+# through main as well; the subprocess runs check that no traceback reaches stderr
+IN_PROCESS_REFUSALS = {
+    "config-root-a-list": "config root must be a JSON object",
+    "fractional-count": "grid counts must be a whole number, got 8.9",
+    "grid-2^40-nodes": f"a grid of {2**40} nodes exceeds the cap of {2**24}",
+    "multi-index-too-long": "multi-index '1,0' has 2 entries for a 1-dimensional grid",
+    "multi-index-negative": "multi-index '-1' has negative entries",
+    "delta-off-grid": "point (0.01,) is not a node of the grid (axis 0: nearest node 0)",
+    "output-parent-is-a-file": "cannot create output directory {tmp}/a_file/out: [Errno 20] Not a directory",
+    "seed-negative": "SCHWARTZ_SEED must be a non-negative integer, got '-1'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(IN_PROCESS_REFUSALS))
+def test_refusals_exit_1_with_one_line_in_process(tmp_path, monkeypatch, capsys, case):
+    if case in _contract_cases():
+        command, sections = _contract_cases()[case]
+        sections = dict(sections, output={"directory": str(tmp_path / "out")})
+        spec = [command, "--config", write_config(tmp_path / "run.json", **sections)], {}
+    else:
+        spec = _error_cases(tmp_path)[case]
+    if isinstance(spec, dict):
+        spec = ["solve", "--config", write_config(tmp_path / "run.json", **spec)], {}
+    argv, env = spec
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + IN_PROCESS_REFUSALS[case].format(tmp=tmp_path)), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 def test_unwritable_report_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "report.json").mkdir(parents=True)

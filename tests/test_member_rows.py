@@ -1,12 +1,14 @@
 """Members and member tables from the one row map, against their first versions.
 
 ``SchwartzFamily`` derives ``member`` and ``matrix`` from ``_member_rows``;
-the Dirac family answers with its point masses, the kernel family with its
-table, and every other family with the superpositions of point masses.  Each
-must give the bits of the literal copies kept in ``naive.py``, compared as
-unsigned words.  The same module checks the Green invertibility check folded
-into the build, the Fourier pairing route chosen by value, and the dense-table
-cap raised before anything is allocated.
+the Dirac family answers with its point masses, the Fourier family with its
+closed form, the kernel family with its table, and every other family with
+the superpositions of point masses.  So a member is, word for word, its row
+of the table and of every block of rows; and each must give the bits of the
+literal copies kept in ``naive.py``, compared as unsigned words.  The same
+module checks the Green invertibility check folded into the build, the
+Fourier pairing route chosen by value, and the dense-table cap raised before
+anything is allocated.
 """
 
 import sys
@@ -26,18 +28,23 @@ from schwartzcalc import (
     NotInvertible,
     SymbolFunction,
     TooLarge,
+    delta_distribution,
+    family_product,
     green_family,
     green_family_divided,
     left_inverse_family,
     make_grid,
+    scale_family,
 )
 from schwartzcalc import families, oracle
+from schwartzcalc.grid import _polynomial_symbol
 
 import naive
 
 GRIDS = {
     "1d-64": ([64], [4.0]),
     "2d-6x10": ([6, 10], [2.0, 3.5]),
+    "3d-4x6x8": ([4, 6, 8], [1.0, 2.0, 1.5]),
 }
 
 
@@ -73,6 +80,31 @@ def _assert_members_match(family, old_member, old_matrix):
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_dirac_members_are_bitwise_the_first_versions(name):
     _assert_members_match(DiracFamily(_grid(name)), naive.dirac_member, naive.dirac_matrix)
+
+
+def _stacked(old_member):
+    """The table of the members ``old_member`` gives, one row per index node."""
+    def table(family):
+        index = family.index_grid
+        return np.array([old_member(family, index.point_at(k)).samples for k in range(index.size)])
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_fourier_members_are_bitwise_the_first_versions(name):
+    # the table is the members' rows, so the first members are its reference
+    four = FourierFamily(_grid(name))
+    _assert_members_match(four, naive.fourier_member, _stacked(naive.fourier_member))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_delta_distribution_is_the_dirac_member(name):
+    g = _grid(name)
+    dirac = DiracFamily(g)
+    for k in range(g.size):
+        p = g.point_at(k)
+        assert same_words(delta_distribution(g, p).samples, dirac.member(p).samples), k
+        assert same_words(delta_distribution(g, p).samples, naive.dirac_member(dirac, p).samples), k
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -121,6 +153,7 @@ def test_off_grid_members_raise_index_off_grid():
     off = (0.1, 0.0)
     for family, old_member in (
         (DiracFamily(g), naive.dirac_member),
+        (lam, naive.fourier_member),
         (kern, naive.kernel_member),
         (left_inverse_family(lam), naive.lazy_member),
         (green, naive.lazy_member),
@@ -130,8 +163,82 @@ def test_off_grid_members_raise_index_off_grid():
         with pytest.raises(IndexOffGrid) as want:
             old_member(family, off)
         assert str(got.value) == str(want.value)
-    with pytest.raises(IndexOffGrid):
-        lam.member(off)
+    with pytest.raises(IndexOffGrid) as got:
+        delta_distribution(g, off)
+    with pytest.raises(IndexOffGrid) as want:
+        naive.dirac_member(DiracFamily(g), off)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the member contract: a member is its row of the table and of every block
+
+
+def _even_symbol(dim):
+    # 1 + |p|^2, known to be real and even: its Green members are real
+    terms = [((0,) * dim, 1.0)] + [(tuple(2 * (a == i) for a in range(dim)), 1.0) for i in range(dim)]
+    return _polynomial_symbol(dim, terms, "1+|p|^2")
+
+
+def _kernel(g):
+    rng = np.random.default_rng(g.size)
+    table = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+    return KernelFamily(g, g, table)
+
+
+def _green(lam, l):
+    return green_family(lam, l, left_inverse_family(lam)).family
+
+
+CONTRACT_FAMILIES = {
+    "dirac": DiracFamily,
+    "fourier": FourierFamily,
+    "kernel": _kernel,
+    "fourier-left-inverse": lambda g: left_inverse_family(FourierFamily(g)),
+    "dirac-left-inverse": lambda g: left_inverse_family(DiracFamily(g)),
+    "green-real-even": lambda g: _green(FourierFamily(g), _even_symbol(g.dim)),
+    "green-complex": lambda g: _green(FourierFamily(g), _symbol(g.dim, 0.25j)),
+    "green-dirac": lambda g: _green(DiracFamily(g), _symbol(g.dim, 0.25j)),
+    "scale": lambda g: scale_family(_symbol(g.dim, 0.25j), FourierFamily(g)),
+    "product": lambda g: family_product(left_inverse_family(FourierFamily(g)), FourierFamily(g)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONTRACT_FAMILIES))
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_members_are_the_rows_of_the_table_and_of_every_block(name, family):
+    fam = CONTRACT_FAMILIES[family](_grid(name))
+    table = fam.matrix()
+    assert table.dtype == (np.float64 if family == "green-real-even" else np.complex128)
+    index = fam.index_grid
+    for k in range(index.size):
+        assert same_words(fam.member(index.point_at(k)).samples, table[k].astype(np.complex128)), k
+    n = index.size
+    for start, stop in ((0, 5), (n // 2 - 3, n // 2 + 4), (n - 6, n)):
+        assert same_words(fam._member_rows(start, stop), table[start:stop]), (start, stop)
+
+
+def test_a_point_within_the_node_tolerance_gives_the_nodes_fourier_member():
+    lam = FourierFamily(_grid("2d-6x10"))
+    p = lam.index_grid.point_at(37)
+    near = tuple(x + 1e-10 * dp for x, dp in zip(p, lam.index_grid.spacings))
+    assert same_words(lam.member(near).samples, lam.member(p).samples)
+
+
+@pytest.mark.parametrize("counts", [[2**20], [1024, 1024]])
+def test_one_fourier_member_at_2_20_nodes_holds_at_most_three_complex_arrays(counts):
+    # the row is built as 2.5 complex arrays on any grid shape: the phase,
+    # its product with -1j and the exponential; the meshes are gone by then
+    lam = FourierFamily(make_grid(len(counts), counts, [3.0] * len(counts)))
+    p = lam.index_grid.point_at(12345)
+    tracemalloc.start()
+    try:
+        lam.member(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 64 KiB for what is not an array
+    assert peak <= 3 * 16 * 2**20 + 2**16, f"peak {peak / (16 * 2**20):.2f} complex arrays"
 
 
 @pytest.mark.parametrize(
