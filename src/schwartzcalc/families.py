@@ -7,9 +7,9 @@ a space grid.  Four variants are provided:
   (index grid = space grid).
 * ``FourierFamily`` -- member at ``p`` is ``x -> exp(-i p.x)`` with the
   index grid equal to the dual (frequency) lattice of the space grid.
-* ``KernelFamily`` -- members given explicitly as rows of a matrix.
-* ``LazyFamily`` -- members given by a linear map on coefficient rows; the
-  member table is built only when asked for.
+* ``KernelFamily`` -- members given explicitly as the rows of a caller's table.
+* ``LazyFamily`` -- members given by a linear map on coefficient rows, as is
+  every family the library derives (scaled, product, left inverse, Green).
 
 ``member`` and ``matrix`` read one row map, ``_member_rows``: by default the
 superpositions of point masses, the Dirac family's point masses, the
@@ -41,7 +41,7 @@ import threading
 import numpy as np
 
 from .errors import ArityMismatch, GridMismatch, IllConditioned, NotABasis, TooLarge
-from .grid import Grid, GridDistribution, SymbolFunction, _l2, _polynomial, dual_grid
+from .grid import Grid, GridDistribution, SymbolFunction, _frozen_table, _l2, _polynomial, dual_grid
 
 __all__ = [
     "SchwartzFamily",
@@ -411,13 +411,15 @@ class FourierFamily(SchwartzFamily):
 
 
 class KernelFamily(SchwartzFamily):
-    """Family given by an explicit member table.
+    """Family given by a caller's member table (the families the library
+    derives are ``LazyFamily`` row maps).
 
     Parameters
     ----------
     index_grid, space_grid : Grid
     kernel : array, shape (index size, space size)
-        Row k holds the samples of the member at the k-th index node.
+        Row k holds the samples of the member at the k-th index node; an
+        entry that is not finite is ``NonFiniteSamples``.
     is_basis : bool
         Flag the family as a verified basis (enables its use where a basis
         is required).  :meth:`as_basis` performs the verification.
@@ -432,18 +434,9 @@ class KernelFamily(SchwartzFamily):
 
     def __init__(self, index_grid: Grid, space_grid: Grid, kernel,
                  is_basis: bool = False, condition_limit: float = DEFAULT_CONDITION_LIMIT):
-        arr = np.array(kernel, dtype=np.complex128, order="C")
-        if arr.shape != (index_grid.size, space_grid.size):
-            raise GridMismatch(
-                f"kernel shape {arr.shape} does not match "
-                f"(index size, space size) = ({index_grid.size}, {space_grid.size})"
-            )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("kernel entries must all be finite")
-        arr.setflags(write=False)
         self.index_grid = index_grid
         self.space_grid = space_grid
-        self.kernel = arr
+        self.kernel = _frozen_table(kernel, (index_grid.size, space_grid.size), "kernel")
         self._is_basis = bool(is_basis)
         self.condition_limit = float(condition_limit)
         self._svd_cache = None
@@ -558,8 +551,7 @@ class LazyFamily(SchwartzFamily):
 
     def coordinates_rows(self, rows: np.ndarray) -> np.ndarray:
         # least squares needs the table; a fresh KernelFamily keeps this stateless
-        table = KernelFamily(self.index_grid, self.space_grid, self.matrix())
-        return table.coordinates_rows(rows)
+        return KernelFamily(self.index_grid, self.space_grid, self.matrix()).coordinates_rows(rows)
 
     def __repr__(self):
         return (
@@ -590,15 +582,21 @@ def superpose(c: CoordinateDistribution, v: SchwartzFamily) -> GridDistribution:
     return v.superpose(c)
 
 
-def scale_family(a: SymbolFunction, v: SchwartzFamily) -> KernelFamily:
-    """Family with members ``a(p) * v_p``; materialized as a kernel table."""
+def scale_family(a: SymbolFunction, v: SchwartzFamily) -> LazyFamily:
+    """Family with members ``a(p) * v_p``, the row map ``c -> superpose(a * c, v)``;
+    a product that overflows is ``NonFiniteSamples`` where a member is scanned."""
     v._check_symbol(a)
     values = a.sample_finite(v.index_grid)
-    return KernelFamily(v.index_grid, v.space_grid, values[:, np.newaxis] * v.matrix())
+
+    def rows_map(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return v.superpose_rows(values * rows)
+    return LazyFamily(v.index_grid, v.space_grid, rows_map)
 
 
-def family_product(mu: SchwartzFamily, lam: SchwartzFamily) -> KernelFamily:
-    """Product family with members ``(mu.lam)_p = superpose(mu_p, lam)``.
+def family_product(mu: SchwartzFamily, lam: SchwartzFamily) -> LazyFamily:
+    """Product family with members ``(mu.lam)_p = superpose(mu_p, lam)``, the
+    row map ``c -> superpose(superpose(c, mu), lam)``.
 
     Requires ``mu``'s space grid to equal ``lam``'s index grid, i.e. each
     member of ``mu`` is a coefficient distribution for ``lam``.
@@ -608,5 +606,4 @@ def family_product(mu: SchwartzFamily, lam: SchwartzFamily) -> KernelFamily:
             "product needs the left family's space grid to be the right "
             "family's index grid"
         )
-    rows = lam.superpose_rows(mu.matrix())
-    return KernelFamily(mu.index_grid, lam.space_grid, rows)
+    return LazyFamily(mu.index_grid, lam.space_grid, lambda rows: lam.superpose_rows(mu.superpose_rows(rows)))

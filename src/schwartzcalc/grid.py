@@ -262,12 +262,22 @@ def _formed(grid: Grid, op: Callable, left, right) -> GridDistribution:
     return GridDistribution._trusted(grid, values)
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _check_finite(values: np.ndarray, what: str = "distribution samples") -> None:
     """Raise ``NonFiniteSamples`` unless every part of every value is finite."""
     if values.dtype == np.complex128 and values.flags.c_contiguous:
         values = values.view(np.float64)  # the parts as floats scan faster
     if not np.all(np.isfinite(values)):
-        raise NonFiniteSamples("distribution samples must all be finite")
+        raise NonFiniteSamples(f"{what} must all be finite")
+
+
+def _frozen_table(table, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A read-only complex copy of ``table``, refused unless it has ``shape`` and finite entries."""
+    arr = np.array(table, dtype=np.complex128, order="C")
+    if arr.shape != shape:
+        raise GridMismatch(f"{name} shape {arr.shape} does not match {shape}")
+    _check_finite(arr, f"{name} entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def sample_function(grid: Grid, fn: Callable) -> GridDistribution:

@@ -28,6 +28,7 @@ from .grid import (
     GridDistribution,
     SymbolFunction,
     _formed,
+    _frozen_table,
     sup_norm,
     unit_symbol,
 )
@@ -163,16 +164,8 @@ class DenseOperator(SLinearOperator):
     """Explicit matrix over a grid's nodes; applied by matrix-vector product."""
 
     def __init__(self, grid: Grid, matrix):
-        arr = np.array(matrix, dtype=np.complex128, order="C")
-        if arr.shape != (grid.size, grid.size):
-            raise GridMismatch(
-                f"matrix shape {arr.shape} does not match grid size {grid.size}"
-            )
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("dense operator entries must all be finite")
-        arr.setflags(write=False)
         self.grid = grid
-        self.matrix = arr
+        self.matrix = _frozen_table(matrix, (grid.size, grid.size), "dense operator matrix")
 
     def apply(self, u):
         if u.grid != self.grid:

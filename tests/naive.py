@@ -23,7 +23,7 @@ from schwartzcalc import (
     spectral_apply,
     superpose,
 )
-from schwartzcalc.families import _mirror_index, point_mass_rows
+from schwartzcalc.families import _mirror_index
 
 
 def naive_superpose(c, family):
@@ -170,8 +170,9 @@ def dense_green_half(lam, l, policy=None):
     a_half = to_half(l.sample(index).real, space.counts)
     zero_mask = np.abs(a_half) <= policy.resolve_zero_threshold(a_half)
     table = np.empty((space.size, space.size))
+    deltas = point_masses(space)
     for k in range(space.size):
-        mu = half_analysis(space, point_mass_rows(space, k, k + 1)[0].real)
+        mu = half_analysis(space, deltas[k].real)
         q = np.where(zero_mask, 0.0 + 0.0j, mu / np.where(zero_mask, 1.0, a_half))
         table[k] = half_synthesis(space, index, q)
     return table
@@ -386,6 +387,39 @@ def distribution_samples(samples):
     return np.asarray(samples, dtype=np.complex128).reshape(-1).copy()
 
 
+def point_masses(grid):
+    """The point-mass table: row k is the unit point mass at the k-th node,
+    ``1 / cell_volume`` there and 0 elsewhere."""
+    return np.eye(grid.size, dtype=np.complex128) / grid.cell_volume
+
+
+def fourier_table(family):
+    """The plane waves ``exp(-i p.x)`` of a Fourier family, row k at the k-th
+    index node, from the node coordinates."""
+    return np.exp(-1j * (family.index_grid.points() @ family.space_grid.points().T))
+
+
+def fourier_coordinate_table(family):
+    """The members of the Fourier family's left inverse, row k the
+    coordinates of the point mass at the k-th space node, each by the
+    analysis sum ``(2 pi)^-n dx^n sum_j delta_k(x_j) exp(+i p.x_j)``."""
+    space = family.space_grid
+    waves = np.exp(1j * (space.points() @ family.index_grid.points().T))
+    return point_masses(space) @ waves * space.cell_volume / (2.0 * np.pi) ** space.dim
+
+
+def scaled_table(a_values, table):
+    """The members ``a(p) v_p`` of a scaled family: row k of ``v``'s member
+    table times the symbol at the k-th index node."""
+    return a_values[:, np.newaxis] * table
+
+
+def product_table(mu_table, lam_table, lam_index):
+    """The members ``superpose(mu_p, lam)`` of a product family, as the sums
+    ``sum_j mu_p(q_j) lam_{q_j} dq^n`` over ``lam``'s index nodes."""
+    return (mu_table * lam_index.cell_volume) @ lam_table
+
+
 # the member and matrix methods of the Dirac, Fourier, kernel and lazy
 # families, and the Green invertibility check, as first written
 
@@ -399,7 +433,7 @@ def dirac_member(family, p):
 
 
 def dirac_matrix(family):
-    return point_mass_rows(family.space_grid, 0, family.space_grid.size)
+    return point_masses(family.space_grid)
 
 
 def fourier_member(family, p):
@@ -422,12 +456,12 @@ def kernel_matrix(family):
 
 def lazy_member(family, p):
     flat = family.index_grid.index_of(p)
-    row = family.rows_map(point_mass_rows(family.index_grid, flat, flat + 1))[0]
+    row = family.rows_map(point_masses(family.index_grid)[flat : flat + 1])[0]
     return GridDistribution(family.space_grid, row)
 
 
 def lazy_matrix(family):
-    return family.rows_map(point_mass_rows(family.index_grid, 0, family.index_grid.size))
+    return family.rows_map(point_masses(family.index_grid))
 
 
 def check_invertible(lam, l_values, eps):

@@ -10,7 +10,10 @@ stated scale:
   bound of the image the sums make term by term;
 * ``solve`` and ``solve_pde``: ``sum|d| / min|a|`` off the zero set (the same
   bound for the quotient), or the same typed error;
-* Green members: ``1 / (dx^n min|l|)``, the bound of a member.
+* Green members: ``1 / (dx^n min|l|)``, the bound of a member;
+* scaled and product members (``scale_family``, ``family_product``): the
+  bound of a member, with ``PHASE_ULPS`` ulps per node for the literal
+  plane waves, whose phases are formed from rounded nodes.
 
 Two properties are exact: the half-spectrum sampler is bit for bit the
 real parts of the whole-grid sample, gathered onto the half; and a real,
@@ -38,6 +41,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -53,6 +57,8 @@ from schwartzcalc import (
     DivisionPolicy,
     FourierFamily,
     GridDistribution,
+    KernelFamily,
+    LazyFamily,
     NonFiniteSamples,
     NonFiniteSymbol,
     NotDivisible,
@@ -62,10 +68,13 @@ from schwartzcalc import (
     delta_distribution,
     differential_symbol,
     divide,
+    dual_grid,
+    family_product,
     green_family,
     green_family_divided,
     left_inverse_family,
     make_grid,
+    scale_family,
     solve,
     solve_pde,
     spectral_apply,
@@ -345,6 +354,73 @@ def test_green_members_are_the_dense_green_table(grid, real_even, divided, data)
     assert ok, detail
 
 
+#: ulps per node between a Fourier row map and the literal plane waves: the
+#: literal phase ``p.x`` is formed from rounded nodes, so its ``exp`` is off
+#: the exact lattice's by up to ``2|p.x| <= pi N`` ulps (measured: 3.4 N)
+PHASE_ULPS = 4.0
+
+
+def literal_table(fam):
+    """The member table of a Dirac, Fourier or kernel family from its definition."""
+    if isinstance(fam, DiracFamily):
+        return naive.point_masses(fam.space_grid)
+    return naive.fourier_table(fam) if isinstance(fam, FourierFamily) else fam.kernel
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(grid=grids(max_nodes=256), dirac=st.booleans(), data=st.data())
+def test_scaled_members_are_the_literal_scaled_table(grid, dirac, data):
+    """``scale_family(a, v)`` superposes ``a * c`` over ``v``; its table is
+    ``a[:, None]`` times ``v``'s literal table within ``PHASE_ULPS * N`` ulps
+    of ``max|a| * max|v_p|``, the bound of a member."""
+    fam = DiracFamily(grid) if dirac else FourierFamily(grid)
+    terms = data.draw(poly_terms(grid.dim, real_even=False))
+    a = grid_module._polynomial_symbol(grid.dim, list(terms.items()), "a")
+    a_values = a.sample(fam.index_grid)
+    table = literal_table(fam)
+    scaled = scale_family(a, fam)
+    assert isinstance(scaled, LazyFamily)
+    want = naive.scaled_table(a_values, table)
+    scale = float(np.max(np.abs(a_values)) * np.max(np.abs(table)))
+    ok, detail = within(scaled.matrix(), want, PHASE_ULPS * scale, grid.size)
+    assert ok, detail
+    k = data.draw(st.integers(0, grid.size - 1))
+    ok, detail = within(scaled.member(fam.index_grid.point_at(k)).samples, want[k], PHASE_ULPS * scale, grid.size)
+    assert ok, detail
+
+
+PRODUCT_PAIRS = {
+    "fourier-left-inverse": lambda g: (left_inverse_family(FourierFamily(g)), FourierFamily(g)),
+    "fourier-over-dirac": lambda g: (FourierFamily(g), DiracFamily(g)),
+    "dirac": lambda g: (DiracFamily(g), DiracFamily(g)),
+    "kernel-over-fourier": lambda g: (
+        KernelFamily(g, dual_grid(g), np.random.default_rng(g.size).standard_normal((g.size, g.size))),
+        FourierFamily(g),
+    ),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(grid=grids(max_nodes=256), pair=st.sampled_from(sorted(PRODUCT_PAIRS)), data=st.data())
+def test_product_members_are_the_literal_product_table(grid, pair, data):
+    """``family_product(mu, lam)`` superposes over ``mu``, then over ``lam``;
+    its table is ``mu``'s literal table superposed over ``lam``'s, term by
+    term, within ``PHASE_ULPS * N`` ulps of ``max_p sum_j |mu_p(q_j)| |lam_j| dq^n``,
+    the bound of a member."""
+    mu, lam = PRODUCT_PAIRS[pair](grid)
+    mu_table = naive.fourier_coordinate_table(lam) if isinstance(mu, LazyFamily) else literal_table(mu)
+    lam_table = literal_table(lam)
+    product = family_product(mu, lam)
+    assert isinstance(product, LazyFamily)
+    want = naive.product_table(mu_table, lam_table, lam.index_grid)
+    scale = float(np.max((np.abs(mu_table) * lam.index_grid.cell_volume) @ np.abs(lam_table)))
+    ok, detail = within(product.matrix(), want, PHASE_ULPS * scale, grid.size)
+    assert ok, detail
+    k = data.draw(st.integers(0, grid.size - 1))
+    ok, detail = within(product.member(mu.index_grid.point_at(k)).samples, want[k], PHASE_ULPS * scale, grid.size)
+    assert ok, detail
+
+
 def same_words(x, y):
     """Bitwise equality read as unsigned words, so signed zeros count."""
     x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
@@ -580,8 +656,7 @@ def expand_outputs(grid, terms, d):
         with mock.patch.object(cli, "_parse_datum", lambda section, g: (d, "drawn")), \
                 contextlib.redirect_stdout(io.StringIO()):
             assert main(["expand", "--config", os.path.join(tmp, "run.json")]) == 0
-        return [open(os.path.join(tmp, "out", name), "rb").read()
-                for name in ("expansion.csv", "integrand.csv")]
+        return [Path(tmp, "out", name).read_bytes() for name in ("expansion.csv", "integrand.csv")]
 
 
 def real_and_complex_built(grid, seed):

@@ -8,6 +8,7 @@ import pytest
 
 from schwartzcalc import (
     ArityMismatch,
+    DenseOperator,
     DiagonalOperator,
     DiracFamily,
     FourierFamily,
@@ -18,14 +19,17 @@ from schwartzcalc import (
     KernelFamily,
     LazyFamily,
     MultiplicationOperator,
+    NonFiniteSamples,
     NotABasis,
     SymbolFunction,
+    constant_symbol,
     coordinates,
     delta_distribution,
     family_product,
     make_grid,
     member,
     pairing,
+    sample_function,
     scale_family,
     superpose,
     unit_symbol,
@@ -247,6 +251,31 @@ def test_scale_family_arity_mismatch():
     g = make_grid(1, [16], [2.0])
     with pytest.raises(ArityMismatch):
         scale_family(SymbolFunction(2, lambda p, q: p * q), FourierFamily(g))
+
+
+def test_a_scaled_member_past_the_largest_double_is_refused_as_non_finite():
+    # |a(p)| / dp^2 = 1e307 / (pi/20)^2 passes the largest double: the member
+    # and the table that the coordinates solve needs are refused, with no warning
+    g = make_grid(2, [16, 16], [20.0, 20.0])
+    fam = FourierFamily(g)
+    scaled = scale_family(constant_symbol(2, 1e307), fam)
+    u = sample_function(g, lambda x, y: np.exp(-(x**2 + y**2)))
+    with pytest.raises(NonFiniteSamples, match="samples must all be finite"):
+        member(scaled, fam.index_grid.point_at(3))
+    with pytest.raises(NonFiniteSamples, match="kernel entries must all be finite"):
+        coordinates(u, scaled)
+
+
+def test_caller_tables_that_are_not_finite_are_refused_as_non_finite():
+    g = make_grid(1, [8], [2.0])
+    bad = np.eye(8, dtype=np.complex128)
+    bad[2, 5] = complex(0.0, np.inf)
+    with pytest.raises(NonFiniteSamples, match="^kernel entries must all be finite$"):
+        KernelFamily(g, g, bad)
+    with pytest.raises(NonFiniteSamples, match="^dense operator matrix entries must all be finite$"):
+        DenseOperator(g, bad)
+    with pytest.raises(GridMismatch, match=r"^kernel shape \(8, 7\) does not match \(8, 8\)$"):
+        KernelFamily(g, g, bad[:, :7])
 
 
 def test_family_product_left_inverse_gives_dirac_pairing():

@@ -5,7 +5,9 @@ the Dirac family answers with its point masses, the Fourier family with its
 closed form, the kernel family with its table, and every other family with
 the superpositions of point masses.  So a member is, word for word, its row
 of the table and of every block of rows; and each must give the bits of the
-literal copies kept in ``naive.py``, compared as unsigned words.  The same
+literal copies kept in ``naive.py``, compared as unsigned words.  The
+product and scaled families are row maps; their tables keep the words of
+the tables first built from ``mu.matrix()`` and ``v.matrix()``.  The same
 module checks the Green invertibility check folded into the build, the
 Fourier pairing route chosen by value, and the dense-table cap raised before
 anything is allocated.
@@ -143,6 +145,41 @@ def test_green_members_are_bitwise_the_first_versions(name, operator, divided):
     _assert_members_match(
         result.family, lambda fam, p: GridDistribution(g, table[g.index_of(p)]), lambda fam: table
     )
+
+
+PRODUCT_PAIRS = {
+    "fourier-left-inverse": lambda g: (left_inverse_family(FourierFamily(g)), FourierFamily(g)),
+    "dirac": lambda g: (DiracFamily(g), DiracFamily(g)),
+    "dirac-left-inverse": lambda g: (left_inverse_family(DiracFamily(g)), DiracFamily(g)),
+    "kernel-over-dirac": lambda g: (KernelFamily(g, g, DiracFamily(g).matrix()), DiracFamily(g)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PRODUCT_PAIRS))
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_product_tables_are_bitwise_the_first_versions(name, pair):
+    # the product is a row map; its table is the one first built from mu's table
+    mu, lam = PRODUCT_PAIRS[pair](_grid(name))
+    product = family_product(mu, lam)
+    assert isinstance(product, LazyFamily)
+    assert same_words(product.matrix(), lam.superpose_rows(mu.matrix()))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_dirac_scaled_tables_are_bitwise_the_first_versions(name):
+    g = _grid(name)
+    dirac = DiracFamily(g)
+    # a symbol with a positive real part: the first version's words, signed zeros included
+    a = _symbol(g.dim, 0.25j)
+    a_values = a.sample(g)
+    assert same_words(scale_family(a, dirac).matrix(), a_values[:, np.newaxis] * naive.point_masses(g))
+    # any symbol: the row map scales point mass k by a at node k, so the
+    # zeros of column j are a(q_j) * 0, signed by the column's value
+    a = SymbolFunction(g.dim, lambda *p: (p[0] - 0.3) * (1 - 0.5j) + 0.1j * p[-1] ** 3, "cubic")
+    a_values = a.sample(g)
+    table = scale_family(a, dirac).matrix()
+    assert same_words(table, a_values * naive.point_masses(g))
+    np.testing.assert_array_equal(table, a_values[:, np.newaxis] * naive.point_masses(g))
 
 
 def test_off_grid_members_raise_index_off_grid():

@@ -309,7 +309,9 @@ def test_symbol_sites_keep_their_bits_for_finite_symbols():
     fam = FourierFamily(g)
     f = SymbolFunction(1, lambda x: 1.0 + 0.5j * x - x**2, "f")
     u = GridDistribution(g, np.random.default_rng(4).standard_normal(g.size) * (1 - 0.5j))
-    assert same_words(scale_family(f, fam).kernel, f.sample(fam.index_grid)[:, np.newaxis] * fam.matrix())
+    # the scaled family is the row map c -> superpose(f * c): its members scale the point masses
+    scaled = f.sample(fam.index_grid) * naive.point_masses(fam.index_grid)
+    assert same_words(scale_family(f, fam).kernel, fam.superpose_rows(scaled))
     assert same_words(MultiplicationOperator(f).apply(u).samples, f.sample(g) * u.samples)
     dirac = DiracFamily(g)
     product = spectral_product(IdentityOperator(), dirac).evaluate(f).apply(u)
