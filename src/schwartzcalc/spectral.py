@@ -294,9 +294,11 @@ class BasisMeasure(GeneralizedMeasure):
 class SpectralProductMeasure(GeneralizedMeasure):
     """``f -> operator u -> superpose(f * B(u), v)``.
 
-    ``B`` must map distributions on ``v``'s space grid to distributions on
-    ``v``'s index grid (checked when the operator is applied).  With ``B``
-    the coordinate operator of ``v`` this reduces to the basis measure.
+    Each value is the composition ``SuperposeOperator(v) @
+    MultiplicationOperator(f) @ B``.  ``B`` must map distributions on ``v``'s
+    space grid to distributions on ``v``'s index grid; ``superpose`` checks
+    that when the operator is applied.  With ``B`` the coordinate operator
+    of ``v`` this reduces to the basis measure.
     """
 
     def __init__(self, operator: SLinearOperator, family: SchwartzFamily):
@@ -305,30 +307,10 @@ class SpectralProductMeasure(GeneralizedMeasure):
 
     def evaluate(self, f: SymbolFunction) -> SLinearOperator:
         self.family._check_symbol(f)
-        return _ProductOperator(self.operator, self.family, f)
+        return SuperposeOperator(self.family) @ MultiplicationOperator(f) @ self.operator
 
     def _unit(self):
         return unit_symbol(self.family.index_dim)
-
-
-class _ProductOperator(SLinearOperator):
-    """``u -> superpose(f * B(u), v)``, the value of a spectral product measure."""
-
-    def __init__(self, operator: SLinearOperator, family: SchwartzFamily, f: SymbolFunction):
-        self.operator = operator
-        self.family = family
-        self.f = f
-
-    def apply(self, u):
-        mid = self.operator.apply(u)
-        fam = self.family
-        if mid.grid != fam.index_grid:
-            raise GridMismatch(
-                "spectral product operator must land on the family's index grid"
-            )
-        return superpose(
-            _formed(fam.index_grid, np.multiply, self.f.sample_finite(fam.index_grid), mid.samples), fam
-        )
 
 
 class ScaledMeasure(GeneralizedMeasure):
@@ -358,7 +340,8 @@ class ScaledMeasure(GeneralizedMeasure):
 class EigenspectrumMeasure(GeneralizedMeasure):
     """Distribution-valued measure on the eigenvalue values of ``a``.
 
-    ``evaluate(f) = (f o a) * coordinates(u, v)`` on the index grid.  At the
+    ``evaluate(f) = (f o a) * coordinates(u, v)`` on the index grid, the
+    ``MultiplicationOperator`` of ``f o a`` applied to the coordinates.  At the
     identity embedding this is ``a * coordinates(u, v)``, the integrand of
     the expansion of the diagonal operator applied to ``u``; at the unit
     constant it is ``coordinates(u, v)`` itself.
@@ -375,10 +358,7 @@ class EigenspectrumMeasure(GeneralizedMeasure):
     def evaluate(self, f: SpectrumFunction) -> CoordinateDistribution:
         if not isinstance(f, SpectrumFunction):
             raise ArityMismatch("eigenspectrum measures consume spectrum functions")
-        index_grid = self.family.index_grid
-        return _formed(
-            index_grid, np.multiply, f.compose(self.symbol).sample_finite(index_grid), self._coords.samples
-        )
+        return MultiplicationOperator(f.compose(self.symbol)).apply(self._coords)
 
     def _unit(self):
         return spectrum_one()

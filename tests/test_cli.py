@@ -1,8 +1,10 @@
 import collections
 import csv
+import gc
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -453,6 +455,25 @@ def test_run_freezes_the_heap_before_the_command_and_exits_with_its_code():
     assert before == 0 and during > 0
 
 
+def test_python_dash_m_runs_the_command_in_process(tmp_path, monkeypatch, capsys):
+    # the documented entry, python -m schwartzcalc, run through __main__.py
+    # and run() in this process
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "run.json", grid=GRID_64_PI, operator=DDX,
+        datum={"kind": "sin", "k": 1.0}, output={"directory": str(out)},
+    )
+    monkeypatch.setattr(sys, "argv", ["schwartzcalc", "solve", "--config", cfg])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("schwartzcalc", run_name="__main__")
+    finally:
+        gc.unfreeze()  # run() froze this process's heap
+    assert exited.value.code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "solution.csv"]
+    assert capsys.readouterr().out.startswith("solved: residual ")
+
+
 def test_verify_all_subprocess_deterministic():
     env = child_env(SCHWARTZ_SEED="42")
     runs = [
@@ -584,6 +605,7 @@ def _error_cases(tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "header_only.csv").write_text("x0,x1,re,im\n")
     (tmp_path / "empty.csv").write_text("")
+    nul = write_config(tmp_path / "nul.json", **dict(base, output={"directory": str(tmp_path / "a\x00b")}))
     (tmp_path / "list.json").write_text("[]")
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
@@ -600,6 +622,10 @@ def _error_cases(tmp_path):
         "zero-threshold-overflow": dict(base, policy={"zero_threshold": 1e400}),
         "pair-im-overflow": dict(base, datum={"kind": "constant", "c": [1.0, BIG]}),
         "directory-not-a-string": dict(base, output={"directory": 5}),
+        # Path.mkdir refuses a NUL byte with ValueError, not OSError
+        "directory-nul-solve": (["solve", "--config", nul], {}),
+        "directory-nul-green": (["green", "--config", nul, "--index", "0"], {}),
+        "directory-nul-expand": (["expand", "--config", nul], {}),
         "path-a-list": dict(base, datum={"kind": "samples", "path": [4.0]}),
         "path-an-int": dict(base, datum={"kind": "samples", "path": 7}),  # a file descriptor
         # numpy's loader warns "input contained no data" on these
@@ -637,7 +663,7 @@ ERROR_CASES = [
     "sigma", "output-parent-is-a-file", "csv-unwritable", "coefficient-overflow",
     "center-overflow", "sigma-overflow", "sigma-square-overflow", "sigma-square-underflow",
     "sigma-negative", "residual-threshold-overflow", "zero-threshold-overflow", "pair-im-overflow",
-    "directory-not-a-string",
+    "directory-not-a-string", "directory-nul-solve", "directory-nul-green", "directory-nul-expand",
     "path-a-list", "path-an-int", "samples-header-only", "samples-empty", "samples-missing",
     "samples-a-directory", "multi-index-too-long", "multi-index-negative", "delta-off-grid",
     "policy-a-string", "policy-a-list", "grid-2^40-nodes",
@@ -675,6 +701,7 @@ IN_PROCESS_REFUSALS = {
     "multi-index-negative": "multi-index '-1' has negative entries",
     "delta-off-grid": "point (0.01,) is not a node of the grid (axis 0: nearest node 0)",
     "output-parent-is-a-file": "cannot create output directory {tmp}/a_file/out: [Errno 20] Not a directory",
+    "directory-nul-green": "cannot create output directory {tmp}/a\x00b: embedded null byte",
     "seed-negative": "SCHWARTZ_SEED must be a non-negative integer, got '-1'",
 }
 

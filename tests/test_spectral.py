@@ -17,6 +17,7 @@ from schwartzcalc import (
     KernelFamily,
     MultiplicationOperator,
     NonFiniteSamples,
+    NonFiniteSymbol,
     NotABasis,
     SymbolFunction,
     coordinates,
@@ -249,6 +250,23 @@ def test_spectral_product_grid_mismatch(fourier_256):
     u = sample_function(fam.space_grid, lambda x: np.exp(-(x**2)))
     with pytest.raises(GridMismatch):
         measure.evaluate(unit_symbol(1)).apply(u)
+
+
+def test_spectral_product_landing_off_the_index_grid_is_refused_where_it_lands():
+    # f is sampled on B's grid before superpose checks that grid: a B of
+    # another dimension is the symbol's arity error, and a symbol that is not
+    # finite on B's grid names a node of that grid
+    fam = FourierFamily(make_grid(1, [16], [2.0]))
+    g2 = make_grid(2, [8, 4], [2.0, 1.5])
+    u2 = sample_function(g2, lambda x, y: np.exp(-(x**2) - y**2))
+    measure = spectral_product(CoordinateOperator(FourierFamily(g2)), fam)
+    with pytest.raises(ArityMismatch, match="symbol 'f' has arity 1, grid has dimension 2"):
+        measure.evaluate(SymbolFunction(1, lambda p: np.cos(p), "f")).apply(u2)
+    u = sample_function(fam.space_grid, lambda x: np.exp(-(x**2)))
+    pole = SymbolFunction(1, lambda p: 1.0 / (p - 1.0), "pole")
+    pole.sample_finite(fam.index_grid)  # finite on the index grid
+    with pytest.raises(NonFiniteSymbol, match=r"not finite at node \(1\.0,\)"):
+        spectral_product(IdentityOperator(), fam).evaluate(pole).apply(u)
 
 
 def test_spectral_product_integral_with_the_coordinate_operator_is_the_identity(fourier_256):

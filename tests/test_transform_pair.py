@@ -19,6 +19,7 @@ import pytest
 import naive
 from schwartzcalc import (
     ArityMismatch,
+    CoordinateOperator,
     DifferentialOperatorSpec,
     DiracFamily,
     DivisionPolicy,
@@ -313,10 +314,20 @@ def test_symbol_sites_keep_their_bits_for_finite_symbols():
     scaled = f.sample(fam.index_grid) * naive.point_masses(fam.index_grid)
     assert same_words(scale_family(f, fam).kernel, fam.superpose_rows(scaled))
     assert same_words(MultiplicationOperator(f).apply(u).samples, f.sample(g) * u.samples)
-    dirac = DiracFamily(g)
-    product = spectral_product(IdentityOperator(), dirac).evaluate(f).apply(u)
-    assert same_words(product.samples, dirac.superpose_rows((f.sample(g) * u.samples)[np.newaxis])[0])
-    coords = fam.coordinates(u).samples
-    got = eigenspectrum_measure(u, fam, f).evaluate(spectrum_identity()).samples
-    assert same_words(got, spectrum_identity().compose(f).sample(fam.index_grid) * coords)
-    assert math.isfinite(float(np.max(np.abs(got))))
+    # the two measures are compositions; their values keep the words of the
+    # product formed by hand, on a 1-d and a 2-d grid, through B = identity
+    # under the Dirac family and B = the Fourier analysis map
+    g2 = make_grid(2, [8, 4], [2.0, 1.5])
+    f2 = SymbolFunction(2, lambda x, y: 1.0 + 0.5j * x - x * y, "f")
+    u2 = GridDistribution(g2, np.random.default_rng(5).standard_normal(g2.size) * (1 - 0.5j))
+    for grid, symbol, data in ((g, f, u), (g2, f2, u2)):
+        fourier = FourierFamily(grid)
+        for family, B in ((DiracFamily(grid), IdentityOperator()), (fourier, CoordinateOperator(fourier))):
+            index = family.index_grid
+            product = spectral_product(B, family).evaluate(symbol).apply(data)
+            formed = (symbol.sample(index) * B(data).samples)[np.newaxis]
+            assert same_words(product.samples, family.superpose_rows(formed)[0])
+            coords = family.coordinates(data).samples
+            got = eigenspectrum_measure(data, family, symbol).evaluate(spectrum_identity()).samples
+            assert same_words(got, spectrum_identity().compose(symbol).sample(index) * coords)
+            assert math.isfinite(float(np.max(np.abs(got))))
