@@ -200,17 +200,18 @@ def _load_samples(lines, skip: int) -> np.ndarray:
         )
 
 
-def _refused_line(lines: list[str], skip: int) -> int:
+def _refused_line(lines: list[str], skip: int) -> int | None:
     """The 1-based number of the first line after ``skip`` that
-    ``_load_samples`` refuses on its own.  numpy refuses a file one row at a
-    time, so the row it refused in the whole file is refused alone too.
-    numpy's own row numbers count data rows only, from 0 in a conversion
-    error and from 1 in a column-count error."""
+    ``_load_samples`` refuses on its own, None if every line loads alone (no
+    such file is known: numpy refuses a file one row at a time), and the
+    caller then names no line.  numpy's own row numbers count data rows
+    only, from 0 in a conversion error and from 1 in a column-count error."""
     for number, text in enumerate(lines[skip:], skip + 1):
         try:
             _load_samples([text], 0)
         except ValueError:
             return number
+    return None
 
 
 def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
@@ -351,8 +352,10 @@ def _output_dir(cfg: dict) -> Path:
     directory = Path(_string(section.get("directory", "."), "output directory"))
     try:
         directory.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # a NUL byte in the path is a ValueError
+    except OSError as exc:
         raise ConfigError(f"cannot create output directory {directory}: {exc}") from exc
+    except ValueError as exc:  # a NUL byte, shown escaped to keep the line printable
+        raise ConfigError(f"cannot create output directory {str(directory)!r}: {exc}") from exc
     return directory
 
 

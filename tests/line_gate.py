@@ -12,7 +12,7 @@ Lines run only in a child process (the CLI subprocess tests) do not count.
 
 Usage, from any directory::
 
-    python tests/line_gate.py [extra pytest arguments]
+    python tests/line_gate.py
 
 Exit status: pytest's own when the suite fails, 1 when the gate fails, else 0.
 The file's name keeps pytest from collecting it.
@@ -84,9 +84,9 @@ def traced_run(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     return int(code), ran
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     code, ran = traced_run(["-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning",
-                            str(ROOT / "tests"), *argv])
+                            str(ROOT / "tests")])
     if code != 0:
         print(f"line gate: tier-1 failed (pytest exit {code})", file=sys.stderr)
         return code
@@ -112,4 +112,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -701,7 +701,7 @@ IN_PROCESS_REFUSALS = {
     "multi-index-negative": "multi-index '-1' has negative entries",
     "delta-off-grid": "point (0.01,) is not a node of the grid (axis 0: nearest node 0)",
     "output-parent-is-a-file": "cannot create output directory {tmp}/a_file/out: [Errno 20] Not a directory",
-    "directory-nul-green": "cannot create output directory {tmp}/a\x00b: embedded null byte",
+    "directory-nul-green": "cannot create output directory '{tmp}/a\\x00b': embedded null byte",
     "seed-negative": "SCHWARTZ_SEED must be a non-negative integer, got '-1'",
 }
 

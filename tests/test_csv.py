@@ -191,6 +191,14 @@ def test_refused_samples_files_exit_1_in_one_line(tmp_path, text, message):
     assert " at row " not in lines[0]
 
 
+def test_refused_line_is_none_when_every_line_loads_alone():
+    # the reader then names no line; no file is known that numpy refuses
+    # whole but not in any one of its lines
+    lines = ["x0,re,im\n", "-1.0,1,2\n", "# note\n", "\n", "0.0,3,4\n"]
+    assert cli._refused_line(lines, 1) is None
+    assert cli._refused_line(lines[:2] + ["-0.5,3,abc\n"] + lines[2:], 1) == 3
+
+
 LIMIT = csv.field_size_limit()
 
 
