@@ -83,7 +83,7 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # missing, a directory, unreadable, not UTF-8, not JSON or nested too deep
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -246,21 +246,21 @@ def _read_samples_csv(path: str, grid: Grid) -> GridDistribution:
                 refused = _refused_line(fh.readlines(), skip)
                 raise
     except OSError as exc:
-        raise ConfigError(f"cannot read samples file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read samples file {str(path)!r}: {exc}") from exc
     except ValueError as exc:  # undecodable bytes included
         where = "" if refused is None else f"line {refused}: "
         reason = re.sub(r" at row \d+", "", str(exc))
-        raise ConfigError(f"samples file {path} is not a readable CSV: {where}{reason}") from exc
+        raise ConfigError(f"samples file {str(path)!r} is not a readable CSV: {where}{reason}") from exc
     samples = table.view(np.complex128).reshape(-1)
     if samples.size != grid.size:
         raise ConfigError(
-            f"samples file {path} has {samples.size} data rows, grid has {grid.size} nodes"
+            f"samples file {str(path)!r} has {samples.size} data rows, grid has {grid.size} nodes"
         )
     finite = np.isfinite(samples)
     if not finite.all():
         row = int(np.argmin(finite))
         raise ConfigError(
-            f"samples file {path}: data row {row + 1} holds a non-finite value {samples[row]}"
+            f"samples file {str(path)!r}: data row {row + 1} holds a non-finite value {samples[row]}"
         )
     return GridDistribution._trusted(grid, samples, finite=True)
 
@@ -294,11 +294,7 @@ def _parse_datum(section: dict, grid: Grid) -> tuple[GridDistribution, str]:
         return datum, f"constant({c})"
     if kind == "delta":
         p = _parse_point(section.get("p", [0.0] * grid.dim), grid.dim, "delta location p")
-        try:
-            datum = DiracFamily(grid).member(p)
-        except IndexOffGrid as exc:
-            raise ConfigError(str(exc)) from exc
-        return datum, f"delta(p={list(p)})"
+        return DiracFamily(grid).member(p), f"delta(p={list(p)})"
     if kind == "samples":
         path = _string(section.get("path"), "samples datum path")
         return _read_samples_csv(path, grid), f"samples({path})"
@@ -352,9 +348,7 @@ def _output_dir(cfg: dict) -> Path:
     directory = Path(_string(section.get("directory", "."), "output directory"))
     try:
         directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {directory}: {exc}") from exc
-    except ValueError as exc:  # a NUL byte, shown escaped to keep the line printable
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or a lone surrogate
         raise ConfigError(f"cannot create output directory {str(directory)!r}: {exc}") from exc
     return directory
 
@@ -375,13 +369,17 @@ def _policy_json(policy: DivisionPolicy, applied: float | None = None) -> dict:
 
 @contextlib.contextmanager
 def _open_output(path):
-    """Open ``path`` for writing; a failure to create or write it is a
-    ``ConfigError``."""
+    """Open ``path`` for writing; a failure to create or write it, a NUL byte
+    in it included, is a ``ConfigError``."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except (OSError, ValueError) as exc:  # open's only: the caller's NonFiniteSamples passes through
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+    try:
+        with fh:
             yield fh
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:  # a write or the flush at close failed
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
@@ -493,10 +491,7 @@ def _cmd_green(args) -> int:
     points, flats = [], []
     for raw in args.index:
         pt = _parse_point(raw.split(","), grid.dim, f"index {raw!r}")
-        try:
-            flats.append(grid.index_of(pt))
-        except IndexOffGrid as exc:
-            raise ConfigError(str(exc)) from exc
+        flats.append(grid.index_of(pt))
         points.append(pt)
     report.update(policy=_policy_json(policy), indices=[list(p) for p in points])
     try:
@@ -625,7 +620,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_index_values(argv))
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, IndexOffGrid) as exc:  # an off-grid point comes from the config or an --index
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except SchwartzCalcError as exc:

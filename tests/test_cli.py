@@ -1,16 +1,22 @@
 import collections
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwartzcalc.cli import main
 
@@ -606,7 +612,15 @@ def _error_cases(tmp_path):
     (tmp_path / "header_only.csv").write_text("x0,x1,re,im\n")
     (tmp_path / "empty.csv").write_text("")
     nul = write_config(tmp_path / "nul.json", **dict(base, output={"directory": str(tmp_path / "a\x00b")}))
+    newline = write_config(
+        tmp_path / "newline.json", **dict(base, output={"directory": str(tmp_path / "a_file" / "x\ny")})
+    )
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "\x1b[31m" / "solution.csv").mkdir(parents=True)
+    rows = [f"{-math.pi + k * math.pi / 32!r},1.0,0.0\n" for k in range(64)]
+    rows[2] = rows[2].replace(",1.0,", ",nan,")
+    (tmp_path / "rows\n.csv").write_text("x0,re,im\n" + "".join(rows[:3]))
+    (tmp_path / "nan\n.csv").write_text("x0,re,im\n" + "".join(rows))
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
         "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
@@ -656,6 +670,23 @@ def _error_cases(tmp_path):
         "seed-not-an-integer": (["verify", "identity"], {"SCHWARTZ_SEED": "abc"}),
         "seed-negative": (["verify", "identity"], {"SCHWARTZ_SEED": "-1"}),
         "unknown-suite": (["verify", "nonsense"], {}),
+        # user text in a refusal is shown as a Python string literal
+        "config-path-newline": (["solve", "--config", str(tmp_path / "no\nconf.json")], {}),
+        "samples-missing-newline": dict(
+            base, datum={"kind": "samples", "path": str(tmp_path / "no\nsuch.csv")}
+        ),
+        "samples-path-nul": dict(base, datum={"kind": "samples", "path": str(tmp_path / "a\x00b.csv")}),
+        "samples-row-count-newline": dict(
+            base, datum={"kind": "samples", "path": str(tmp_path / "rows\n.csv")}
+        ),
+        "samples-nan-newline": dict(base, datum={"kind": "samples", "path": str(tmp_path / "nan\n.csv")}),
+        "directory-newline-solve": (["solve", "--config", newline], {}),
+        "directory-newline-expand": (["expand", "--config", newline], {}),
+        "csv-unwritable-escape": dict(base, output={"directory": str(tmp_path / "\x1b[31m")}),
+        # open refuses a NUL byte with ValueError; no process gets one in its argv
+        "report-nul": (["verify", "identity", "--report", str(tmp_path / "a\x00b")], {}),
+        # open succeeds; the flush at close fails
+        "report-disk-full": (["verify", "identity", "--report", "/dev/full"], {}),
     }
 
 
@@ -692,7 +723,8 @@ def test_bad_values_and_unwritable_outputs_exit_1_without_traceback(tmp_path, ca
 
 
 # refusals of the subprocess tables that no other test runs in process, run
-# through main as well; the subprocess runs check that no traceback reaches stderr
+# through main as well (the subprocess runs check that no traceback reaches
+# stderr), and the refusals that show user text escaped, run in process only
 IN_PROCESS_REFUSALS = {
     "config-root-a-list": "config root must be a JSON object",
     "fractional-count": "grid counts must be a whole number, got 8.9",
@@ -700,9 +732,19 @@ IN_PROCESS_REFUSALS = {
     "multi-index-too-long": "multi-index '1,0' has 2 entries for a 1-dimensional grid",
     "multi-index-negative": "multi-index '-1' has negative entries",
     "delta-off-grid": "point (0.01,) is not a node of the grid (axis 0: nearest node 0)",
-    "output-parent-is-a-file": "cannot create output directory {tmp}/a_file/out: [Errno 20] Not a directory",
+    "output-parent-is-a-file": "cannot create output directory '{tmp}/a_file/out': [Errno 20] Not a directory",
     "directory-nul-green": "cannot create output directory '{tmp}/a\\x00b': embedded null byte",
     "seed-negative": "SCHWARTZ_SEED must be a non-negative integer, got '-1'",
+    "config-path-newline": "cannot read config file '{tmp}/no\\nconf.json': [Errno 2] No such file or directory",
+    "samples-missing-newline": "cannot read samples file '{tmp}/no\\nsuch.csv': [Errno 2] No such file or directory",
+    "samples-path-nul": "samples file '{tmp}/a\\x00b.csv' is not a readable CSV: embedded null byte",
+    "samples-row-count-newline": "samples file '{tmp}/rows\\n.csv' has 3 data rows, grid has 64 nodes",
+    "samples-nan-newline": "samples file '{tmp}/nan\\n.csv': data row 3 holds a non-finite value (nan+0j)",
+    "directory-newline-solve": "cannot create output directory '{tmp}/a_file/x\\ny': [Errno 20] Not a directory",
+    "directory-newline-expand": "cannot create output directory '{tmp}/a_file/x\\ny': [Errno 20] Not a directory",
+    "csv-unwritable-escape": "cannot write '{tmp}/\\x1b[31m/solution.csv': [Errno 21] Is a directory",
+    "report-nul": "cannot write '{tmp}/a\\x00b': embedded null byte",
+    "report-disk-full": "cannot write '/dev/full': [Errno 28] No space left on device",
 }
 
 
@@ -1084,3 +1126,107 @@ def test_green_whose_report_is_refused_writes_no_file(tmp_path, monkeypatch, cap
     assert captured.out == ""
     assert captured.err.startswith("error: the report's ")
     assert captured.err.count("\n") == 1
+
+
+# The CLI contract as a generated property: a valid run changed in one place
+# exits 0, 1, 2 or 3 with at most one printable line on stderr, and a refused
+# run leaves every file as it was.
+
+HELMHOLTZ = {"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}}
+GRID_8 = {"dim": 1, "counts": [8], "half_extents": [math.pi]}
+OUT = {"directory": "out"}
+# each is run in a directory that holds run.json and the 8-node samples file d.csv
+VALID_RUNS = [
+    (["solve", "--config", "run.json"], dict(
+        grid=GRID_8, operator=HELMHOLTZ, datum={"kind": "gaussian", "sigma": 0.5, "center": [0.0]},
+        policy={"zero_threshold": None, "residual_threshold": 1e-10}, output=OUT,
+    )),
+    (["solve", "--config", "run.json"], dict(
+        grid=GRID_8,
+        operator={"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"0": [2.0, 0.0]}}},
+        datum={"kind": "samples", "path": "d.csv"}, output=OUT,
+    )),
+    (["green", "--config", "run.json", "--index", "0.0"], dict(
+        grid=GRID_8,
+        operator={"type": "diagonal", "family": "fourier", "symbol": {"name": "polynomial", "terms": {"0": 1.0, "2": 1.0}}},
+        output=OUT,
+    )),
+    (["green", "--config", "run.json", "--index=-0.7853981633974483"], dict(grid=GRID_8, operator=HELMHOLTZ)),
+    # the README's example
+    (["expand", "--config", "run.json"], dict(grid=GRID_64_PI, operator=DDX, datum={"kind": "sin", "k": 1.0}, output=OUT)),
+]
+SAMPLES_CSV = "x0,re,im\n" + "".join(f"{k},{math.cos(k)!r},0.0\n" for k in range(8))
+# "d.csv/..." names a path under a file: no directory can be made there
+STRINGS = ["a\nb", "d.csv/a\rb", "a\x00b", "\x1b[31m", "a\u2028b", "\ud800", "x" * 10_000]
+VALUES = [None, True, False, 0, -1, 1e308, -0.0, "x", {}, [], [1.0] * 10_000, *STRINGS]
+
+
+def _places(node, path=()):
+    """The path of every value below ``node``, a JSON object or list."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _places(value, path + (key,))
+
+
+@st.composite
+def changed_runs(draw):
+    """A valid run with one change, and the change: a text (the ``--config``
+    path, the ``--index`` value, the samples path or the output directory)
+    replaced by one of ``STRINGS``, any config value replaced by one of
+    ``VALUES``, or a key dropped, renamed or added; or, as a control, none."""
+    argv, cfg = draw(st.sampled_from(VALID_RUNS))
+    argv, cfg = list(argv), json.loads(json.dumps(cfg))
+    change = draw(st.sampled_from(["none", "text", "value", "drop", "rename", "add"]))
+    if change == "none":
+        return argv, cfg, change
+    if change == "text":
+        slots = [i for i, arg in enumerate(argv) if arg in ("run.json", "0.0") or arg.startswith("--index=")]
+        slots += [path for path in (("datum", "path"), ("output", "directory")) if path[0] in cfg]
+        slot, text = draw(st.sampled_from(slots)), draw(st.sampled_from(STRINGS))
+        if isinstance(slot, int):
+            argv[slot] = ("--index=" if argv[slot].startswith("--index=") else "") + text
+        else:
+            cfg[slot[0]][slot[1]] = text
+        return argv, cfg, change
+    *head, key = draw(st.sampled_from(list(_places(cfg))))
+    parent = cfg
+    for step in head:
+        parent = parent[step]
+    if change == "value" or isinstance(parent, list):
+        parent[key] = draw(st.sampled_from(VALUES))
+    elif change == "add":
+        (parent[key] if isinstance(parent[key], dict) else parent)["extra"] = draw(st.sampled_from(VALUES))
+    else:
+        value = parent.pop(key)
+        if change == "rename":
+            parent[draw(st.sampled_from(STRINGS))] = value
+    return argv, cfg, change
+
+
+def _files(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(run=changed_runs())
+def test_a_run_changed_in_one_place_keeps_the_cli_contract(run):
+    argv, cfg, change = run
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "run.json").write_text(json.dumps(cfg))
+        (root / "d.csv").write_text(SAMPLES_CSV)
+        before, cwd, err = _files(root), os.getcwd(), io.StringIO()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert code == 0 or change != "none", err
+        assert err == "" or (err.endswith("\n") and err[:-1].isprintable()), err
+        assert "Traceback" not in err
+        if code == 1:  # a refused run may leave only empty directories behind
+            assert _files(root) == before, err

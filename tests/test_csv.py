@@ -185,7 +185,7 @@ def test_refused_samples_files_exit_1_in_one_line(tmp_path, text, message):
         path.write_bytes(text.encode("utf-8"))
     code, lines = expand_samples(tmp_path, path)
     assert code == 1 and len(lines) == 1, lines
-    assert lines[0].startswith(f"configuration error: samples file {path}")
+    assert lines[0].startswith(f"configuration error: samples file {str(path)!r}")
     assert message in lines[0]
     # numpy's row numbers count data rows only, so the refusal names the file's line instead
     assert " at row " not in lines[0]
@@ -298,7 +298,7 @@ def test_c_pass_and_literal_reader_agree(text):
         expected = naive.read_samples_csv(path)
         got = outcome(path)
         if expected.size != 4:
-            assert got == f"samples file {path} has {expected.size} data rows, grid has 4 nodes"
+            assert got == f"samples file {path!r} has {expected.size} data rows, grid has 4 nodes"
         elif not np.isfinite(expected).all():
             assert f": data row {int(np.argmin(np.isfinite(expected))) + 1} holds" in got
         else:
