@@ -368,18 +368,22 @@ def _policy_json(policy: DivisionPolicy, applied: float | None = None) -> dict:
 
 
 @contextlib.contextmanager
+def _cannot_write(path, errors=OSError):
+    """An ``errors`` exception inside is the ``ConfigError`` "cannot write ``path``"."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _open_output(path):
     """Open ``path`` for writing; a failure to create or write it, a NUL byte
     in it included, is a ``ConfigError``."""
-    try:
+    with _cannot_write(path, (OSError, ValueError)):  # open's only: a caller's NonFiniteSamples passes
         fh = open(path, "w", encoding="utf-8", newline="")
-    except (OSError, ValueError) as exc:  # open's only: the caller's NonFiniteSamples passes through
-        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
-    try:
-        with fh:
-            yield fh
-    except OSError as exc:  # a write or the flush at close failed
-        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+    with _cannot_write(path), fh:  # a write or the flush at close failed
+        yield fh
 
 
 def write_distribution_csv(path: Path, dist: GridDistribution) -> None:
@@ -429,10 +433,14 @@ def _report_text(report: dict) -> str:
 
 def _finish(out_dir: Path, report: dict, csvs: dict, code: int, message: str) -> int:
     """The one way out of ``solve``, ``green`` and ``expand``: check the
-    report, write each CSV (``csvs`` maps its file name to a callable that
-    builds the distribution), write ``report.json``, then print ``message``,
-    to stderr when ``code`` is not 0.  A refused report writes no file."""
+    report and every output name, write each CSV (``csvs`` maps its file name
+    to a callable that builds the distribution), write ``report.json``, then
+    print ``message``, to stderr when ``code`` is not 0.  A refused report or
+    output name writes no file."""
     text = _report_text(report)
+    for path in [out_dir / name for name in (*csvs, "report.json")]:
+        with _cannot_write(path), contextlib.suppress(FileNotFoundError):  # creates and truncates nothing
+            os.close(os.open(path, os.O_WRONLY))
     for name, build in csvs.items():
         write_distribution_csv(out_dir / name, build())
     with _open_output(out_dir / "report.json") as fh:
@@ -559,12 +567,19 @@ def _cmd_verify(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Parser whose usage errors exit 1, the code of configuration problems
-    (argparse's own 2 is the CLI's "not divisible/invertible")."""
+    """Parser whose usage errors are one-line ``ConfigError``s, exit 1
+    (argparse's own 2 is the CLI's "not divisible/invertible"), that show
+    each argument they name as a Python string literal."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+        return args
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        # argparse names some arguments raw, as in "ambiguous option: --=a"
+        raise ConfigError(f"{self.prog}: {message if message.isprintable() else repr(message)}")
 
 
 def _join_index_values(argv: list[str]) -> list[str]:
@@ -617,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_index_values(argv))
     try:
+        args = build_parser().parse_args(_join_index_values(argv))
         return args.func(args)
     except (ConfigError, IndexOffGrid) as exc:  # an off-grid point comes from the config or an --index
         print(f"configuration error: {exc}", file=sys.stderr)

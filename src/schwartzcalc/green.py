@@ -93,7 +93,8 @@ class GreenFamilyResult:
     weak_residuals: np.ndarray
     probe_centers: tuple
     route: str
-    probe_width_cells: float = PROBE_WIDTH_CELLS
+    #: a class constant, not a field: the probes are always this wide
+    probe_width_cells = PROBE_WIDTH_CELLS
 
     def max_weak_residual(self) -> float:
         return float(np.max(self.weak_residuals))

@@ -432,36 +432,35 @@ class SymbolFunction:
             )
         return values
 
-    def _combine(self, other, op, tag):
-        if isinstance(other, SymbolFunction):
-            if other.arity != self.arity:
-                raise ArityMismatch(
-                    f"cannot combine symbols of arity {self.arity} and {other.arity}"
-                )
-            f, g = self.evaluator, other.evaluator
-            return SymbolFunction(
-                self.arity,
-                lambda *x: op(f(*x), g(*x)),
-                f"({self.descriptor} {tag} {other.descriptor})",
-            )
-        if isinstance(other, numbers.Number):
-            f = self.evaluator
-            return SymbolFunction(
-                self.arity,
-                lambda *x: op(f(*x), other),
-                f"({self.descriptor} {tag} {other})",
-            )
-        return NotImplemented
-
     def __mul__(self, other):
-        return self._combine(other, np.multiply, "*")
+        return _pointwise(self, other, np.multiply, "*")
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return self._combine(other, np.add, "+")
+        return _pointwise(self, other, np.add, "+")
 
     __radd__ = __add__
+
+
+def _pointwise(f, g, op: Callable, tag: str, scalars: tuple = (numbers.Number,)):
+    """``op`` pointwise, for :class:`SymbolFunction` and ``spectral.SpectrumFunction``:
+    the function of ``f``'s kind that is ``op(f(x), g(x))`` for ``g`` of that
+    kind and arity, ``op(f(x), g)`` for ``g`` of a ``scalars`` type, else
+    ``NotImplemented``.  ``dataclasses.replace`` keeps ``f``'s arity and drops
+    its ``_real_terms``: a combined symbol is never marked real and even."""
+    if isinstance(g, type(f)):
+        if getattr(g, "arity", None) != getattr(f, "arity", None):
+            raise ArityMismatch(f"cannot combine symbols of arity {f.arity} and {g.arity}")
+        ge, name = g.evaluator, g.descriptor
+    elif isinstance(g, scalars):
+        ge, name = (lambda *x: g), g
+    else:
+        return NotImplemented
+    fe = f.evaluator
+    return dataclasses.replace(
+        f, evaluator=lambda *x: op(fe(*x), ge(*x)), descriptor=f"({f.descriptor} {tag} {name})"
+    )
 
 
 def _polynomial(terms, x, dtype, out: np.ndarray | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from .grid import (
     SymbolFunction,
     _formed,
     _frozen_table,
+    _pointwise,
     sup_norm,
     unit_symbol,
 )
@@ -216,25 +217,12 @@ class SpectrumFunction:
         )
 
     def __mul__(self, other):
-        if isinstance(other, SpectrumFunction):
-            f, g = self.evaluator, other.evaluator
-            return SpectrumFunction(
-                lambda s: f(s) * g(s), f"({self.descriptor} * {other.descriptor})"
-            )
-        if isinstance(other, numbers.Number):
-            f = self.evaluator
-            return SpectrumFunction(lambda s: f(s) * other, f"({self.descriptor} * {other})")
-        return NotImplemented
+        return _pointwise(self, other, np.multiply, "*")
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, SpectrumFunction):
-            f, g = self.evaluator, other.evaluator
-            return SpectrumFunction(
-                lambda s: f(s) + g(s), f"({self.descriptor} + {other.descriptor})"
-            )
-        return NotImplemented
+        return _pointwise(self, other, np.add, "+", ())
 
 
 def spectrum_identity() -> SpectrumFunction:
@@ -259,14 +247,15 @@ class GeneralizedMeasure(abc.ABC):
     """Linear map from functions to distributions or operators.
 
     ``evaluate(f)`` is the integral of ``f`` against the measure;
-    :meth:`integrate` is the value at the appropriate unit constant.
+    :meth:`integrate` is the value at the appropriate unit constant, by
+    default the constant symbol 1 on the index grid of ``self.family``.
     """
 
     @abc.abstractmethod
     def evaluate(self, f): ...
 
-    @abc.abstractmethod
-    def _unit(self): ...
+    def _unit(self):
+        return unit_symbol(self.family.index_dim)
 
     def integrate(self):
         return self.evaluate(self._unit())
@@ -287,9 +276,6 @@ class BasisMeasure(GeneralizedMeasure):
     def evaluate(self, f: SymbolFunction) -> SLinearOperator:
         return DiagonalOperator(self.family, f)
 
-    def _unit(self):
-        return unit_symbol(self.family.index_dim)
-
 
 class SpectralProductMeasure(GeneralizedMeasure):
     """``f -> operator u -> superpose(f * B(u), v)``.
@@ -309,24 +295,16 @@ class SpectralProductMeasure(GeneralizedMeasure):
         self.family._check_symbol(f)
         return SuperposeOperator(self.family) @ MultiplicationOperator(f) @ self.operator
 
-    def _unit(self):
-        return unit_symbol(self.family.index_dim)
-
 
 class ScaledMeasure(GeneralizedMeasure):
     """Product ``g . mu`` of a function by a measure: evaluates ``f`` as ``mu(g*f)``."""
 
     def __init__(self, scaler, inner: GeneralizedMeasure):
         unit = inner._unit()
-        if isinstance(unit, SymbolFunction):
-            if not isinstance(scaler, SymbolFunction):
-                raise ArityMismatch("this measure consumes coordinate symbols")
-            if scaler.arity != unit.arity:
-                raise ArityMismatch(
-                    f"scaler arity {scaler.arity} does not match measure arity {unit.arity}"
-                )
-        elif isinstance(unit, SpectrumFunction) and not isinstance(scaler, SpectrumFunction):
-            raise ArityMismatch("this measure consumes spectrum functions")
+        arity = getattr(unit, "arity", None)  # None: the unit is a spectrum function
+        if not isinstance(scaler, type(unit)) or getattr(scaler, "arity", None) != arity:
+            kind = "spectrum functions" if arity is None else f"symbols of arity {arity}"
+            raise ArityMismatch(f"this measure consumes {kind}")
         self.scaler = scaler
         self.inner = inner
 
@@ -337,7 +315,21 @@ class ScaledMeasure(GeneralizedMeasure):
         return self.inner._unit()
 
 
-class EigenspectrumMeasure(GeneralizedMeasure):
+class _SpectrumMeasure(GeneralizedMeasure):
+    """A measure on the eigenvalue values of ``self.symbol``: ``evaluate(f)``
+    is ``self._at(f o a)`` for a spectrum function ``f``, and its unit is
+    :func:`spectrum_one`."""
+
+    def evaluate(self, f: SpectrumFunction):
+        if not isinstance(f, SpectrumFunction):
+            raise ArityMismatch("eigenspectrum measures consume spectrum functions")
+        return self._at(f.compose(self.symbol))
+
+    def _unit(self):
+        return spectrum_one()
+
+
+class EigenspectrumMeasure(_SpectrumMeasure):
     """Distribution-valued measure on the eigenvalue values of ``a``.
 
     ``evaluate(f) = (f o a) * coordinates(u, v)`` on the index grid, the
@@ -355,16 +347,11 @@ class EigenspectrumMeasure(GeneralizedMeasure):
         self.symbol = symbol
         self._coords = coordinates(u, family)
 
-    def evaluate(self, f: SpectrumFunction) -> CoordinateDistribution:
-        if not isinstance(f, SpectrumFunction):
-            raise ArityMismatch("eigenspectrum measures consume spectrum functions")
-        return MultiplicationOperator(f.compose(self.symbol)).apply(self._coords)
-
-    def _unit(self):
-        return spectrum_one()
+    def _at(self, f_of_a: SymbolFunction) -> CoordinateDistribution:
+        return MultiplicationOperator(f_of_a).apply(self._coords)
 
 
-class OperatorSpectralMeasure(GeneralizedMeasure):
+class OperatorSpectralMeasure(_SpectrumMeasure):
     """Operator-valued measure on the eigenvalue values of ``a``.
 
     ``evaluate(f)`` is the operator diagonal in ``v`` with symbol ``f o a``.
@@ -378,13 +365,8 @@ class OperatorSpectralMeasure(GeneralizedMeasure):
         self.symbol = symbol
         self.family = family
 
-    def evaluate(self, f: SpectrumFunction) -> SLinearOperator:
-        if not isinstance(f, SpectrumFunction):
-            raise ArityMismatch("eigenspectrum measures consume spectrum functions")
-        return DiagonalOperator(self.family, f.compose(self.symbol))
-
-    def _unit(self):
-        return spectrum_one()
+    def _at(self, f_of_a: SymbolFunction) -> SLinearOperator:
+        return DiagonalOperator(self.family, f_of_a)
 
 
 @dataclasses.dataclass(frozen=True)

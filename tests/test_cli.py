@@ -356,6 +356,8 @@ def test_green_negative_index_as_separate_argument(tmp_path):
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
+    """A usage error leaves ``main`` as a configuration error: exit 1 and one
+    printable line that names the (sub)command; ``-h`` still exits 0."""
     cfg = write_config(tmp_path / "run.json", grid=GRID_64_PI, operator=DDX)
     for argv in (
         ["green", "--config", cfg],
@@ -363,11 +365,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         ["solve"],
         ["nonsense"],
         [],
+        # argparse names an ambiguous option raw
+        ["green", "--config", cfg, "--=a\nb"],
     ):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 1, argv
-        assert "usage:" in capsys.readouterr().err
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: schwartzcalc"), err
+        assert err.count("\n") == 1 and err[:-1].isprintable(), err
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "-h"])
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_samples_datum_round_trip(tmp_path):
@@ -621,6 +629,8 @@ def _error_cases(tmp_path):
     rows[2] = rows[2].replace(",1.0,", ",nan,")
     (tmp_path / "rows\n.csv").write_text("x0,re,im\n" + "".join(rows[:3]))
     (tmp_path / "nan\n.csv").write_text("x0,re,im\n" + "".join(rows))
+    (tmp_path / "late" / "integrand.csv").mkdir(parents=True)
+    late = write_config(tmp_path / "late.json", **dict(base, output={"directory": str(tmp_path / "late")}))
     return {
         "sigma": dict(base, datum={"kind": "gaussian", "sigma": "abc"}),
         "output-parent-is-a-file": dict(base, output={"directory": str(tmp_path / "a_file" / "out")}),
@@ -687,6 +697,9 @@ def _error_cases(tmp_path):
         "report-nul": (["verify", "identity", "--report", str(tmp_path / "a\x00b")], {}),
         # open succeeds; the flush at close fails
         "report-disk-full": (["verify", "identity", "--report", "/dev/full"], {}),
+        # every output name is checked before the first write: no expansion.csv is left
+        "integrand-a-directory": (["expand", "--config", late], {}),
+        "usage-argument-newline": (["solve", "--config", "run.json", "a\nb"], {}),
     }
 
 
@@ -745,6 +758,8 @@ IN_PROCESS_REFUSALS = {
     "csv-unwritable-escape": "cannot write '{tmp}/\\x1b[31m/solution.csv': [Errno 21] Is a directory",
     "report-nul": "cannot write '{tmp}/a\\x00b': embedded null byte",
     "report-disk-full": "cannot write '/dev/full': [Errno 28] No space left on device",
+    "integrand-a-directory": "cannot write '{tmp}/late/integrand.csv': [Errno 21] Is a directory",
+    "usage-argument-newline": "schwartzcalc: unrecognized arguments: 'a\\nb'",
 }
 
 
@@ -765,6 +780,8 @@ def test_refusals_exit_1_with_one_line_in_process(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: " + IN_PROCESS_REFUSALS[case].format(tmp=tmp_path)), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+    if case == "integrand-a-directory":
+        assert [p.name for p in (tmp_path / "late").iterdir()] == ["integrand.csv"]
 
 
 def test_unwritable_report_is_a_config_error(tmp_path, capsys):
@@ -1130,7 +1147,8 @@ def test_green_whose_report_is_refused_writes_no_file(tmp_path, monkeypatch, cap
 
 # The CLI contract as a generated property: a valid run changed in one place
 # exits 0, 1, 2 or 3 with at most one printable line on stderr, and a refused
-# run leaves every file as it was.
+# run leaves every file as it was.  A usage error and an output name taken by
+# a directory are always refused.
 
 HELMHOLTZ = {"type": "differential", "coefficients": {"0": 1.0, "2": -1.0}}
 GRID_8 = {"dim": 1, "counts": [8], "half_extents": [math.pi]}
@@ -1146,7 +1164,7 @@ VALID_RUNS = [
         operator={"type": "multiplication", "symbol": {"name": "polynomial", "terms": {"0": [2.0, 0.0]}}},
         datum={"kind": "samples", "path": "d.csv"}, output=OUT,
     )),
-    (["green", "--config", "run.json", "--index", "0.0"], dict(
+    (["green", "--config", "run.json", "--index", "0.0", "--index", "0.7853981633974483"], dict(
         grid=GRID_8,
         operator={"type": "diagonal", "family": "fourier", "symbol": {"name": "polynomial", "terms": {"0": 1.0, "2": 1.0}}},
         output=OUT,
@@ -1171,15 +1189,31 @@ def _places(node, path=()):
 
 @st.composite
 def changed_runs(draw):
-    """A valid run with one change, and the change: a text (the ``--config``
+    """A valid run with one change, the change, and the output file name a
+    directory is made at (or None).  The change: a text (the ``--config``
     path, the ``--index`` value, the samples path or the output directory)
-    replaced by one of ``STRINGS``, any config value replaced by one of
-    ``VALUES``, or a key dropped, renamed or added; or, as a control, none."""
+    replaced by one of ``STRINGS``, one of ``STRINGS`` put in the command
+    line where no option takes it, any config value replaced by one of
+    ``VALUES``, a key dropped, renamed or added, or an output name taken by
+    a directory; or, as a control, none."""
     argv, cfg = draw(st.sampled_from(VALID_RUNS))
     argv, cfg = list(argv), json.loads(json.dumps(cfg))
-    change = draw(st.sampled_from(["none", "text", "value", "drop", "rename", "add"]))
+    change = draw(st.sampled_from(["none", "text", "argument", "value", "drop", "rename", "add", "directory"]))
     if change == "none":
-        return argv, cfg, change
+        return argv, cfg, change, None
+    if change == "argument":
+        slots = [i for i in range(len(argv) + 1) if i == 0 or argv[i - 1] not in ("--config", "--index")]
+        argv.insert(draw(st.sampled_from(slots)), draw(st.sampled_from(STRINGS)))
+        return argv, cfg, change, None
+    if change == "directory":
+        members = sum(arg.startswith("--index") for arg in argv)
+        names = {
+            "solve": ["solution.csv"],
+            "green": [f"green_{k:03d}.csv" for k in range(members)],
+            "expand": ["expansion.csv", "integrand.csv"],
+        }[argv[0]]
+        name = draw(st.sampled_from([*names, "report.json"]))
+        return argv, cfg, change, Path(cfg.get("output", {}).get("directory", ".")) / name
     if change == "text":
         slots = [i for i, arg in enumerate(argv) if arg in ("run.json", "0.0") or arg.startswith("--index=")]
         slots += [path for path in (("datum", "path"), ("output", "directory")) if path[0] in cfg]
@@ -1188,7 +1222,7 @@ def changed_runs(draw):
             argv[slot] = ("--index=" if argv[slot].startswith("--index=") else "") + text
         else:
             cfg[slot[0]][slot[1]] = text
-        return argv, cfg, change
+        return argv, cfg, change, None
     *head, key = draw(st.sampled_from(list(_places(cfg))))
     parent = cfg
     for step in head:
@@ -1201,21 +1235,23 @@ def changed_runs(draw):
         value = parent.pop(key)
         if change == "rename":
             parent[draw(st.sampled_from(STRINGS))] = value
-    return argv, cfg, change
+    return argv, cfg, change, None
 
 
 def _files(root):
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@settings(derandomize=True, database=None, deadline=None, max_examples=700)
 @given(run=changed_runs())
 def test_a_run_changed_in_one_place_keeps_the_cli_contract(run):
-    argv, cfg, change = run
+    argv, cfg, change, taken = run
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "run.json").write_text(json.dumps(cfg))
         (root / "d.csv").write_text(SAMPLES_CSV)
+        if taken is not None:
+            (root / taken).mkdir(parents=True)
         before, cwd, err = _files(root), os.getcwd(), io.StringIO()
         os.chdir(root)
         try:
@@ -1226,6 +1262,7 @@ def test_a_run_changed_in_one_place_keeps_the_cli_contract(run):
         err = err.getvalue()
         assert code in (0, 1, 2, 3)
         assert code == 0 or change != "none", err
+        assert code == 1 or change not in ("argument", "directory"), err
         assert err == "" or (err.endswith("\n") and err[:-1].isprintable()), err
         assert "Traceback" not in err
         if code == 1:  # a refused run may leave only empty directories behind

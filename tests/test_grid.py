@@ -20,6 +20,7 @@ from schwartzcalc import (
     quadrature_weight,
     unit_symbol,
 )
+from schwartzcalc.grid import _polynomial_symbol
 
 
 def test_make_grid_1d_points():
@@ -232,6 +233,22 @@ def test_symbol_function_eval_and_algebra():
     np.testing.assert_allclose((2.0 * h).sample(g), 2 * g.axis_points(0) ** 2)
     assert unit_symbol(2).at((0.3, 0.4)) == 1.0
     assert constant_symbol(1, 3 - 1j).at(5.0) == 3 - 1j
+
+
+def test_a_combined_symbol_keeps_its_arity_and_is_never_marked_real_and_even():
+    a = _polynomial_symbol(2, [((2, 0), 1.0), ((0, 2), 1.0)], "|p|^2")
+    assert a._real_even
+    g = make_grid(2, [4, 6], [1.0, 2.0])
+    values = a.sample(g)
+    for combined, text, expected in (
+        (a * a, "(|p|^2 * |p|^2)", values * values),
+        (a + a, "(|p|^2 + |p|^2)", values + values),
+        (2.5 * a, "(|p|^2 * 2.5)", values * 2.5),
+        (1.0 + a, "(|p|^2 + 1.0)", values + 1.0),
+    ):
+        assert combined.arity == 2 and combined.descriptor == text
+        assert not combined._real_even  # its terms are not known
+        assert np.array_equal(combined.sample(g), expected)
 
 
 def test_index_point_with_the_wrong_number_of_coordinates_is_off_the_grid():
