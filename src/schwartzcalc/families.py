@@ -8,8 +8,8 @@ a space grid.  Four variants are provided:
 * ``FourierFamily`` -- member at ``p`` is ``x -> exp(-i p.x)`` with the
   index grid equal to the dual (frequency) lattice of the space grid.
 * ``KernelFamily`` -- members given explicitly as the rows of a caller's table.
-* ``LazyFamily`` -- members given by a linear map on coefficient rows, as is
-  every family the library derives (scaled, product, left inverse, Green).
+* ``LazyFamily`` -- a synthesis and an analysis map on rows, as is every
+  family the library derives (scaled, product, left inverse, Green).
 
 ``member`` and ``matrix`` read one row map, ``_member_rows``: by default the
 superpositions of point masses, the Dirac family's point masses, the
@@ -523,19 +523,21 @@ def point_mass_rows(grid: Grid, start: int, stop: int) -> np.ndarray:
 
 
 class LazyFamily(SchwartzFamily):
-    """Family given by a linear map on coefficient rows instead of a table.
-
-    ``rows_map`` takes a 2-d array of coefficient rows on the index grid to
-    their superpositions on the space grid, so it *is* :meth:`superpose_rows`
-    and returns a new array.  The member at ``p`` is the map applied to the
-    point mass at ``p``; the dense table (:meth:`matrix`, :attr:`kernel`) is
-    built only on request.  The family holds no table and no cache.
+    """Family given by two linear maps on rows instead of a table: the
+    synthesis ``rows_map`` *is* :meth:`superpose_rows` and the analysis
+    ``coordinates_map`` *is* :meth:`coordinates_rows`.  A derived family's
+    analysis composes its parents' maps, the pseudo-inverse of its table on
+    Fourier and Dirac parents (multiples of unitary maps); a ``KernelFamily``
+    parent that is not square and of full rank, or a zero of a scaling
+    symbol on one, can make them differ.  The member at ``p`` is the row map
+    applied to the point mass at ``p``; :meth:`matrix` builds the table.
     """
 
-    def __init__(self, index_grid: Grid, space_grid: Grid, rows_map):
+    def __init__(self, index_grid: Grid, space_grid: Grid, rows_map, coordinates_map):
         self.index_grid = index_grid
         self.space_grid = space_grid
         self.rows_map = rows_map
+        self.coordinates_map = coordinates_map
 
     @property
     def is_basis(self) -> bool:
@@ -546,12 +548,8 @@ class LazyFamily(SchwartzFamily):
         """The dense member table, built on every access."""
         return self.matrix()
 
-    def superpose_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.rows_map(rows)
-
-    def coordinates_rows(self, rows: np.ndarray) -> np.ndarray:
-        # least squares needs the table; a fresh KernelFamily keeps this stateless
-        return KernelFamily(self.index_grid, self.space_grid, self.matrix()).coordinates_rows(rows)
+    superpose_rows = property(lambda self: self.rows_map)
+    coordinates_rows = property(lambda self: self.coordinates_map)
 
     def __repr__(self):
         return (
@@ -583,20 +581,29 @@ def superpose(c: CoordinateDistribution, v: SchwartzFamily) -> GridDistribution:
 
 
 def scale_family(a: SymbolFunction, v: SchwartzFamily) -> LazyFamily:
-    """Family with members ``a(p) * v_p``, the row map ``c -> superpose(a * c, v)``;
-    a product that overflows is ``NonFiniteSamples`` where a member is scanned."""
+    """Family with members ``a(p) * v_p``: the row map ``c -> superpose(a * c, v)``
+    and the coordinate map ``u -> coordinates(u, v) / a``, 0 on the default
+    division policy's zero set; an overflow is ``NonFiniteSamples`` where a
+    member or coordinates are scanned."""
+    from .solver import DivisionPolicy, _masked_quotient, _zero_set  # solver imports this module
     v._check_symbol(a)
     values = a.sample_finite(v.index_grid)
+    masks = _zero_set(values, DivisionPolicy())[1:]
 
     def rows_map(rows):
         with np.errstate(over="ignore", invalid="ignore"):
             return v.superpose_rows(values * rows)
-    return LazyFamily(v.index_grid, v.space_grid, rows_map)
+
+    def coordinates_map(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _masked_quotient(v.coordinates_rows(rows), values, *masks)
+    return LazyFamily(v.index_grid, v.space_grid, rows_map, coordinates_map)
 
 
 def family_product(mu: SchwartzFamily, lam: SchwartzFamily) -> LazyFamily:
-    """Product family with members ``(mu.lam)_p = superpose(mu_p, lam)``, the
-    row map ``c -> superpose(superpose(c, mu), lam)``.
+    """Product family with members ``(mu.lam)_p = superpose(mu_p, lam)``: the
+    row map ``c -> superpose(superpose(c, mu), lam)`` and the coordinate map
+    ``u -> coordinates(coordinates(u, lam), mu)``.
 
     Requires ``mu``'s space grid to equal ``lam``'s index grid, i.e. each
     member of ``mu`` is a coefficient distribution for ``lam``.
@@ -606,4 +613,5 @@ def family_product(mu: SchwartzFamily, lam: SchwartzFamily) -> LazyFamily:
             "product needs the left family's space grid to be the right "
             "family's index grid"
         )
-    return LazyFamily(mu.index_grid, lam.space_grid, lambda rows: lam.superpose_rows(mu.superpose_rows(rows)))
+    return LazyFamily(mu.index_grid, lam.space_grid, lambda rows: lam.superpose_rows(mu.superpose_rows(rows)),
+                      lambda rows: mu.coordinates_rows(lam.coordinates_rows(rows)))

@@ -10,9 +10,11 @@ must then be free of mass on the zero set, where its quotient is 0; only
 ``green_family_divided`` takes that route.
 
 Both the left inverse and the Green family are lazy (``LazyFamily``): a
-member is computed from its point mass when asked for, by the same per-row
-arithmetic the dense table would use, and no index-by-space table is built
-unless ``matrix()`` or ``kernel`` is called.
+member is computed from its point mass when asked for, and no index-by-space
+table is built unless ``matrix()`` or ``kernel`` is called.  A Green
+family's coordinates are ``mu``'s coordinates of ``l`` times ``lam``'s, so
+``L u`` with the canonical left inverse: the pseudo-inverse of the Green
+table off the zero set, where the pseudo-inverse is 0 and ``L u`` is not.
 
 Since a point mass cannot be compared node by node after applying ``L``, the
 Green property is certified weakly: each member is paired against a fixed
@@ -106,12 +108,12 @@ def left_inverse_family(lam: SchwartzFamily) -> SchwartzFamily:
     This is the canonical left inverse: the product ``mu . lam`` resynthesizes
     every point mass, i.e. equals the Dirac family up to rounding.  It is the
     unique choice when ``lam`` has invertible coordinates; for the Dirac
-    family it is the Dirac family itself.  Otherwise it is lazy: superposing
-    coefficient rows over ``mu`` is analysing them in ``lam``.
+    family it is the Dirac family itself.  Otherwise it is ``lam``'s two maps
+    swapped, lazy, so taking it twice gives ``lam``'s maps back.
     """
     if isinstance(lam, DiracFamily):
         return DiracFamily(lam.space_grid)
-    return LazyFamily(lam.space_grid, lam.index_grid, lam.coordinates_rows)
+    return LazyFamily(lam.space_grid, lam.index_grid, lam.coordinates_rows, lam.superpose_rows)
 
 
 def _pairing(lam: SchwartzFamily, mu: SchwartzFamily) -> str:
@@ -268,7 +270,7 @@ def _green(
         with np.errstate(over="ignore", invalid="ignore"):  # the weak residuals and member() scan the result
             return pair.synthesise(_masked_quotient(coeffs, pair.a_values, *masks))
 
-    family = LazyFamily(mu.index_grid, lam.space_grid, rows_map)
+    family = LazyFamily(mu.index_grid, lam.space_grid, rows_map, lambda rows: mu.coordinates_rows(full.scaled(rows)))
     residuals, centers = _weak_residuals(lam.space_grid, real, family, pairing)
     route = "divided" if has_zeros else "reciprocal"
     return GreenFamilyResult(family, residuals, tuple(centers), route)

@@ -420,6 +420,17 @@ def product_table(mu_table, lam_table, lam_index):
     return (mu_table * lam_index.cell_volume) @ lam_table
 
 
+def pseudo_inverse(table, index):
+    """The pseudo-inverse ``P`` of the synthesis ``c -> sum_k c_k table[k] dp^n``
+    of the family whose member at the k-th index node is row k of ``table``,
+    so that ``rows @ P`` are the least-squares coordinates of sample rows,
+    and the condition number of the part it inverts.  numpy's ``pinv``: a
+    singular value at or below ``1e-15`` of the largest counts as 0."""
+    system = table * index.cell_volume
+    inverse = np.linalg.pinv(system)
+    return inverse, float(np.linalg.norm(system, 2) * np.linalg.norm(inverse, 2))
+
+
 # the member and matrix methods of the Dirac, Fourier, kernel and lazy
 # families, and the Green invertibility check, as first written
 

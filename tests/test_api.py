@@ -4,6 +4,7 @@ A change that adds or drops an exported name fails here, so the list below
 changes only together with a documented change to the public API.
 """
 
+import inspect
 import types
 
 import schwartzcalc
@@ -113,3 +114,10 @@ def test_each_public_name_is_declared_in_one_module():
     ]
     assert len(declared) == len(set(declared))
     assert sorted(declared) == PUBLIC_NAMES
+
+
+def test_lazy_family_takes_both_maps_with_no_default():
+    # a lazy family's analysis is stated with its synthesis, never solved for
+    params = list(inspect.signature(schwartzcalc.LazyFamily).parameters.values())
+    assert [p.name for p in params] == ["index_grid", "space_grid", "rows_map", "coordinates_map"]
+    assert all(p.default is inspect.Parameter.empty for p in params)

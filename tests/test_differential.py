@@ -13,7 +13,12 @@ stated scale:
 * Green members: ``1 / (dx^n min|l|)``, the bound of a member;
 * scaled and product members (``scale_family``, ``family_product``): the
   bound of a member, with ``PHASE_ULPS`` ulps per node for the literal
-  plane waves, whose phases are formed from rounded nodes.
+  plane waves, whose phases are formed from rounded nodes;
+* the coordinates of every derived family (scaled, product, left inverse
+  and left inverse of it, Green on both routes): ``u @ P`` for the
+  pseudo-inverse ``P`` of the literal table (``naive.pseudo_inverse``),
+  within ``PHASE_ULPS`` ulps per node of the table's condition number times
+  the bound of a coordinate, ``max_k sum_j |u_j| |P_jk|``.
 
 Two properties are exact: the half-spectrum sampler is bit for bit the
 real parts of the whole-grid sample, gathered onto the half; and a real,
@@ -26,7 +31,8 @@ CLI contract.  Three more are exact: the polynomial evaluator is the sum
 from zeros it replaced, bit for bit; a datum built from real samples, known
 real without a scan, gives the bits of the same values given as complex;
 and the transform pair follows ``not samples.imag.any()``, signed zeros
-included.
+included.  A Green family's coordinates of complex data are bit for bit
+``L u``, ``DiagonalOperator(lam, l).apply(u)``.
 
 The factor in front, ``TOL_ULPS * N``, covers the literal sums themselves:
 their phases ``p.x`` reach ``pi N / 2``, where ``exp`` is accurate to
@@ -52,6 +58,7 @@ from hypothesis import strategies as st
 import naive
 from test_csv import field_paths
 from schwartzcalc import (
+    DiagonalOperator,
     DiracFamily,
     DifferentialOperatorSpec,
     DivisionPolicy,
@@ -419,6 +426,68 @@ def test_product_members_are_the_literal_product_table(grid, pair, data):
     k = data.draw(st.integers(0, grid.size - 1))
     ok, detail = within(product.member(mu.index_grid.point_at(k)).samples, want[k], PHASE_ULPS * scale, grid.size)
     assert ok, detail
+
+
+def derived_family(kind, grid, terms, with_zero):
+    """A family the library derives, of ``kind``, its member table from the
+    literal definitions and, for a Green family, its operator ``L``.  A
+    scaling symbol vanishes at ``p = 0`` (or ``x = 0``) ``with_zero``, else
+    has the constant term 8.  A Green symbol has the constant term 8 on the
+    route ``"reciprocal"``, and ``None`` is returned where the dense Green
+    oracle finds it not invertible; it vanishes at ``p = 0`` on the route
+    ``"divided"``, under a loose policy."""
+    lam = FourierFamily(grid)
+    if kind in ("scaled-fourier", "scaled-dirac"):
+        fam = DiracFamily(grid) if kind == "scaled-dirac" else lam
+        _, a = operator_symbol(fam, terms, 0 if with_zero else 8.0)
+        return scale_family(a, fam), naive.scaled_table(a.sample(fam.index_grid), literal_table(fam)), None
+    if kind.startswith("product:"):
+        mu, lam = PRODUCT_PAIRS[kind[len("product:"):]](grid)
+        mu_table = naive.fourier_coordinate_table(lam) if isinstance(mu, LazyFamily) else literal_table(mu)
+        return family_product(mu, lam), naive.product_table(mu_table, literal_table(lam), lam.index_grid), None
+    if kind == "left-inverse":
+        return left_inverse_family(lam), naive.fourier_coordinate_table(lam), None
+    if kind == "left-inverse-twice":
+        return left_inverse_family(left_inverse_family(lam)), naive.fourier_table(lam), None
+    divided = kind == "green-divided"
+    _, l = operator_symbol(lam, terms, 0 if divided else 8.0)
+    policy = DivisionPolicy(residual_threshold=1.0) if divided else DivisionPolicy()
+    try:
+        table, _ = naive.dense_green(lam, l, policy, divided=divided)
+    except NotInvertible:
+        return None
+    build = green_family_divided if divided else green_family
+    return build(lam, l, left_inverse_family(lam), policy).family, table, DiagonalOperator(lam, l)
+
+
+@pytest.mark.parametrize("kind", ["scaled-fourier", "scaled-dirac", "left-inverse", "left-inverse-twice",
+                                  "green-reciprocal", "green-divided"]
+                         + [f"product:{pair}" for pair in sorted(PRODUCT_PAIRS)])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(grid=grids(max_nodes=256), with_zero=st.booleans(), real_even=st.booleans(),
+       datum=st.sampled_from(["real", "complex", "delta"]), data=st.data())
+def test_derived_coordinates_are_the_pseudo_inverse_of_the_literal_table(
+        grid, kind, with_zero, real_even, datum, data):
+    """A derived family's coordinates compose its parents' maps and build
+    no table; they are ``u @ P`` for the pseudo-inverse ``P`` of the literal
+    table, within ``PHASE_ULPS * N`` ulps of ``cond * max_k sum_j |u_j| |P_jk|``:
+    the bound of a coordinate term by term, times the table's condition
+    number, by which the rounding of a table moves its pseudo-inverse.  The
+    zero set's coordinates are 0 on both sides, but for the Green family's
+    ``L u``, which keeps ``l`` there, at or below the zero threshold.  A
+    Green family's coordinates of complex data are the bits of ``L u``."""
+    built = derived_family(kind, grid, data.draw(poly_terms(grid.dim, real_even)), with_zero)
+    if built is None:
+        return
+    family, table, operator = built
+    u = draw_datum(data.draw, family.space_grid, datum)
+    inverse, cond = naive.pseudo_inverse(table, family.index_grid)
+    scale = cond * float(np.max(np.abs(u.samples) @ np.abs(inverse)))
+    ok, detail = within(coordinates(u, family).samples, u.samples @ inverse, PHASE_ULPS * scale, grid.size)
+    assert ok, detail
+    if operator is not None:
+        u = draw_datum(data.draw, grid, "complex")
+        assert same_words(coordinates(u, family).samples, operator.apply(u).samples)
 
 
 def same_words(x, y):

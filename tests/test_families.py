@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -255,15 +256,32 @@ def test_scale_family_arity_mismatch():
 
 def test_a_scaled_member_past_the_largest_double_is_refused_as_non_finite():
     # |a(p)| / dp^2 = 1e307 / (pi/20)^2 passes the largest double: the member
-    # and the table that the coordinates solve needs are refused, with no warning
+    # is refused, with no warning; the coordinates need no table, only the
+    # division of v's coordinates by a
     g = make_grid(2, [16, 16], [20.0, 20.0])
     fam = FourierFamily(g)
     scaled = scale_family(constant_symbol(2, 1e307), fam)
     u = sample_function(g, lambda x, y: np.exp(-(x**2 + y**2)))
     with pytest.raises(NonFiniteSamples, match="samples must all be finite"):
         member(scaled, fam.index_grid.point_at(3))
-    with pytest.raises(NonFiniteSamples, match="kernel entries must all be finite"):
-        coordinates(u, scaled)
+    assert np.array_equal(coordinates(u, scaled).samples, coordinates(u, fam).samples / 1e307)
+
+
+def test_scaled_coordinates_divide_with_no_warning():
+    # a node on the zero set gets 0, not a division by 0; a quotient past the
+    # largest double is the coordinates' NonFiniteSamples, not a warning
+    g = make_grid(2, [16, 16], [4.0, 4.0])
+    fam = FourierFamily(g)
+    u = sample_function(g, lambda x, y: np.exp(-(x**2 + y**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coordinates(u, scale_family(SymbolFunction(2, lambda p, q: p**2 + q**2), fam)).samples
+        with pytest.raises(NonFiniteSamples, match="^distribution samples must all be finite$"):
+            coordinates(GridDistribution(g, 1e20 * u.samples), scale_family(constant_symbol(2, 1e-300), fam))
+    zero = fam.index_grid.index_of((0.0, 0.0))
+    live = np.arange(g.size) != zero
+    assert got[zero] == 0
+    assert np.allclose(got[live] * (fam.index_grid.points()[live] ** 2).sum(axis=1), fam.coordinates(u).samples[live])
 
 
 def test_caller_tables_that_are_not_finite_are_refused_as_non_finite():
@@ -419,12 +437,13 @@ def test_kernel_svd_is_computed_once_across_threads(monkeypatch):
 def test_lazy_family_is_not_a_basis():
     # it holds no table to check one against
     g = make_grid(1, [8], [1.0])
-    assert not LazyFamily(g, g, lambda rows: rows.copy()).is_basis
+    assert not LazyFamily(g, g, lambda rows: rows.copy(), lambda rows: rows.copy()).is_basis
 
 
-def test_lazy_family_coordinates_solve_on_its_own_table():
-    # a lazy family holds a row map, no table: its coordinates are those of
-    # the kernel family of the table the map builds, built afresh per call
+def test_lazy_family_coordinates_are_its_analysis_map():
+    # a lazy family holds its two maps, no table: its coordinates are its
+    # analysis map's rows, and the row map (which would build a table) is
+    # never called for them
     g = make_grid(1, [16], [3.0])
     fam = FourierFamily(g)
     seen = []
@@ -433,17 +452,15 @@ def test_lazy_family_coordinates_solve_on_its_own_table():
         seen.append(rows.shape[0])
         return fam.superpose_rows(rows)
 
-    lazy = LazyFamily(fam.index_grid, g, rows_map)
+    lazy = LazyFamily(fam.index_grid, g, rows_map, fam.coordinates_rows)
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
     got = lazy.coordinates_rows(rows)
-    assert seen == [fam.index_grid.size]
-    want = KernelFamily(fam.index_grid, g, lazy.matrix()).coordinates_rows(rows)
-    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
-    # the Fourier synthesis is invertible: least squares is its analysis
-    assert np.max(np.abs(got - fam.coordinates_rows(rows))) <= 1e-12 * np.max(np.abs(got))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(fam.coordinates_rows(rows)).view(np.uint64))
     u = GridDistribution(g, rows[0])
     assert np.array_equal(coordinates(u, lazy).samples, lazy.coordinates_rows(rows[:1])[0])
+    assert seen == []
 
 
 REPR_GRID = make_grid(1, [8], [math.pi])
@@ -455,7 +472,8 @@ REPR_GRID = make_grid(1, [8], [math.pi])
         (DiracFamily(REPR_GRID), repr(REPR_GRID)),
         (FourierFamily(REPR_GRID), repr(REPR_GRID)),
         (KernelFamily(REPR_GRID, REPR_GRID, np.eye(8)), repr(REPR_GRID)),
-        (LazyFamily(REPR_GRID, REPR_GRID, lambda rows: np.eye(8)[rows]), repr(REPR_GRID)),
+        (LazyFamily(REPR_GRID, REPR_GRID, lambda rows: np.eye(8)[rows], lambda rows: np.eye(8)[rows]),
+         repr(REPR_GRID)),
         (zero_distribution(REPR_GRID), repr(REPR_GRID)),
         (DiagonalOperator(FourierFamily(REPR_GRID), unit_symbol(1)), "'one'"),
         (MultiplicationOperator(unit_symbol(1)), "'one'"),

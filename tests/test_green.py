@@ -404,7 +404,7 @@ def test_divided_check_stops_at_first_offending_block():
         seen.append(c.shape[0])
         return table.superpose_rows(c)
 
-    mu = LazyFamily(g, lam.index_grid, rows_map)
+    mu = LazyFamily(g, lam.index_grid, rows_map, table.coordinates_rows)
     with pytest.raises(NotDivisible) as got:
         green_family_divided(lam, DERIVATIVE, mu)
     with pytest.raises(NotDivisible) as want:

@@ -9,8 +9,9 @@ literal copies kept in ``naive.py``, compared as unsigned words.  The
 product and scaled families are row maps; their tables keep the words of
 the tables first built from ``mu.matrix()`` and ``v.matrix()``.  The same
 module checks the Green invertibility check folded into the build, the
-Fourier pairing route chosen by value, and the dense-table cap raised before
-anything is allocated.
+Fourier pairing route chosen by value, the dense-table cap raised before
+anything is allocated, and derived coordinates above the cap, from the
+parents' maps with no table.
 """
 
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from schwartzcalc import (
+    DiagonalOperator,
     DiracFamily,
     DivisionPolicy,
     FourierFamily,
@@ -337,7 +339,7 @@ def test_fourier_analysis_of_another_grid_pairs_densely(monkeypatch):
     g = make_grid(1, [32], [2.0])
     lam = FourierFamily(g)
     foreign = FourierFamily(make_grid(1, [32], [3.0]))
-    mu = LazyFamily(g, lam.index_grid, foreign.coordinates_rows)
+    mu = LazyFamily(g, lam.index_grid, foreign.coordinates_rows, foreign.superpose_rows)
     built = []
     original = LazyFamily.matrix
 
@@ -366,7 +368,7 @@ def test_dense_tables_above_the_cap_raise_before_allocating():
     # 72^2 = 5184 nodes: one member table would take 410 MiB
     g = make_grid(2, [72, 72], [4.0, 4.0])
     lam = FourierFamily(g)
-    lazy = LazyFamily(g, g, lambda rows: rows)
+    lazy = LazyFamily(g, g, lambda rows: rows, lambda rows: rows)
     for build in (lazy.matrix, DiracFamily(g).matrix, lam.matrix,
                   lambda: families.point_mass_rows(g, 0, g.size)):
         tracemalloc.start()
@@ -381,13 +383,48 @@ def test_dense_tables_above_the_cap_raise_before_allocating():
     assert lazy.member(g.point_at(7)).samples[7] == 1.0 / g.cell_volume
 
 
+def test_derived_coordinates_above_the_cap_build_no_table():
+    # 128^2 = 16384 nodes: the member table would take 4 GiB and is refused;
+    # coordinates compose the parents' maps at a few complex arrays, plus a
+    # fixed byte term for the 2-d FFT (128 KiB measured)
+    g = make_grid(2, [128, 128], [6.0, 6.0])
+    lam = FourierFamily(g)
+    a = _polynomial_symbol(2, [((2, 0), 1.0), ((0, 2), 1.0), ((1, 0), 0.25j)], "a")  # 0 at p = 0 only
+    l = _polynomial_symbol(2, [((0, 0), 1.0), ((2, 0), 1.0), ((0, 2), 1.0)], "1+|p|^2")
+    scaled = scale_family(a, lam)
+    product = family_product(left_inverse_family(lam), lam)
+    green = green_family(lam, l, left_inverse_family(lam)).family
+    rng = np.random.default_rng(11)
+    u = GridDistribution(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
+    got = {}
+    for name, fam in (("scaled", scaled), ("product", product), ("green", green)):
+        with pytest.raises(TooLarge):
+            fam.matrix()
+        fam.coordinates(u)  # the FFT plans of a first call at this shape are cached
+        tracemalloc.start()
+        try:
+            got[name] = fam.coordinates(u).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * g.size + 2**18, f"{name}: peak {peak / (16 * g.size):.2f} complex arrays"
+    a_values = a.sample(lam.index_grid)
+    zero = lam.index_grid.index_of((0.0, 0.0))
+    live = np.arange(g.size) != zero
+    want = lam.coordinates(u).samples
+    assert got["scaled"][zero] == 0 and np.array_equal(got["scaled"][live], want[live] / a_values[live])
+    assert np.max(np.abs(got["product"] - u.samples)) <= 1e-13 * np.max(np.abs(u.samples))
+    assert same_words(got["green"], DiagonalOperator(lam, l).apply(u).samples)
+
+
 def test_green_on_a_dirac_family_above_the_cap_refuses():
     # a caller-supplied left inverse (here the Dirac one, as a map) is
     # paired through the dense table, which the cap refuses; the canonical
     # Dirac left inverse pairs the diagonal of L G and needs no table
     g = make_grid(2, [72, 72], [4.0, 4.0])
     dirac = DiracFamily(g)
-    supplied = LazyFamily(g, g, lambda rows: np.array(rows, dtype=np.complex128))
+    copy = lambda rows: np.array(rows, dtype=np.complex128)
+    supplied = LazyFamily(g, g, copy, copy)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge):
